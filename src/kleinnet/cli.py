@@ -4,8 +4,7 @@ One binary, subcommand style: graph, character, degenerate, limitset,
 dessin, qnet.  Exit codes: 0 success, 1 domain or I/O error (message on
 stderr), 2 usage error.  Numeric output is printed with 9 significant
 digits and identical invocations produce byte-identical outputs, so runs
-can be diffed.  KLEINNET_THREADS and KLEINNET_BACKEND are honored by the
-underlying modules.
+can be diffed.
 """
 
 from __future__ import annotations
@@ -185,7 +184,6 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
         epsilon=args.eps,
         max_depth=args.depth,
         cap=args.cap,
-        backend=args.backend,
     )
     window = tuple(_parse_floats_csv(args.window, "window"))
     if len(window) != 4:
@@ -198,9 +196,7 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
         limitset.write_cloud_csv(args.csv, cloud)
 
     radius = max(abs(w) for w in window)
-    backend = {"c": "cython", "py": "python"}.get(args.backend, limitset.kernel_backend)
     lines = [
-        f"backend {backend}",
         f"points {len(cloud)}",
         f"truncated {int(cloud.truncated)}",
     ]
@@ -300,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=limitset.DEFAULT_EPSILON, help="resolution target")
     p.add_argument("--depth", type=int, default=limitset.DEFAULT_MAX_DEPTH, help="word-length cap")
     p.add_argument("--cap", type=int, default=limitset.DEFAULT_CAP, help="point-count cap")
-    p.add_argument("--backend", choices=("c", "py"), help="kernel override")
     p.add_argument("--out", help="write a PPM image here")
     p.add_argument("--csv", help="write the point cloud CSV here")
     p.add_argument("--window", default="-2.2,2.2,-2.2,2.2", help="re_min,re_max,im_min,im_max")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -158,37 +156,19 @@ def laurent_family(
     return RepFamily(name, pres, builder)
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("KLEINNET_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def sweep(
     family: RepFamily,
     classes: ConjugacyClassList,
     t_values: Sequence[float],
 ) -> list[LengthVector]:
-    """Projectivized length vector at each t.  Samples are independent; with
-    KLEINNET_THREADS > 1 they are evaluated concurrently, and the output
-    order always matches t_values."""
+    """Projectivized length vector at each t, in the order of t_values."""
     ts = list(t_values)
     if len(ts) < 2:
         raise DegenerationError("sweep needs at least two parameter values")
     if any(not b > a for a, b in zip(ts, ts[1:])):
         raise DegenerationError("sweep parameter values must increase")
 
-    def sample(t: float) -> LengthVector:
-        return projectivize(length_vector(family.build(t), classes))
-
-    n = _n_threads()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(sample, ts))
-    return [sample(t) for t in ts]
+    return [projectivize(length_vector(family.build(t), classes)) for t in ts]
 
 
 def cyclic_length_oracle(classes: ConjugacyClassList) -> LengthVector:

@@ -1,52 +1,34 @@
 """Limit sets of one- and two-generator subgroups of SL(2,C) acting on the
 Riemann sphere.
 
-Points are sampled by a depth-first traversal of nonbacktracking words: at the
-node for prefix M the candidates are M applied to the attracting fixed points
-of the allowed next letters, and a branch is pruned once its candidate set has
+Points are sampled by a traversal of nonbacktracking words: at the node for
+prefix M the candidates are M applied to the attracting fixed points of the
+allowed next letters, and a branch is pruned once its candidate set has
 diameter below epsilon.  Coordinates live in two charts (z and 1/z) so points
-near infinity stay bounded; the traversal itself runs in a compiled kernel
-when available, with a pure-Python twin producing the same floats.
+near infinity stay bounded.  The traversal is level-synchronous: all nodes of
+one word length are processed at once with numpy, and the complex arithmetic
+is spelled out on real and imaginary parts so every float is the one
+CPython's naive complex formulas give.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import _kernel_py
 from .errors import ElementaryGroupError, LimitSetError
 from .sl2 import CLASSIFY_TOL, Matrix2C, check_unimodular, classify
-
-_requested = os.environ.get("KLEINNET_BACKEND", "").strip().lower()
-if _requested in ("py", "python"):
-    _impl = _kernel_py
-elif _requested in ("c", "cython"):
-    from . import _kernel as _impl  # import error surfaces: explicit request
-elif _requested:
-    raise ImportError(
-        f"KLEINNET_BACKEND must be 'c' or 'py', got {_requested!r}"
-    )
-else:
-    try:
-        from . import _kernel as _impl
-    except ImportError:
-        _impl = _kernel_py
-
-kernel_backend = _impl.BACKEND
 
 __all__ = [
     "SpherePoint",
     "GroupSpec",
     "LimitPointCloud",
-    "kernel_backend",
     "mobius_fixed_points",
     "enumerate_limit_set",
     "circle_deviation",
@@ -284,15 +266,6 @@ def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     return np.column_stack([re / den, sign * im / den, height / (2.0 * den)])
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("KLEINNET_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def _dedupe_points(points: list[SpherePoint], tol: float) -> list[SpherePoint]:
     out: list[SpherePoint] = []
     for p in points:
@@ -302,15 +275,173 @@ def _dedupe_points(points: list[SpherePoint], tol: float) -> list[SpherePoint]:
 
 
 def _make_cloud(
-    triples: list[tuple[float, float, int]],
+    re: np.ndarray,
+    im: np.ndarray,
+    charts: np.ndarray,
     epsilon: float,
     max_depth: int,
     truncated: bool,
 ) -> LimitPointCloud:
-    triples = sorted(triples)
-    values = np.array([complex(r, i) for r, i, _ in triples], dtype=np.complex128)
-    charts = np.array([c for _, _, c in triples], dtype=np.int8)
-    return LimitPointCloud(values, charts, epsilon, max_depth, truncated)
+    order = np.lexsort((charts, im, re))
+    values = np.empty(order.size, dtype=np.complex128)
+    values.real = re[order]
+    values.imag = im[order]
+    return LimitPointCloud(
+        values, charts[order].astype(np.int8), epsilon, max_depth, truncated
+    )
+
+
+# Complex numbers in the traversal are (re, im) pairs of float arrays, and
+# the arithmetic is CPython's naive formulas written out, so results do not
+# depend on how numpy or the interpreter evaluates complex products.
+
+
+def _mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _normalized(m):
+    """Entries of m over their largest |re| + |im|, stacked as rows re, im
+    per entry.  The quotient is spelled as CPython divides a complex by a
+    float (the float is promoted to complex), which keeps signed zeros."""
+    s = np.maximum.reduce([np.abs(re) + np.abs(im) for re, im in m])
+    return np.array(
+        [x for re, im in m for x in ((re + im * 0.0) / s, (im - re * 0.0) / s)]
+    )
+
+
+def _entries(rows):
+    """The four (re, im) entry pairs of matrices stacked as _normalized
+    returns them."""
+    return list(zip(rows[0::2], rows[1::2]))
+
+
+# letters 0=a, 1=a^-1, 2=b, 3=b^-1; after letter l come the letters h != l^1
+_NEXT = np.array([[h for h in range(4) if h != l ^ 1] for l in range(4)])
+# frontier nodes evaluated at once: bounds the temporaries of one level
+_CHUNK = 1 << 15
+
+
+def _node_points(u, v, eps2: float, at_floor: bool):
+    """Evaluate nodes whose candidate points are u/v, shape (nodes, k).
+
+    A node emits when its candidates fit one chart and have squared
+    diameter below eps2, and always at the depth floor, where a candidate
+    set straddling the charts takes the majority chart.  The emitted point
+    is the centroid of the candidates in that chart.  Returns the emit mask
+    and, for every node, the centroid and chart.
+    """
+    k = u[0].shape[1]
+    nu = u[0] * u[0] + u[1] * u[1]
+    nv = v[0] * v[0] + v[1] * v[1]
+    fits0 = nu <= 4.0 * nv
+    fits1 = nv <= 4.0 * nu
+    all0 = fits0.all(axis=1)
+    all1 = fits1.all(axis=1)
+    use0 = all0 | (~all1 & (2 * fits0.sum(axis=1) >= k))
+    w0 = use0[:, None]
+    in_chart = np.where(w0, fits0, fits1)
+    p = (np.where(w0, u[0], v[0]), np.where(w0, u[1], v[1]))
+    q = (np.where(w0, v[0], u[0]), np.where(w0, v[1], u[1]))
+    d = np.where(w0, nv, nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zr = (p[0] * q[0] + p[1] * q[1]) / d
+        zi = (p[1] * q[0] - p[0] * q[1]) / d
+    diam2 = np.zeros(len(use0))
+    for i, j in combinations(range(k), 2):
+        dr = zr[:, i] - zr[:, j]
+        di = zi[:, i] - zi[:, j]
+        diam2 = np.fmax(diam2, dr * dr + di * di)
+    emit = ((all0 | all1) & (diam2 < eps2)) | at_floor
+    cr = ci = 0.0
+    for i in range(k):
+        cr = cr + np.where(in_chart[:, i], zr[:, i], 0.0)
+        ci = ci + np.where(in_chart[:, i], zi[:, i], 0.0)
+    n = in_chart.sum(axis=1)
+    return emit, cr / n, ci / n, np.where(use0, 0, 1)
+
+
+def _expand(rows, last, g, fu, fv, eps2: float, at_floor: bool):
+    """One chunk of a level: nodes with prefix matrices `rows` (as
+    _normalized stacks them) and last letters `last`.  Returns the points of
+    the emitting nodes and the open nodes' children, each node's children
+    in letter order."""
+    m = _entries(rows)
+    nxt = _NEXT[last]
+    cu = (fu[0][nxt], fu[1][nxt])
+    cv = (fv[0][nxt], fv[1][nxt])
+    col = [(re[:, None], im[:, None]) for re, im in m]
+    u = _add(_mul(col[0], cu), _mul(col[1], cv))
+    v = _add(_mul(col[2], cu), _mul(col[3], cv))
+    emit, cr, ci, chart = _node_points(u, v, eps2, at_floor)
+    grow = ~emit
+    child_last = nxt[grow].ravel()
+    p = [(re[grow].repeat(3), im[grow].repeat(3)) for re, im in m]
+    gh = [(re[child_last], im[child_last]) for re, im in g]
+    child_rows = _normalized([
+        _add(_mul(p[0], gh[0]), _mul(p[1], gh[2])),
+        _add(_mul(p[0], gh[1]), _mul(p[1], gh[3])),
+        _add(_mul(p[2], gh[0]), _mul(p[3], gh[2])),
+        _add(_mul(p[2], gh[1]), _mul(p[3], gh[3])),
+    ])
+    return (cr[emit], ci[emit], chart[emit]), (child_rows, child_last)
+
+
+def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
+    """Points of the pruned word traversal, in level order and word order
+    within a level, and whether the point cap cut the traversal short.
+
+    gens are the (a, b, c, d) entries of a, a^-1, b, b^-1 and fixes their
+    homogeneous attracting fixed points.  Every open node emits at least one
+    point, so before each level the frontier is cut to its first
+    cap - emitted nodes: a run is truncated exactly when the whole traversal
+    would emit more than cap points, and then it returns exactly cap points.
+    """
+    eps2 = epsilon * epsilon
+    g = [(np.array([m[e].real for m in gens]), np.array([m[e].imag for m in gens]))
+         for e in range(4)]
+    fu = (np.array([f[0].real for f in fixes]), np.array([f[0].imag for f in fixes]))
+    fv = (np.array([f[1].real for f in fixes]), np.array([f[1].imag for f in fixes]))
+
+    # depth 0: the identity prefix, all four letters allowed
+    emit, cr, ci, chart = _node_points(
+        (fu[0][None], fu[1][None]), (fv[0][None], fv[1][None]), eps2, False
+    )
+    if emit[0]:
+        return cr, ci, chart, False
+
+    rows, last = _normalized(g), np.arange(4)
+    points = []
+    emitted = 0
+    truncated = False
+    for depth in range(1, max_depth + 1):
+        room = cap - emitted
+        if len(last) > room:
+            truncated = True
+            rows, last = rows[:, :room], last[:room]
+        children = []
+        n_children = 0
+        for s in range(0, len(last), _CHUNK):
+            pts, kids = _expand(
+                rows[:, s:s + _CHUNK], last[s:s + _CHUNK],
+                g, fu, fv, eps2, depth >= max_depth,
+            )
+            points.append(pts)
+            emitted += len(pts[0])
+            # children past cap - emitted would be cut before the next level
+            if n_children < cap - emitted:
+                children.append(kids)
+                n_children += len(kids[1])
+        if n_children == 0:
+            break
+        rows = np.concatenate([kid[0] for kid in children], axis=1)
+        last = np.concatenate([kid[1] for kid in children])
+    re, im, charts = (np.concatenate(col) for col in zip(*points))
+    return re, im, charts, truncated
 
 
 def enumerate_limit_set(
@@ -318,13 +449,13 @@ def enumerate_limit_set(
     epsilon: float = DEFAULT_EPSILON,
     max_depth: int = DEFAULT_MAX_DEPTH,
     cap: int = DEFAULT_CAP,
-    backend: str | None = None,
 ) -> LimitPointCloud:
-    """Sample the limit set by the pruned depth-first traversal.
+    """Sample the limit set by the pruned traversal of nonbacktracking words.
 
-    `backend` overrides the module-level kernel choice ("c" or "py"); the
-    four first-letter subtrees run concurrently when KLEINNET_THREADS > 1,
-    and the result is identical either way.
+    A run is truncated when the whole traversal would emit more than `cap`
+    points; it then keeps exactly `cap` points, taken level by level from
+    the first open nodes in word order (so the shortest words come first),
+    and sets `truncated`.
     """
     if not epsilon > 0.0:
         raise LimitSetError("epsilon must be positive")
@@ -347,48 +478,12 @@ def enumerate_limit_set(
             "elementary: limit set has <= 2 points", points
         )
 
-    if backend is None:
-        impl = _impl
-    elif backend in ("py", "python"):
-        impl = _kernel_py
-    elif backend in ("c", "cython"):
-        from . import _kernel as impl_mod
-
-        impl = impl_mod
-    else:
-        raise LimitSetError(f"unknown backend {backend!r}")
-
     a, b = spec.generators
     mats = (a, a.inverse(), b, b.inverse())
-    gens = tuple(m.entries() for m in mats)
-    fixes = tuple(_attracting_eigvec(m) for m in mats)
-
-    # depth-0 node: identity prefix, all four letters allowed
-    root_out: list[tuple[float, float, int]] = []
-    us = [f[0] for f in fixes]
-    vs = [f[1] for f in fixes]
-    if _kernel_py._emit_candidates(us, vs, epsilon * epsilon, False, root_out):
-        return _make_cloud(root_out, epsilon, max_depth, False)
-
-    def run(letter: int):
-        return impl.run_subtree(gens, fixes, epsilon, max_depth, cap, letter)
-
-    n = _n_threads()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=min(n, 4)) as pool:
-            results = list(pool.map(run, range(4)))
-    else:
-        results = [run(letter) for letter in range(4)]
-
-    merged: list[tuple[float, float, int]] = []
-    truncated = False
-    for pts, trunc in results:
-        merged.extend(pts)
-        truncated = truncated or trunc
-    if len(merged) > cap:
-        merged = merged[:cap]
-        truncated = True
-    return _make_cloud(merged, epsilon, max_depth, truncated)
+    gens = [m.entries() for m in mats]
+    fixes = [_attracting_eigvec(m) for m in mats]
+    re, im, charts, truncated = _traverse(gens, fixes, epsilon, max_depth, cap)
+    return _make_cloud(re, im, charts, epsilon, max_depth, truncated)
 
 
 def circle_deviation(

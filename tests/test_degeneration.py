@@ -221,18 +221,6 @@ def test_sweep_validates_grid():
         sweep(fam, ABAB_CLASSES, [1.0, 1.0])
 
 
-def test_sweep_is_thread_invariant(monkeypatch):
-    fam = schottky_family()
-    classes = enumerate_classes(2, 3)
-    seq = sweep(fam, classes, T_GRID)
-    monkeypatch.setenv("KLEINNET_THREADS", "4")
-    par = sweep(fam, classes, T_GRID)
-    assert len(seq) == len(par)
-    for u, v in zip(seq, par):
-        assert u.values == v.values
-        assert u.scale == v.scale
-
-
 def test_sup_delta_requires_matching_classes():
     u = cyclic_length_oracle(ABAB_CLASSES)
     v = cyclic_length_oracle(enumerate_classes(2, 2))

@@ -89,13 +89,6 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _stdout_lines(out: str) -> str:
-    return "".join(
-        line for line in out.splitlines(keepends=True)
-        if not line.startswith("backend ")
-    )
-
-
 @pytest.mark.parametrize("flags,csv_sha,ppm_sha,out_sha", GOLDEN)
 def test_limitset_golden_outputs(capsys, tmp_path, flags, csv_sha, ppm_sha, out_sha):
     rep = tmp_path / "rep.txt"
@@ -103,7 +96,7 @@ def test_limitset_golden_outputs(capsys, tmp_path, flags, csv_sha, ppm_sha, out_
     ppm, csv = tmp_path / "lim.ppm", tmp_path / "lim.csv"
     argv = ["limitset"] + [rep.as_posix() if f == "REP" else f for f in flags]
     code = main(argv + ["--out", str(ppm), "--csv", str(csv)])
-    out = _stdout_lines(capsys.readouterr().out)
+    out = capsys.readouterr().out
     assert code == 0
     got = (_sha(csv.read_bytes()), _sha(ppm.read_bytes()), _sha(out.encode()))
     assert got == (csv_sha, ppm_sha, out_sha)

@@ -13,19 +13,12 @@ from kleinnet.limitset import (
     cloud_group_invariance,
     enumerate_limit_set,
     format_cloud_csv,
-    kernel_backend,
     mobius_fixed_points,
     render,
     write_cloud_csv,
 )
+from kleinnet.limitset import _attracting_eigvec
 from kleinnet.sl2 import Matrix2C, random_loxodromic
-
-try:
-    from kleinnet import _kernel  # noqa: F401
-
-    HAVE_C_KERNEL = True
-except ImportError:
-    HAVE_C_KERNEL = False
 
 FUCHSIAN = GroupSpec.from_traces(3, 3, 3)
 # complex perturbation of the (3,3,3) triple, z re-solved from the relation;
@@ -206,8 +199,6 @@ def test_enumerate_validates_parameters():
         enumerate_limit_set(FUCHSIAN, max_depth=0)
     with pytest.raises(LimitSetError):
         enumerate_limit_set(FUCHSIAN, cap=0)
-    with pytest.raises(LimitSetError):
-        enumerate_limit_set(FUCHSIAN, backend="fortran")
 
 
 def test_fuchsian_cloud_shape():
@@ -237,28 +228,128 @@ def test_cap_truncates():
     assert cloud.truncated
 
 
+def _quot(z, s):
+    # CPython 3.11's complex / float, spelled out so the reference does not
+    # depend on the interpreter version
+    return complex((z.real + z.imag * 0.0) / s, (z.imag - z.real * 0.0) / s)
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def reference_points(spec, epsilon, max_depth):
+    """Scalar depth-first twin of the traversal, one node at a time with
+    Python complex numbers: the sorted (re, im, chart) points."""
+    a, b = spec.generators
+    mats = [m.entries() for m in (a, a.inverse(), b, b.inverse())]
+    fixes = [_attracting_eigvec(m) for m in (a, a.inverse(), b, b.inverse())]
+    out = []
+
+    def emit(cands, at_floor):
+        fits0 = [_abs2(u) <= 4.0 * _abs2(v) for u, v in cands]
+        fits1 = [_abs2(v) <= 4.0 * _abs2(u) for u, v in cands]
+        uniform = all(fits0) or all(fits1)
+        if not (uniform or at_floor):
+            return False
+        use0 = all(fits0) if uniform else 2 * sum(fits0) >= len(cands)
+        zs = []
+        for (u, v), f0, f1 in zip(cands, fits0, fits1):
+            p, q = (u, v) if use0 else (v, u)
+            if f0 if use0 else f1:
+                d = _abs2(q)
+                zs.append(complex((p.real * q.real + p.imag * q.imag) / d,
+                                  (p.imag * q.real - p.real * q.imag) / d))
+        diam2 = max(
+            (z - w).real * (z - w).real + (z - w).imag * (z - w).imag
+            for i, z in enumerate(zs) for w in zs[i + 1:]
+        )
+        if not at_floor and diam2 >= epsilon * epsilon:
+            return False
+        cr = ci = 0.0
+        for z in zs:
+            cr += z.real
+            ci += z.imag
+        out.append((cr / len(zs), ci / len(zs), 0 if use0 else 1))
+        return True
+
+    def normalized(m):
+        s = max(abs(z.real) + abs(z.imag) for z in m)
+        return tuple(_quot(z, s) for z in m)
+
+    if emit(fixes, False):
+        return out
+    stack = [(normalized(mats[h]), h, 1) for h in reversed(range(4))]
+    while stack:
+        m, last, depth = stack.pop()
+        nxt = [h for h in range(4) if h != last ^ 1]
+        cands = [(m[0] * fixes[h][0] + m[1] * fixes[h][1],
+                  m[2] * fixes[h][0] + m[3] * fixes[h][1]) for h in nxt]
+        if emit(cands, depth >= max_depth):
+            continue
+        for h in reversed(nxt):
+            g = mats[h]
+            child = (m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
+                     m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3])
+            stack.append((normalized(child), h, depth + 1))
+    return sorted(out)
+
+
+def _hex_points(points):
+    return [(re.hex(), im.hex(), chart) for re, im, chart in points]
+
+
+def test_traversal_matches_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [(FUCHSIAN, 4e-3, 30), (PERTURBED, 8e-3, 30)]
+    cases += [
+        (GroupSpec((random_loxodromic(rng), random_loxodromic(rng))), 2e-2, depth)
+        for depth in (1, 2, 3, 4, 5, 6) * 3
+    ]
+    for spec, eps, depth in cases:
+        cloud = enumerate_limit_set(spec, epsilon=eps, max_depth=depth)
+        got = zip(cloud.values.real.tolist(), cloud.values.imag.tolist(),
+                  cloud.charts.tolist())
+        assert _hex_points(got) == _hex_points(reference_points(spec, eps, depth))
+
+
+def _point_set(cloud):
+    return set(zip(cloud.values.tolist(), cloud.charts.tolist()))
+
+
+def test_cap_truncates_exactly_when_full_run_exceeds_it():
+    full = enumerate_limit_set(FUCHSIAN, epsilon=4e-3)
+    at_cap = enumerate_limit_set(FUCHSIAN, epsilon=4e-3, cap=len(full))
+    assert not at_cap.truncated
+    assert np.array_equal(at_cap.values, full.values)
+    assert np.array_equal(at_cap.charts, full.charts)
+    below = enumerate_limit_set(FUCHSIAN, epsilon=4e-3, cap=len(full) - 1)
+    assert below.truncated
+    assert len(below) == len(full) - 1
+
+
+def test_truncated_run_keeps_points_of_the_full_run():
+    full = _point_set(enumerate_limit_set(PERTURBED, epsilon=2e-3))
+    for cap in (1, 3, 100, 1000):
+        cloud = enumerate_limit_set(PERTURBED, epsilon=2e-3, cap=cap)
+        assert len(cloud) == cap and cloud.truncated
+        assert _point_set(cloud) <= full
+
+
+def test_cap_bounds_a_deep_parabolic_run():
+    # parabolic generators: near the cusps branches run to the depth floor,
+    # so the frontier would grow without the cap
+    spec = GroupSpec.from_traces(2, 2)
+    cloud = enumerate_limit_set(spec, epsilon=1e-14, max_depth=300, cap=50)
+    assert len(cloud) == 50
+    assert cloud.truncated
+
+
 def test_enumeration_is_deterministic():
     a = enumerate_limit_set(FUCHSIAN, epsilon=2e-3)
     b = enumerate_limit_set(FUCHSIAN, epsilon=2e-3)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.charts, b.charts)
-
-
-def test_thread_split_matches_sequential(monkeypatch):
-    seq = enumerate_limit_set(FUCHSIAN, epsilon=2e-3)
-    monkeypatch.setenv("KLEINNET_THREADS", "4")
-    par = enumerate_limit_set(FUCHSIAN, epsilon=2e-3)
-    assert np.array_equal(seq.values, par.values)
-    assert np.array_equal(seq.charts, par.charts)
-
-
-@pytest.mark.skipif(not HAVE_C_KERNEL, reason="compiled kernel not built")
-def test_backends_agree_bit_for_bit():
-    c = enumerate_limit_set(PERTURBED, epsilon=1e-3, backend="c")
-    p = enumerate_limit_set(PERTURBED, epsilon=1e-3, backend="py")
-    assert len(c) == len(p)
-    assert np.array_equal(c.values, p.values)
-    assert np.array_equal(c.charts, p.charts)
 
 
 def test_cloud_is_group_invariant():
@@ -385,7 +476,3 @@ def test_invariance_rejects_empty_cloud():
     )
     with pytest.raises(LimitSetError):
         cloud_group_invariance(empty, FUCHSIAN)
-
-
-def test_backend_name_is_exposed():
-    assert kernel_backend in ("cython", "python")
