@@ -18,7 +18,7 @@ from kleinnet.limitset import (
     write_cloud_csv,
 )
 from kleinnet.limitset import _attracting_eigvec
-from kleinnet.sl2 import Matrix2C, random_loxodromic
+from kleinnet.sl2 import Matrix2C, parse_rep_text, random_loxodromic
 
 FUCHSIAN = GroupSpec.from_traces(3, 3, 3)
 # complex perturbation of the (3,3,3) triple, z re-solved from the relation;
@@ -356,6 +356,32 @@ def test_cloud_is_group_invariant():
     for spec in (FUCHSIAN, PERTURBED):
         cloud = enumerate_limit_set(spec, epsilon=1e-3)
         assert cloud_group_invariance(cloud, spec) < 5e-3
+
+
+# two loxodromics with multipliers 1.5 and 1.4+0.3i (the mixed-chart group of
+# test_golden.py)
+MIXED_CHART = GroupSpec.from_matrices(parse_rep_text("""\
+a 0.8123728608220304,0.0 0.041237201056955816,0.0 -0.041237201056955844,0.0 1.2288685914972843,0.0
+b 1.1761106089186535,0.1178249649092908 0.06900797527159591,0.04117377857387757 0.06900797527159591,0.04117377857387758 0.8448723276149932,-0.07980917224532155
+"""))
+
+
+# (spec, enumeration arguments, repr of the invariance), recorded with a
+# scipy cKDTree nearest-neighbour query; from_traces(0, 0) is a finite group
+# whose capped cloud holds 4 distinct points, each repeated thousands of times
+INVARIANCE_GUARD = [
+    (FUCHSIAN, {"epsilon": 1e-3}, "0.0045580501105617665"),
+    (PERTURBED, {"epsilon": 1e-3}, "0.00487868537034946"),
+    (PERTURBED, {"epsilon": 2e-4}, "0.001329360471773329"),
+    (MIXED_CHART, {"max_depth": 3}, "0.23398013211877935"),
+    (GroupSpec.from_traces(0, 0), {"cap": 20000}, "0.7999999999999999"),
+]
+
+
+@pytest.mark.parametrize("spec,kwargs,expected", INVARIANCE_GUARD)
+def test_invariance_matches_recorded_values(spec, kwargs, expected):
+    cloud = enumerate_limit_set(spec, **kwargs)
+    assert repr(cloud_group_invariance(cloud, spec)) == expected
 
 
 # -- circle fit and box dimension ----------------------------------------------
