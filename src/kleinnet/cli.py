@@ -5,6 +5,9 @@ dessin, qnet.  Exit codes: 0 success, 1 domain or I/O error (message on
 stderr), 2 usage error.  Numeric output is printed with 9 significant
 digits and identical invocations produce byte-identical outputs, so runs
 can be diffed.
+
+Each subcommand imports the modules it uses when it runs, so a call pays
+only for its own imports (numpy is needed by limitset and qnet alone).
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from . import degeneration, dessin, limitset, netgraph, qnet, sl2, words
+from . import words
 from .errors import KleinnetError
 
 
@@ -55,6 +56,8 @@ def _parse_floats_csv(spec: str, what: str) -> list[float]:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from . import netgraph
+
     net = netgraph.load_network(args.file)
     basis = netgraph.loop_basis(net)
     lines = [
@@ -76,12 +79,16 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 # -- character -----------------------------------------------------------------
 
 
-def _load_rep(path: str) -> sl2.Representation:
+def _load_rep(path: str):
+    from . import sl2
+
     matrices = sl2.load_rep(path)
     return sl2.make_rep(words.Presentation.free(len(matrices)), matrices)
 
 
 def _cmd_character(args: argparse.Namespace) -> int:
+    from . import sl2
+
     rep = _load_rep(args.rep)
     if args.echo_rep is not None:
         sl2.save_rep(args.echo_rep, list(rep.images))
@@ -138,6 +145,8 @@ def _cmd_character(args: argparse.Namespace) -> int:
 
 
 def _cmd_degenerate(args: argparse.Namespace) -> int:
+    from . import degeneration
+
     if args.family != "schottky":
         raise KleinnetError(f"unknown family {args.family!r}")
     family = degeneration.schottky_family()
@@ -158,7 +167,9 @@ def _cmd_degenerate(args: argparse.Namespace) -> int:
 # -- limitset ------------------------------------------------------------------
 
 
-def _limitset_spec(args: argparse.Namespace) -> limitset.GroupSpec:
+def _limitset_spec(args: argparse.Namespace):
+    from . import limitset, sl2
+
     if (args.traces is None) == (args.rep is None):
         raise KleinnetError("pass exactly one of --traces or --rep")
     if args.rep is not None:
@@ -178,12 +189,13 @@ def _limitset_spec(args: argparse.Namespace) -> limitset.GroupSpec:
 
 
 def _cmd_limitset(args: argparse.Namespace) -> int:
+    from . import limitset
+
     spec = _limitset_spec(args)
+    # flags left unset fall back to enumerate_limit_set's own defaults
+    options = {"epsilon": args.eps, "max_depth": args.depth, "cap": args.cap}
     cloud = limitset.enumerate_limit_set(
-        spec,
-        epsilon=args.eps,
-        max_depth=args.depth,
-        cap=args.cap,
+        spec, **{k: v for k, v in options.items() if v is not None}
     )
     window = tuple(_parse_floats_csv(args.window, "window"))
     if len(window) != 4:
@@ -216,6 +228,8 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
 
 
 def _cmd_dessin(args: argparse.Namespace) -> int:
+    from . import dessin
+
     generators = _parse_words(args.subgroup)
     graph = dessin.fold_subgroup(generators)
     sigma_a, sigma_b = dessin.coset_permutations(graph)
@@ -232,6 +246,10 @@ def _cmd_dessin(args: argparse.Namespace) -> int:
 
 
 def _cmd_qnet(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import qnet
+
     if (args.circuit is None) == (args.random_circuit is None):
         raise KleinnetError("pass exactly one of --circuit or --random-circuit")
     if args.circuit is not None:
@@ -293,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", help="two or three comma-separated traces, e.g. '3,3' or '3+0.5i,3'")
     p.add_argument("--rep", help="representation file with one or two generators")
     p.add_argument("--other-root", action="store_true", help="use the smaller-modulus solved trace")
-    p.add_argument("--eps", type=float, default=limitset.DEFAULT_EPSILON, help="resolution target")
-    p.add_argument("--depth", type=int, default=limitset.DEFAULT_MAX_DEPTH, help="word-length cap")
-    p.add_argument("--cap", type=int, default=limitset.DEFAULT_CAP, help="point-count cap")
+    p.add_argument("--eps", type=float, help="resolution target")
+    p.add_argument("--depth", type=int, help="word-length cap")
+    p.add_argument("--cap", type=int, help="point-count cap")
     p.add_argument("--out", help="write a PPM image here")
     p.add_argument("--csv", help="write the point cloud CSV here")
     p.add_argument("--window", default="-2.2,2.2,-2.2,2.2", help="re_min,re_max,im_min,im_max")

@@ -20,7 +20,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ElementaryGroupError, LimitSetError
 from .sl2 import CLASSIFY_TOL, Matrix2C, check_unimodular, classify
@@ -189,7 +188,10 @@ class GroupSpec:
         """Generators with traces (x, y, z) subject to the Markov relation
         x^2 + y^2 + z^2 = xyz.  When z is omitted it is solved from the
         relation; the root of larger modulus is used unless other_root."""
-        x, y = complex(x), complex(y)
+        given = [complex(t) for t in (x, y, z) if t is not None]
+        if not all(cmath.isfinite(t) for t in given):
+            raise LimitSetError("traces must be finite")
+        x, y = given[:2]
         if z is None:
             sq = cmath.sqrt(x * x * y * y - 4.0 * (x * x + y * y))
             r1 = (x * y + sq) / 2.0
@@ -199,9 +201,12 @@ class GroupSpec:
         else:
             if other_root:
                 raise LimitSetError("other_root applies only when z is solved")
-            z = complex(z)
+            z = given[2]
         residual = abs(x * x + y * y + z * z - x * y * z)
-        if residual > MARKOV_TOL:
+        # a trace too large to square overflows to inf or nan here
+        if not math.isfinite(residual):
+            raise LimitSetError("traces too large: x^2+y^2+z^2 = xyz overflows")
+        if not residual <= MARKOV_TOL:
             raise LimitSetError(
                 f"trace triple violates x^2+y^2+z^2 = xyz by {residual:.3g}"
             )
@@ -577,19 +582,244 @@ def render(
     return header + img.tobytes()
 
 
+# Nearest neighbours for cloud_group_invariance come from uniform grids of
+# cubic cells on the sphere lift.  The cell index along an axis is
+# floor((x + 1) / side) + 1; with |x| <= 1/2 and cells no smaller than
+# _MIN_CELL it stays below 2^21, so three indices pack into one int64 key.
+_MIN_CELL = 2.0**-20
+# key offsets of the four z-columns of a 2x2x2 block of cells; the two
+# cells of a column have consecutive keys, so their points are one run of
+# the sorted keys
+_COLUMNS = np.array(
+    [(dx << 42) | (dy << 21) for dx in (0, 1) for dy in (0, 1)], dtype=np.int64
+)
+# query-to-point distances computed at once: bounds the temporaries even
+# where many points crowd a few cells
+_PAIRS = 1 << 16
+# most cells a query is compared with when no grid block settles it
+_SUMMARY_CELLS = 4096
+# relative slack on bounds built from computed cell indices and distances,
+# far above their rounding errors
+_SLACK = 2.0**-20
+
+
+def _cell_keys(x: np.ndarray, side: float, shift: float) -> np.ndarray:
+    cells = np.floor((x + 1.0) / side - shift).astype(np.int64) + 1
+    return (cells[:, 0] << 42) | (cells[:, 1] << 21) | cells[:, 2]
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Indices where a sorted key array takes a new value."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(new)
+
+
+class _Grid:
+    """Points bucketed into cubic cells of the given side, sorted by key."""
+
+    def __init__(self, points: np.ndarray, side: float):
+        keys = _cell_keys(points, side, 0.0)
+        order = np.argsort(keys, kind="stable")
+        self.side = side
+        self.keys = keys[order]
+        self.coords = [points[order, i] for i in range(3)]
+        # a block holds every point within side/2 of its query
+        self.exact_sq = (0.5 * side * (1.0 - _SLACK)) ** 2
+
+    def block_nearest_sq(self, queries: np.ndarray) -> np.ndarray:
+        """Squared distance from each query to the nearest point in the
+        2x2x2 block of cells centred on it (inf where the block is empty)."""
+        base = _cell_keys(queries, self.side, 0.5)
+        order = np.argsort(base, kind="stable")
+        base = base[order]
+        # queries sharing a block look it up once
+        first = _run_starts(base)
+        # one row of needles per column of the block, each row sorted
+        needles = base[first] + _COLUMNS[:, None]
+        run_start = np.searchsorted(self.keys, needles)
+        run_end = np.searchsorted(self.keys, needles + 2)
+        repeats = np.diff(np.r_[first, len(base)])
+        best = np.empty(len(queries))
+        best[order] = self.runs_nearest_sq(
+            queries[order],
+            run_start.T.repeat(repeats, axis=0),
+            (run_end - run_start).T.repeat(repeats, axis=0),
+        )
+        return best
+
+    def runs_nearest_sq(self, queries, starts, counts) -> np.ndarray:
+        """Squared distance from query i to the nearest of the sorted points
+        in the runs starts[i, j] + range(counts[i, j]) (inf if none).  The
+        distance is summed dx*dx + dy*dy + dz*dz, left to right."""
+        per_query = counts.sum(axis=1)
+        ends = np.cumsum(per_query)
+        best = np.full(len(queries), np.inf)
+        i = 0
+        while i < len(queries):
+            done = ends[i - 1] if i else 0
+            j = max(i + 1, int(np.searchsorted(ends, done + _PAIRS, "right")))
+            c = counts[i:j].ravel()
+            # point index of every (query, candidate) pair, grouped by query
+            point = np.arange(c.sum()) + np.repeat(starts[i:j].ravel() - (np.cumsum(c) - c), c)
+            dx, dy, dz = (
+                queries[i:j, k].repeat(per_query[i:j]) - self.coords[k][point]
+                for k in range(3)
+            )
+            d2 = dx * dx + dy * dy + dz * dz
+            has = np.flatnonzero(per_query[i:j])
+            if has.size:
+                offsets = ends[i:j] - per_query[i:j] - (ends[i - 1] if i else 0)
+                best[i + has] = np.minimum.reduceat(d2, offsets[has])
+            i = j
+        return best
+
+
+class _Nearest:
+    """Exact nearest-neighbour squared distances to points on the radius-1/2
+    sphere.
+
+    A query is settled by the block around it on a grid of side h, else on
+    a grid of side 4h, whenever the block holds a point within side/2.  The
+    rest are compared with whole cells of a coarse grid, the finest of side
+    h * 4^k with at most _SUMMARY_CELLS nonempty cells: a cell can hold the
+    nearest point only if its first point is no farther than the nearest
+    first point plus the cell's radius about its first point.  Grids are
+    built on first use."""
+
+    def __init__(self, points: np.ndarray, h: float):
+        self.points = points
+        self.h = h if h >= _MIN_CELL else _MIN_CELL
+        self.grids: list[_Grid] = []
+        self.summary = None
+
+    def _grid(self, level: int) -> _Grid:
+        while len(self.grids) <= level:
+            self.grids.append(_Grid(self.points, self.h * 4.0 ** len(self.grids)))
+        return self.grids[level]
+
+    def _cells(self):
+        """The coarse grid with each cell's first index, point count, first
+        point (one row per cell) and radius about that point."""
+        if self.summary is None:
+            cells = self._grid(0).keys
+            cells = cells[_run_starts(cells)]
+            k = 0
+            while len(cells) > _SUMMARY_CELLS:
+                # a cell of side 4s is a block of 4x4x4 cells of side s
+                x, y, z = ((((cells >> b) & 0x1FFFFF) - 1 >> 2) + 1 for b in (42, 21, 0))
+                cells = np.unique((x << 42) | (y << 21) | z)
+                k += 1
+            grid = _Grid(self.points, self.h * 4.0**k)
+            first = _run_starts(grid.keys)
+            counts = np.diff(np.r_[first, len(grid.keys)])
+            reps = np.column_stack([c[first] for c in grid.coords])
+            off = [c - r.repeat(counts) for c, r in zip(grid.coords, reps.T)]
+            radius = np.sqrt(np.maximum.reduceat(sum(o * o for o in off), first))
+            self.summary = (grid, first, counts, reps, radius)
+        return self.summary
+
+    def squared(self, queries: np.ndarray, level: int = 0) -> np.ndarray:
+        """Squared distance from each query to its nearest point; start at
+        level 1 for queries known to have no point within h/2."""
+        best = np.empty(len(queries))
+        todo = np.arange(len(queries))
+        for level in range(level, 2):
+            grid = self._grid(level)
+            d2 = grid.block_nearest_sq(queries[todo])
+            done = d2 <= grid.exact_sq
+            best[todo[done]] = d2[done]
+            todo = todo[~done]
+        if todo.size:
+            grid, first, counts, reps, radius = self._cells()
+            step = max(1, _PAIRS // len(first))
+            for s in range(0, todo.size, step):
+                rows = todo[s:s + step]
+                q = queries[rows]
+                d = np.sqrt(sum((q[:, None, i] - reps[None, :, i]) ** 2 for i in range(3)))
+                near = d <= (d.min(axis=1, keepdims=True) + radius) * (1.0 + _SLACK)
+                best[rows] = grid.runs_nearest_sq(
+                    q, np.broadcast_to(first, near.shape), np.where(near, counts, 0)
+                )
+        return best
+
+    def max_squared(self, batches) -> float:
+        """The largest squared nearest-point distance over the query arrays
+        in `batches`.
+
+        Queries with a point within h/2 are settled on the finest grid.  The
+        others are gathered and grouped into cells, coarse to fine, and
+        only each cell's first query is measured: the distance to the
+        nearest point moves no faster than the query, so a cell whose first
+        query's distance plus the cell's radius about it does not exceed
+        the largest distance found cannot raise it, and its queries are
+        dropped.  This keeps queries far from a dense cloud from each
+        scanning it."""
+        grid = self._grid(0)
+        best = 0.0
+        far: list[np.ndarray] = []
+        for queries in batches:
+            d2 = grid.block_nearest_sq(queries)
+            near = d2 <= grid.exact_sq
+            best = float(np.max(d2[near], initial=best))
+            far.append(queries[~near])
+            if sum(map(len, far)) >= _CHUNK:
+                best = self._far_max_squared(np.concatenate(far), best)
+                far = []
+        if far:
+            best = self._far_max_squared(np.concatenate(far), best)
+        return best
+
+    def _far_max_squared(self, far: np.ndarray, best: float) -> float:
+        side = 1.0
+        while far.size:
+            if side < self.h:
+                return max(best, float(self.squared(far, 1).max()))
+            keys = _cell_keys(far, side, 0.0)
+            order = np.argsort(keys, kind="stable")
+            far, keys = far[order], keys[order]
+            first = _run_starts(keys)
+            cell = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(far)]))
+            reps = far[first]
+            r2 = self.squared(reps, 1)
+            best = max(best, float(r2.max()))
+            off = far - reps[cell]
+            radius = np.maximum.reduceat(np.sqrt((off * off).sum(axis=1)), first)
+            keep = ((np.sqrt(r2) + radius) * (1.0 + _SLACK) > math.sqrt(best))[cell]
+            keep[first] = False
+            far = far[keep]
+            side /= 4.0
+        return best
+
+
 def cloud_group_invariance(cloud: LimitPointCloud, spec: GroupSpec) -> float:
     """One-sided chordal distance from the generator-mapped cloud back to the
     cloud: small values witness invariance of the sampled set under the
-    group."""
+    group.
+
+    The nearest cloud point of every image is found exactly, by uniform
+    grids on the sphere lift whose finest cells have side 2 * cloud.epsilon,
+    so the value is the one a KD-tree query gives, to the last bit.
+    Repeated points are searched once."""
     if len(cloud) == 0:
         raise LimitSetError("empty cloud")
-    tree = cKDTree(cloud.sphere3())
     vals = cloud.values
     charts = cloud.charts
+    # a sorted cloud holds repeats next to each other
+    keep = np.ones(len(vals), dtype=bool)
+    keep[1:] = (vals[1:] != vals[:-1]) | (charts[1:] != charts[:-1])
+    vals = vals[keep]
+    charts = charts[keep]
+    nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
+    mats = list(spec.generators) + [g.inverse() for g in spec.generators]
+    return math.sqrt(nearest.max_squared(_image_batches(mats, vals, charts)))
+
+
+def _image_batches(mats, vals: np.ndarray, charts: np.ndarray):
+    """Sphere lifts of the images of the points under each matrix, _CHUNK
+    rows at a time."""
     u = np.where(charts == 0, vals, np.ones_like(vals))
     v = np.where(charts == 0, np.ones_like(vals), vals)
-    worst = 0.0
-    mats = list(spec.generators) + [g.inverse() for g in spec.generators]
     for g in mats:
         a, b, c, d = g.entries()
         nu = a * u + b * v
@@ -601,9 +831,9 @@ def cloud_group_invariance(cloud: LimitPointCloud, spec: GroupSpec) -> float:
         new_vals[take0] = nu[take0] / nv[take0]
         new_vals[~take0] = nv[~take0] / nu[~take0]
         new_charts = np.where(take0, 0, 1).astype(np.int8)
-        dists, _ = tree.query(_lift(new_vals, new_charts))
-        worst = max(worst, float(dists.max()))
-    return worst
+        images = _lift(new_vals, new_charts)
+        for s in range(0, len(images), _CHUNK):
+            yield images[s:s + _CHUNK]
 
 
 def format_cloud_csv(cloud: LimitPointCloud) -> str:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from kleinnet import sl2
+import kleinnet
+from kleinnet import limitset, sl2
 from kleinnet.cli import main
 
 NET_TEXT = """\
@@ -84,6 +87,36 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["word,re,im", "a,3,0"]
+
+
+def _heavy_modules_after(*argv):
+    """Which of numpy and scipy a fresh interpreter holds after importing
+    kleinnet.cli and, when argv is given, running cli.main(argv)."""
+    src = str(Path(kleinnet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, kleinnet.cli\n"
+        f"argv = {list(argv)!r}\n"
+        "if argv:\n"
+        "    assert kleinnet.cli.main(argv) == 0\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_subcommands_import_only_what_they_use(net_file, rep_file):
+    assert _heavy_modules_after() == "[]"
+    assert _heavy_modules_after("dessin", "--subgroup", "aa,b,abA") == "[]"
+    assert _heavy_modules_after("graph", "--file", net_file) == "[]"
+    assert _heavy_modules_after("degenerate", "--t-values", "5,10", "--max-len", "2") == "[]"
+    assert _heavy_modules_after("character", "--rep", rep_file, "--words", "ab") == "[]"
+    limitset_run = ("limitset", "--traces", "3,3,3", "--eps", "1e-2")
+    assert _heavy_modules_after(*limitset_run) == "['numpy']"
 
 
 # -- graph -------------------------------------------------------------------------
@@ -296,6 +329,24 @@ def test_limitset_flag_validation(capsys, rep_file):
         capsys, "limitset", "--traces", "3,3,3", "--other-root", "--rep", rep_file
     )
     assert code == 1
+
+
+def test_limitset_defaults_come_from_the_library(capsys):
+    implicit = run_cli(capsys, "limitset", "--traces", "3,3,3")
+    explicit = run_cli(
+        capsys, "limitset", "--traces", "3,3,3",
+        "--eps", repr(limitset.DEFAULT_EPSILON),
+        "--depth", str(limitset.DEFAULT_MAX_DEPTH),
+        "--cap", str(limitset.DEFAULT_CAP),
+    )
+    assert implicit == explicit and implicit[0] == 0
+
+
+@pytest.mark.parametrize("traces", ["1e200,3", "nan,3", "3,3,nan", "1e200,3,3"])
+def test_limitset_rejects_nonfinite_traces(capsys, traces):
+    code, out, err = run_cli(capsys, "limitset", "--traces", traces)
+    assert code == 1 and err.startswith("error: traces")
+    assert "nan" not in err.lower()
 
 
 # -- dessin ------------------------------------------------------------------------

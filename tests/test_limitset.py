@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleinnet.errors import ElementaryGroupError, LimitSetError
 from kleinnet.limitset import (
@@ -17,7 +19,7 @@ from kleinnet.limitset import (
     render,
     write_cloud_csv,
 )
-from kleinnet.limitset import _attracting_eigvec
+from kleinnet.limitset import _Nearest, _attracting_eigvec
 from kleinnet.sl2 import Matrix2C, parse_rep_text, random_loxodromic
 
 FUCHSIAN = GroupSpec.from_traces(3, 3, 3)
@@ -494,6 +496,65 @@ def test_cloud_csv(tmp_path):
     path = tmp_path / "cloud.csv"
     write_cloud_csv(path, cloud)
     assert path.read_text(encoding="utf-8") == text
+
+
+def _on_sphere(rng, n):
+    v = rng.normal(size=(n, 3))
+    return 0.5 * v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _lattice_on_sphere(step):
+    """Points of the radius-1/2 sphere whose x and y are multiples of step."""
+    k = int(0.5 / step)
+    x, y = np.meshgrid(np.arange(-k, k + 1) * step, np.arange(-k, k + 1) * step)
+    x, y = x.ravel(), y.ravel()
+    r2 = 0.25 - x * x - y * y
+    keep = r2 >= 0.0
+    x, y, z = x[keep], y[keep], np.sqrt(r2[keep])
+    return np.concatenate([np.column_stack([x, y, z]), np.column_stack([x, y, -z])])
+
+
+def _brute_nearest_sq(points, queries):
+    dx, dy, dz = (queries[:, None, i] - points[None, :, i] for i in range(3))
+    return (dx * dx + dy * dy + dz * dz).min(axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["uniform", "many", "duplicates", "far", "boundary"]),
+    # 2 * 2^-23 is below the smallest cell side, 2^-20
+    eps_exp=st.integers(-23, -2),
+)
+def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
+    rng = np.random.default_rng(seed)
+    eps = 2.0**eps_exp
+    if layout == "uniform":
+        points, queries = _on_sphere(rng, 200), _on_sphere(rng, 100)
+    elif layout == "many":
+        # more than 4096 cells at small epsilon: the coarse cells are merged
+        points, queries = _on_sphere(rng, 6000), _on_sphere(rng, 40)
+    elif layout == "duplicates":
+        points = _on_sphere(rng, 3)[rng.integers(0, 3, 400)]
+        queries = np.concatenate([points[:20], _on_sphere(rng, 50)])
+    elif layout == "far":
+        # a tight cluster at the north pole and one query at the south pole,
+        # settled only on coarse grids
+        cap = _on_sphere(rng, 300) * np.array([1e-3, 1e-3, 1.0])
+        cap[:, 2] = np.sqrt(0.25 - cap[:, 0] ** 2 - cap[:, 1] ** 2)
+        points = cap
+        queries = np.concatenate([[[0.0, 0.0, -0.5]], cap[:30] * 0.999, _on_sphere(rng, 20)])
+    else:
+        # coordinates on cell faces of the finest grid, queries also halfway
+        step = 2.0 * max(eps, 2.0**-21)
+        points = _lattice_on_sphere(max(step, 1.0 / 16))
+        queries = np.concatenate([_lattice_on_sphere(max(step, 1.0 / 16) / 2.0), points[:50]])
+        queries = queries[rng.permutation(len(queries))[:150]]
+    expected = _brute_nearest_sq(points, queries)
+    nearest = _Nearest(points, 2.0 * eps)
+    assert np.array_equal(nearest.squared(queries), expected)
+    halves = [queries[: len(queries) // 2], queries[len(queries) // 2:]]
+    assert _Nearest(points, 2.0 * eps).max_squared(halves) == expected.max()
 
 
 def test_invariance_rejects_empty_cloud():
