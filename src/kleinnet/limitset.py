@@ -188,10 +188,7 @@ class GroupSpec:
         """Generators with traces (x, y, z) subject to the Markov relation
         x^2 + y^2 + z^2 = xyz.  When z is omitted it is solved from the
         relation; the root of larger modulus is used unless other_root."""
-        given = [complex(t) for t in (x, y, z) if t is not None]
-        if not all(cmath.isfinite(t) for t in given):
-            raise LimitSetError("traces must be finite")
-        x, y = given[:2]
+        x, y = complex(x), complex(y)
         if z is None:
             sq = cmath.sqrt(x * x * y * y - 4.0 * (x * x + y * y))
             r1 = (x * y + sq) / 2.0
@@ -201,11 +198,12 @@ class GroupSpec:
         else:
             if other_root:
                 raise LimitSetError("other_root applies only when z is solved")
-            z = given[2]
+            z = complex(z)
         residual = abs(x * x + y * y + z * z - x * y * z)
-        # a trace too large to square overflows to inf or nan here
+        # non-finite traces, given or solved, and traces too large to square
+        # leave no finite residual
         if not math.isfinite(residual):
-            raise LimitSetError("traces too large: x^2+y^2+z^2 = xyz overflows")
+            raise LimitSetError("traces must be finite and small enough to square")
         if not residual <= MARKOV_TOL:
             raise LimitSetError(
                 f"trace triple violates x^2+y^2+z^2 = xyz by {residual:.3g}"
@@ -669,7 +667,7 @@ class _Grid:
             d2 = dx * dx + dy * dy + dz * dz
             has = np.flatnonzero(per_query[i:j])
             if has.size:
-                offsets = ends[i:j] - per_query[i:j] - (ends[i - 1] if i else 0)
+                offsets = ends[i:j] - per_query[i:j] - done
                 best[i + has] = np.minimum.reduceat(d2, offsets[has])
             i = j
         return best
@@ -698,7 +696,7 @@ class _Nearest:
             self.grids.append(_Grid(self.points, self.h * 4.0 ** len(self.grids)))
         return self.grids[level]
 
-    def _cells(self):
+    def _summary(self):
         """The coarse grid with each cell's first index, point count, first
         point (one row per cell) and radius about that point."""
         if self.summary is None:
@@ -707,7 +705,7 @@ class _Nearest:
             k = 0
             while len(cells) > _SUMMARY_CELLS:
                 # a cell of side 4s is a block of 4x4x4 cells of side s
-                x, y, z = ((((cells >> b) & 0x1FFFFF) - 1 >> 2) + 1 for b in (42, 21, 0))
+                x, y, z = ((((cells >> b) & 0x1FFFFF) - 1) // 4 + 1 for b in (42, 21, 0))
                 cells = np.unique((x << 42) | (y << 21) | z)
                 k += 1
             grid = _Grid(self.points, self.h * 4.0**k)
@@ -731,7 +729,7 @@ class _Nearest:
             best[todo[done]] = d2[done]
             todo = todo[~done]
         if todo.size:
-            grid, first, counts, reps, radius = self._cells()
+            grid, first, counts, reps, radius = self._summary()
             step = max(1, _PAIRS // len(first))
             for s in range(0, todo.size, step):
                 rows = todo[s:s + step]

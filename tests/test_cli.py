@@ -345,7 +345,7 @@ def test_limitset_defaults_come_from_the_library(capsys):
 @pytest.mark.parametrize("traces", ["1e200,3", "nan,3", "3,3,nan", "1e200,3,3"])
 def test_limitset_rejects_nonfinite_traces(capsys, traces):
     code, out, err = run_cli(capsys, "limitset", "--traces", traces)
-    assert code == 1 and err.startswith("error: traces")
+    assert code == 1 and err.startswith("error: traces must be finite")
     assert "nan" not in err.lower()
 
 
