@@ -325,7 +325,8 @@ def _entries(rows):
 
 # letters 0=a, 1=a^-1, 2=b, 3=b^-1; after letter l come the letters h != l^1
 _NEXT = np.array([[h for h in range(4) if h != l ^ 1] for l in range(4)])
-# frontier nodes evaluated at once: bounds the temporaries of one level
+# rows evaluated at once (frontier nodes of one level, invariance queries):
+# bounds the temporaries
 _CHUNK = 1 << 15
 
 

@@ -538,17 +538,18 @@ def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
         points = _on_sphere(rng, 3)[rng.integers(0, 3, 400)]
         queries = np.concatenate([points[:20], _on_sphere(rng, 50)])
     elif layout == "far":
-        # a tight cluster at the north pole and one query at the south pole,
-        # settled only on coarse grids
-        cap = _on_sphere(rng, 300) * np.array([1e-3, 1e-3, 1.0])
-        cap[:, 2] = np.sqrt(0.25 - cap[:, 0] ** 2 - cap[:, 1] ** 2)
-        points = cap
-        queries = np.concatenate([[[0.0, 0.0, -0.5]], cap[:30] * 0.999, _on_sphere(rng, 20)])
+        # a tight cluster at the north pole and a query at the south pole,
+        # far from every point
+        points = _on_sphere(rng, 300) * np.array([1e-3, 1e-3, 1.0])
+        points[:, 2] = np.sqrt(0.25 - points[:, 0] ** 2 - points[:, 1] ** 2)
+        queries = np.concatenate(
+            [[[0.0, 0.0, -0.5]], points[:30] * 0.999, _on_sphere(rng, 20)]
+        )
     else:
-        # coordinates on cell faces of the finest grid, queries also halfway
-        step = 2.0 * max(eps, 2.0**-21)
-        points = _lattice_on_sphere(max(step, 1.0 / 16))
-        queries = np.concatenate([_lattice_on_sphere(max(step, 1.0 / 16) / 2.0), points[:50]])
+        # x and y on cell faces of the finest grid, queries also halfway
+        step = max(2.0 * eps, 2.0**-20, 1.0 / 16)
+        points = _lattice_on_sphere(step)
+        queries = np.concatenate([_lattice_on_sphere(step / 2.0), points[:50]])
         queries = queries[rng.permutation(len(queries))[:150]]
     expected = _brute_nearest_sq(points, queries)
     nearest = _Nearest(points, 2.0 * eps)
