@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import words
 from .errors import KleinnetError
+
+if TYPE_CHECKING:
+    from . import limitset, sl2
 
 
 def _fail(message: str) -> int:
@@ -79,7 +82,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 # -- character -----------------------------------------------------------------
 
 
-def _load_rep(path: str):
+def _load_rep(path: str) -> sl2.Representation:
     from . import sl2
 
     matrices = sl2.load_rep(path)
@@ -167,7 +170,7 @@ def _cmd_degenerate(args: argparse.Namespace) -> int:
 # -- limitset ------------------------------------------------------------------
 
 
-def _limitset_spec(args: argparse.Namespace):
+def _limitset_spec(args: argparse.Namespace) -> limitset.GroupSpec:
     from . import limitset, sl2
 
     if (args.traces is None) == (args.rep is None):
