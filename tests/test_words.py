@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -120,6 +122,52 @@ def test_class_list_sorted_and_deduplicated():
     keys = [w.shortlex_key() for w in classes]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+# sha256 of the newline-joined class list, recorded from the exhaustive search
+# (canonicalize every reduced word, dedupe, sort) that preceded the necklace
+# generator; any change to the representatives or their order shows here.
+_CLASS_LIST_DIGESTS = {
+    (1, 12, False): "2ddec1ba136951c830c2abb20b17944de58f817eb666a7e8f974639b81a58e1d",
+    (1, 12, True): "5caefbe6df3ebf7d896e9fbef9ec2cf7d6bcb6609584b521d88e1e213d60a93a",
+    (2, 8, False): "8c93a32b0e467a4e39634a0987c4bddebb2a9e05768dd66781e04b9c9f9bb972",
+    (2, 8, True): "89dff0523670039c67db9f5373d5deb4412b3f35cb4fe37586d0e5b8a6a9bfe3",
+    (3, 5, False): "95487b723ea734e35886b5c1017fe0cb6a9d61a03600c1928297c19b00804a44",
+    (3, 5, True): "9a8fb75bcd6f34ffbfd92113283730aca51ad0a9f70af3c9f3dfc84daeac3f28",
+    (4, 4, False): "78022914cb89cb15b3b75327ffe0ee42173755b9985b6708e4201e5bab008030",
+    (4, 4, True): "a3076decb020fda0360c9cd5da9f7a29354c46b64ce22cbd07e8a39ce73bdff2",
+}
+
+
+@pytest.mark.parametrize("rank,L,fold", sorted(_CLASS_LIST_DIGESTS))
+def test_class_list_digest(rank, L, fold):
+    text = "\n".join(enumerate_classes(rank, L, fold).words_text())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _CLASS_LIST_DIGESTS[rank, L, fold]
+
+
+def _burnside_class_count(rank: int, n: int) -> int:
+    """Conjugacy classes of cyclic length exactly n in the free group of the
+    given rank: necklaces of cyclically reduced words, counted by Burnside's
+    lemma over the rotation group."""
+
+    def cyclically_reduced(d: int) -> int:
+        return (2 * rank - 1) ** d + 1 + (rank - 1) * (1 + (-1) ** d)
+
+    def phi(m: int) -> int:
+        return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+    total = sum(phi(n // d) * cyclically_reduced(d) for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
+
+@pytest.mark.parametrize("rank,L", [(1, 12), (2, 10), (3, 7), (4, 5)])
+def test_class_counts_match_burnside(rank, L):
+    counts = [0] * (L + 1)
+    for w in enumerate_classes(rank, L):
+        counts[len(w)] += 1
+    assert counts[1:] == [_burnside_class_count(rank, n) for n in range(1, L + 1)]
 
 
 def test_zero_max_length_rejected():
