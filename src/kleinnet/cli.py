@@ -72,7 +72,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     for i, eid in enumerate(basis.generators, start=1):
         lines.append(f"generator {words.Word((i,)).text()} edge {eid}")
     if args.walk is not None:
-        steps = [int(p) for p in args.walk.split(",") if p.strip()]
+        try:
+            steps = [int(p) for p in args.walk.split(",") if p.strip()]
+        except ValueError:
+            raise KleinnetError(
+                f"bad walk {args.walk!r}: expected comma-separated signed edge ids"
+            )
         word = netgraph.walk_to_word(net, basis, steps)
         lines.append(f"walk_word {word.text()}")
     print("\n".join(lines))
@@ -150,8 +155,6 @@ def _cmd_character(args: argparse.Namespace) -> int:
 def _cmd_degenerate(args: argparse.Namespace) -> int:
     from . import degeneration
 
-    if args.family != "schottky":
-        raise KleinnetError(f"unknown family {args.family!r}")
     family = degeneration.schottky_family()
     t_values = _parse_floats_csv(args.t_values, "parameter list")
     classes = words.enumerate_classes(family.presentation.n_generators, args.max_len)
@@ -304,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degenerate", help="projectivized length-vector sweep")
     p.add_argument("--t-values", required=True, help="increasing comma-separated parameters")
-    p.add_argument("--family", default="schottky", help="built-in family name")
     p.add_argument("--max-len", type=int, default=4, help="conjugacy class length bound")
     p.add_argument("--csv", help="write the sweep table here instead of stdout")
     p.add_argument("--report", action="store_true", help="print the convergence report JSON")

@@ -100,9 +100,17 @@ class RepFamily:
     builder: Callable[[float], Sequence[Matrix2C]]
 
     def build(self, t: float) -> Representation:
+        if not math.isfinite(t):
+            raise DegenerationError("family parameter must be finite")
         if not t > 0.0:
             raise DegenerationError(f"family parameter must be positive, got {t}")
-        return make_rep(self.presentation, list(self.builder(t)))
+        try:
+            matrices = list(self.builder(t))
+        except OverflowError:
+            raise DegenerationError(
+                f"family {self.name!r} overflows at t = {t:g}"
+            ) from None
+        return make_rep(self.presentation, matrices)
 
 
 def schottky_family() -> RepFamily:

@@ -22,7 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ElementaryGroupError, LimitSetError
-from .sl2 import CLASSIFY_TOL, Matrix2C, check_unimodular, classify
+from .sl2 import (
+    CLASSIFY_TOL,
+    Matrix2C,
+    _dist_to_plus_minus_identity,
+    check_unimodular,
+    classify,
+)
 
 __all__ = [
     "SpherePoint",
@@ -166,11 +172,9 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if len(self.generators) not in (1, 2):
             raise LimitSetError("a group spec takes one or two generators")
-        ident = Matrix2C.identity()
-        neg = Matrix2C(-1.0, 0.0, 0.0, -1.0)
         for i, g in enumerate(self.generators):
             check_unimodular(g)
-            if min(g.max_abs_diff(ident), g.max_abs_diff(neg)) <= 1e-12:
+            if _dist_to_plus_minus_identity(g) <= 1e-12:
                 raise LimitSetError(f"generator {i + 1} is +/-identity")
 
     @classmethod

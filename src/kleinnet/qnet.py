@@ -84,9 +84,9 @@ class SU2Gate:
         adjoint = Matrix2C(
             m.a.conjugate(), m.c.conjugate(), m.b.conjugate(), m.d.conjugate()
         )
-        if (m @ adjoint).max_abs_diff(Matrix2C.identity()) > UNITARY_TOL:
+        if not (m @ adjoint).max_abs_diff(Matrix2C.identity()) <= UNITARY_TOL:
             raise QnetError("SU2 gate matrix is not unitary")
-        if abs(m.det - 1.0) > UNITARY_TOL:
+        if not abs(m.det - 1.0) <= UNITARY_TOL:
             raise QnetError("SU2 gate matrix does not have unit determinant")
 
 
@@ -275,9 +275,12 @@ def _parse_floats(tokens: Sequence[str], lineno: int) -> list[float]:
     out = []
     for t in tokens:
         try:
-            out.append(float(t))
+            value = float(t)
         except ValueError:
             raise QnetError(f"line {lineno}: expected a number, got {t!r}")
+        if not math.isfinite(value):
+            raise QnetError(f"line {lineno}: numbers must be finite")
+        out.append(value)
     return out
 
 

@@ -102,6 +102,8 @@ class Matrix2C:
 
 
 def check_unimodular(m: Matrix2C, tol: float = UNIMODULAR_TOL) -> None:
+    if not cmath.isfinite(m.det):
+        raise NotUnimodularError("not unimodular: det is not finite")
     s = m.scale()
     bound = tol * max(1.0, s * s)
     if not abs(m.det - 1.0) <= bound:
@@ -332,9 +334,12 @@ def parse_rep_text(text: str) -> list[Matrix2C]:
             if len(pieces) != 2:
                 raise RepresentationError(f"line {lineno}: bad entry {token!r}")
             try:
-                entries.append(complex(float(pieces[0]), float(pieces[1])))
+                entry = complex(float(pieces[0]), float(pieces[1]))
             except ValueError as exc:
                 raise RepresentationError(f"line {lineno}: {exc}") from exc
+            if not cmath.isfinite(entry):
+                raise RepresentationError(f"line {lineno}: entries must be finite")
+            entries.append(entry)
         found[index] = Matrix2C(*entries)
     if not found:
         raise RepresentationError("rep file defines no generators")

@@ -200,34 +200,39 @@ def enumerate_classes(
     """Enumerate conjugacy classes of the free group of the given rank up to
     cyclic word length max_length.
 
+    Each class is emitted once, as its necklace: the cyclically reduced word
+    least among its rotations.  The search visits only reduced prenecklaces
+    (prefixes of necklaces), level by level, with the rule of Fredricksen,
+    Kessler and Maiorana (Ruskey, Savage and Wang 1992): a prenecklace w of
+    length n whose longest Lyndon prefix has length p extends by a letter l
+    exactly when l >= w[n-p].  Extending each level in alphabet order keeps
+    every level in lexicographic order, so the result is in shortlex order.
+
     `fold_inverses` merges each class with its inverse class, keeping the
-    smaller representative.  Cost grows like (2*rank-1)**max_length.
+    smaller representative.
     """
     if rank < 1:
         raise WordError("rank must be >= 1")
     if max_length < 1:
         raise WordError("max_length must be >= 1: an empty class list is useless")
     alphabet = [l for k in range(1, rank + 1) for l in (k, -k)]
-    found: set[tuple[int, ...]] = set()
-
-    def visit(prefix: list[int]) -> None:
-        for letter in alphabet:
-            if prefix and letter == -prefix[-1]:
-                continue
-            prefix.append(letter)
-            if len(prefix) == 1 or prefix[0] != -prefix[-1]:
-                rep = canonical_cyclic(Word(tuple(prefix)))
-                if fold_inverses:
-                    other = canonical_cyclic(rep.inverse())
-                    if other.shortlex_key() < rep.shortlex_key():
-                        rep = other
-                found.add(rep.letters)
-            if len(prefix) < max_length:
-                visit(prefix)
-            prefix.pop()
-
-    visit([])
-    reps = sorted((Word(ls) for ls in found), key=Word.shortlex_key)
+    level = [((l,), 1) for l in alphabet]
+    reps: list[Word] = []
+    for n in range(1, max_length + 1):
+        for w, p in level:
+            if n % p == 0 and (n == 1 or w[0] != -w[-1]):
+                rep = Word(w)
+                if not fold_inverses or (
+                    rep.shortlex_key() <= canonical_cyclic(rep.inverse()).shortlex_key()
+                ):
+                    reps.append(rep)
+        if n < max_length:
+            level = [
+                (w + (l,), p if _letter_key(l) == _letter_key(w[n - p]) else n + 1)
+                for w, p in level
+                for l in alphabet
+                if l != -w[-1] and _letter_key(l) >= _letter_key(w[n - p])
+            ]
     return ConjugacyClassList(tuple(reps), max_length, rank, fold_inverses)
 
 

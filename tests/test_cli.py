@@ -89,6 +89,22 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.splitlines() == ["word,re,im", "a,3,0"]
 
 
+def run_module(*argv, cwd=None):
+    """Run `python -m kleinnet` in a fresh interpreter, so that an uncaught
+    exception shows as a traceback on stderr rather than in the test."""
+    src = str(Path(kleinnet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kleinnet", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def _heavy_modules_after(*argv):
     """Which of numpy and scipy a fresh interpreter holds after importing
     kleinnet.cli and, when argv is given, running cli.main(argv)."""
@@ -140,6 +156,12 @@ def test_graph_walk(capsys, net_file):
 def test_graph_bad_walk(capsys, net_file):
     code, out, err = run_cli(capsys, "graph", "--file", net_file, "--walk", "1,2")
     assert code == 1 and "closed" in err
+
+
+def test_graph_walk_rejects_non_integer_steps(net_file):
+    code, out, err = run_module("graph", "--file", net_file, "--walk", "1,x")
+    assert code == 1 and "Traceback" not in err
+    assert err == "error: bad walk '1,x': expected comma-separated signed edge ids\n"
 
 
 # -- character ---------------------------------------------------------------------
@@ -225,11 +247,10 @@ def test_degenerate_stdout(capsys):
     assert out.splitlines()[0] == "t,lambda,a,A,b,B"
 
 
-def test_degenerate_rejects_unknown_family(capsys):
-    code, out, err = run_cli(
-        capsys, "degenerate", "--t-values", "1,2", "--family", "volcano"
-    )
-    assert code == 1 and "volcano" in err
+def test_degenerate_has_no_family_option():
+    with pytest.raises(SystemExit) as info:
+        main(["degenerate", "--t-values", "1,2", "--family", "schottky"])
+    assert info.value.code == 2
 
 
 def test_degenerate_rejects_bad_grid(capsys):
@@ -237,6 +258,27 @@ def test_degenerate_rejects_bad_grid(capsys):
     assert code == 1 and "increase" in err
     code, out, err = run_cli(capsys, "degenerate", "--t-values", "5,x")
     assert code == 1
+
+
+# Non-finite rep entries, an infinite t and a t whose products overflow each
+# exit 1 with a message that names no non-finite value.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("character", "--rep", "REP", "--words", "a"),
+        ("limitset", "--rep", "REP"),
+        ("degenerate", "--t-values", "5,inf"),
+        ("degenerate", "--t-values", "100,200"),
+        ("degenerate", "--t-values", "1000,2000"),
+    ],
+    ids=["character-rep", "limitset-rep", "t-infinite", "t-100", "t-1000"],
+)
+def test_nonfinite_sl2_inputs_exit_one_with_a_message(tmp_path, argv):
+    rep = tmp_path / "rep.txt"
+    rep.write_text("a nan,0 1,0 1,0 2,0\nb 1,0 -1,0 -1,0 2,0\n")
+    code, out, err = run_module(*(str(rep) if a == "REP" else a for a in argv))
+    assert code == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "nan" not in err.lower()
 
 
 # -- limitset ----------------------------------------------------------------------
@@ -433,6 +475,19 @@ def test_qnet_seed_determinism(capsys, tmp_path):
         return out.read_bytes()
 
     assert run("a") == run("b")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["init 1 1 0 0 0\nSU2 1 nan 0 0 0 0 0 1 0\n", "init 1 nan 0 1 0\n"],
+    ids=["su2-entry", "init-entry"],
+)
+def test_qnet_rejects_nonfinite_numbers(tmp_path, text):
+    path = tmp_path / "circuit.txt"
+    path.write_text(text)
+    code, out, err = run_module("qnet", "--circuit", str(path))
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and "nan" not in err.lower()
 
 
 def test_qnet_mode_and_zero_state_errors(capsys, tmp_path):

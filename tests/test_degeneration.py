@@ -209,6 +209,9 @@ def test_family_rejects_nonpositive_parameter():
         fam.build(0.0)
     with pytest.raises(DegenerationError):
         fam.build(-1.0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(DegenerationError, match="must be finite"):
+            fam.build(t)
 
 
 def test_sweep_validates_grid():

@@ -179,6 +179,14 @@ def test_su2_validation():
         SU2Gate(1, Matrix2C(h, h, h, -h))
 
 
+@pytest.mark.parametrize("slot", range(4))
+def test_su2_validation_rejects_nonfinite_entries(slot):
+    entries = [1.0, 0.0, 0.0, 1.0]
+    entries[slot] = math.nan
+    with pytest.raises(QnetError):
+        SU2Gate(1, Matrix2C(*entries))
+
+
 def test_gate_index_validation():
     with pytest.raises(QnetError):
         NotGate(0)

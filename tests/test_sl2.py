@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kleinnet.errors import NotUnimodularError, RepresentationError
 from kleinnet.sl2 import (
     Matrix2C,
+    check_unimodular,
     classify,
     character,
     conjugate_rep,
@@ -58,6 +59,15 @@ def test_unimodular_gate_rejects_and_scales():
     assert b.det == 0.0
     rep = make_rep(FREE2, [a, b])
     assert rep.rank == 2
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, 1e200])
+def test_unimodular_gate_names_no_nonfinite_determinant(entry):
+    # 1e200 is finite, but its square overflows the determinant
+    with pytest.raises(NotUnimodularError) as info:
+        check_unimodular(Matrix2C(entry, 1.0, 1.0, entry))
+    assert "not finite" in str(info.value)
+    assert "nan" not in str(info.value) and "inf" not in str(info.value)
 
 
 def test_triple_3_3_3_is_exact():
@@ -296,6 +306,9 @@ def test_rep_file_io(tmp_path):
         "a 1,0 0,0 0,0 1,0\na 1,0 0,0 0,0 1,0\n",  # duplicate
         "b 1,0 0,0 0,0 1,0\n",  # skips a
         "a x,0 0,0 0,0 1,0\n",
+        "a nan,0 0,0 0,0 1,0\n",
+        "a 1,0 0,inf 0,0 1,0\n",
+        "a 1,0 0,0 1e400,0 1,0\n",
     ],
 )
 def test_rep_parse_errors(text):
