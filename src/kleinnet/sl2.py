@@ -102,13 +102,14 @@ class Matrix2C:
 
 
 def check_unimodular(m: Matrix2C, tol: float = UNIMODULAR_TOL) -> None:
-    if not cmath.isfinite(m.det):
+    det = m.det
+    if not cmath.isfinite(det):
         raise NotUnimodularError("not unimodular: det is not finite")
     s = m.scale()
     bound = tol * max(1.0, s * s)
-    if not abs(m.det - 1.0) <= bound:
+    if not abs(det - 1.0) <= bound:
         raise NotUnimodularError(
-            f"not unimodular: det = {m.det:.6g} (tolerance {bound:.3g})"
+            f"not unimodular: det = {det:.6g} (tolerance {bound:.3g})"
         )
 
 
