@@ -89,18 +89,21 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.splitlines() == ["word,re,im", "a,3,0"]
 
 
-def run_module(*argv, cwd=None):
-    """Run `python -m kleinnet` in a fresh interpreter, so that an uncaught
-    exception shows as a traceback on stderr rather than in the test."""
+def _env_with_src():
     src = str(Path(kleinnet.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_module(*argv):
+    """Run `python -m kleinnet` in a fresh interpreter, so that an uncaught
+    exception shows as a traceback on stderr rather than in the test."""
     proc = subprocess.run(
         [sys.executable, "-m", "kleinnet", *argv],
         capture_output=True,
         text=True,
-        env=env,
-        cwd=cwd,
+        env=_env_with_src(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -108,9 +111,6 @@ def run_module(*argv, cwd=None):
 def _heavy_modules_after(*argv):
     """Which of numpy and scipy a fresh interpreter holds after importing
     kleinnet.cli and, when argv is given, running cli.main(argv)."""
-    src = str(Path(kleinnet.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         "import sys, kleinnet.cli\n"
         f"argv = {list(argv)!r}\n"
@@ -119,7 +119,10 @@ def _heavy_modules_after(*argv):
         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]

@@ -124,9 +124,9 @@ def test_class_list_sorted_and_deduplicated():
     assert len(set(keys)) == len(keys)
 
 
-# sha256 of the newline-joined class list, recorded from the exhaustive search
-# (canonicalize every reduced word, dedupe, sort) that preceded the necklace
-# generator; any change to the representatives or their order shows here.
+# sha256 of the newline-joined class list, recorded with an exhaustive search
+# (canonical form of every reduced word, deduped and sorted); any change to the
+# representatives or their order shows here.
 _CLASS_LIST_DIGESTS = {
     (1, 12, False): "2ddec1ba136951c830c2abb20b17944de58f817eb666a7e8f974639b81a58e1d",
     (1, 12, True): "5caefbe6df3ebf7d896e9fbef9ec2cf7d6bcb6609584b521d88e1e213d60a93a",
