@@ -90,8 +90,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def _load_rep(path: str) -> sl2.Representation:
     from . import sl2
 
-    matrices = sl2.load_rep(path)
-    return sl2.make_rep(words.Presentation.free(len(matrices)), matrices)
+    return sl2.make_rep(sl2.load_rep(path))
 
 
 def _cmd_character(args: argparse.Namespace) -> int:
@@ -157,7 +156,7 @@ def _cmd_degenerate(args: argparse.Namespace) -> int:
 
     family = degeneration.schottky_family()
     t_values = _parse_floats_csv(args.t_values, "parameter list")
-    classes = words.enumerate_classes(family.presentation.n_generators, args.max_len)
+    classes = words.enumerate_classes(family.rank, args.max_len)
     vectors = degeneration.sweep(family, classes, t_values)
     csv_text = degeneration.format_sweep_csv(t_values, vectors)
     if args.csv is not None:
@@ -262,6 +261,8 @@ def _cmd_qnet(args: argparse.Namespace) -> int:
         with open(args.circuit, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
+        if args.seed < 0:
+            raise KleinnetError(f"--seed must be nonnegative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         gates = qnet.random_circuit(rng, args.areas, args.random_circuit)
         states = [qnet.AreaState(1.0, 0.0)] * args.areas

@@ -18,7 +18,6 @@ from .errors import DegenerationError
 from .sl2 import Matrix2C, Representation, classify, evaluate, make_rep
 from .words import (
     ConjugacyClassList,
-    Presentation,
     Word,
     canonical_cyclic,
     cyclically_reduce,
@@ -96,7 +95,7 @@ class RepFamily:
     """A rule t -> Representation for positive t, validated at each sample."""
 
     name: str
-    presentation: Presentation
+    rank: int
     builder: Callable[[float], Sequence[Matrix2C]]
 
     def build(self, t: float) -> Representation:
@@ -110,7 +109,12 @@ class RepFamily:
             raise DegenerationError(
                 f"family {self.name!r} overflows at t = {t:g}"
             ) from None
-        return make_rep(self.presentation, matrices)
+        if len(matrices) != self.rank:
+            raise DegenerationError(
+                f"family {self.name!r} has rank {self.rank}, "
+                f"got {len(matrices)} matrices"
+            )
+        return make_rep(matrices)
 
 
 def schottky_family() -> RepFamily:
@@ -123,7 +127,7 @@ def schottky_family() -> RepFamily:
         b = Matrix2C(math.cosh(t), math.sinh(t), math.sinh(t), math.cosh(t))
         return [a, b]
 
-    return RepFamily("schottky", Presentation.free(2), builder)
+    return RepFamily("schottky", 2, builder)
 
 
 LaurentEntry = Mapping[int, complex]
@@ -132,7 +136,6 @@ LaurentEntry = Mapping[int, complex]
 def laurent_family(
     name: str,
     entries: Sequence[Sequence[Sequence[LaurentEntry]]],
-    presentation: Presentation | None = None,
 ) -> RepFamily:
     """Family with matrix entries given as Laurent polynomials in e^t.
 
@@ -146,9 +149,6 @@ def laurent_family(
         gens.append(tuple(tuple(dict(cell) for cell in row) for row in rows))
     if not gens:
         raise DegenerationError("family needs at least one generator")
-    pres = presentation if presentation is not None else Presentation.free(len(gens))
-    if pres.n_generators != len(gens):
-        raise DegenerationError("entry table does not match the presentation rank")
 
     def builder(t: float) -> list[Matrix2C]:
         mats = []
@@ -161,7 +161,7 @@ def laurent_family(
             mats.append(Matrix2C(*cells))
         return mats
 
-    return RepFamily(name, pres, builder)
+    return RepFamily(name, len(gens), builder)
 
 
 def sweep(
@@ -173,6 +173,8 @@ def sweep(
     ts = list(t_values)
     if len(ts) < 2:
         raise DegenerationError("sweep needs at least two parameter values")
+    if not all(map(math.isfinite, ts)):
+        raise DegenerationError("sweep parameter values must be finite")
     if any(not b > a for a, b in zip(ts, ts[1:])):
         raise DegenerationError("sweep parameter values must increase")
 
@@ -254,9 +256,6 @@ def _axiom_residuals(final: LengthVector) -> tuple[float, float]:
 def tree_limit_check(
     vectors: Sequence[LengthVector],
     classes: ConjugacyClassList,
-    cauchy_tol: float = CAUCHY_TOL,
-    oracle_tol: float = ORACLE_TOL,
-    axiom_tol: float = AXIOM_TOL,
 ) -> TreeLimitReport:
     if len(vectors) < 2:
         raise DegenerationError("need at least two vectors to check convergence")
@@ -269,13 +268,13 @@ def tree_limit_check(
     sym, hom = _axiom_residuals(final)
     return TreeLimitReport(
         deltas=deltas,
-        converged=deltas[-1] < cauchy_tol,
+        converged=deltas[-1] < CAUCHY_TOL,
         oracle_distance=distance,
-        oracle_ok=distance < oracle_tol,
+        oracle_ok=distance < ORACLE_TOL,
         symmetry_residual=sym,
-        symmetry_ok=sym <= axiom_tol,
+        symmetry_ok=sym <= AXIOM_TOL,
         homogeneity_residual=hom,
-        homogeneity_ok=hom <= axiom_tol,
+        homogeneity_ok=hom <= AXIOM_TOL,
     )
 
 

@@ -106,10 +106,6 @@ class SubgroupGraph:
     out_a: Perm
     out_b: Perm
 
-    @property
-    def base(self) -> int:
-        return 1
-
     def __post_init__(self) -> None:
         n = self.n_vertices
         for name, out in (("a", self.out_a), ("b", self.out_b)):

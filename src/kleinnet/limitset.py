@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ElementaryGroupError, LimitSetError
 from .sl2 import (
-    CLASSIFY_TOL,
     Matrix2C,
     _dist_to_plus_minus_identity,
     check_unimodular,
@@ -50,6 +49,9 @@ DEFAULT_CAP = 1_000_000
 MARKOV_TOL = 1e-8
 SHARED_FIX_TOL = 1e-8
 WINDOW_RADIUS = 4.0
+BOX_LEVELS = 7
+# the largest image render draws: 8192 x 8192, 192 MiB of pixels
+MAX_PIXELS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,13 @@ def _point_key(p: SpherePoint) -> tuple[int, float, float]:
     return (p.chart, p.value.real, p.value.imag)
 
 
-def mobius_fixed_points(m: Matrix2C, tol: float = CLASSIFY_TOL) -> list[SpherePoint]:
+def mobius_fixed_points(m: Matrix2C) -> list[SpherePoint]:
     """Fixed points on the sphere, attracting first for loxodromic input.
 
     The finite fixed points solve c z^2 + (d-a) z - b = 0; infinity is fixed
     exactly when c = 0.
     """
-    kind = classify(m, tol).kind
+    kind = classify(m).kind
     if kind == "identity":
         raise LimitSetError("every point is fixed: matrix is +/-identity")
     a, b, c, d = m.entries()
@@ -236,10 +238,6 @@ class LimitPointCloud:
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
-
-    @property
-    def n_points(self) -> int:
-        return len(self)
 
     def plane_values(self, radius: float = WINDOW_RADIUS) -> np.ndarray:
         """Plane coordinates of the points with |z| <= radius (points at or
@@ -527,16 +525,13 @@ def circle_deviation(
     return float(np.abs(radial - radius).max() / radius)
 
 
-def box_dimension(
-    cloud: LimitPointCloud,
-    levels: int = 7,
-    window_radius: float = WINDOW_RADIUS,
-) -> float:
-    """Box-counting slope over dyadic scales delta_0 / 2^k, k < levels, with
-    delta_0 a quarter of the bounding-box size."""
+def box_dimension(cloud: LimitPointCloud) -> float:
+    """Box-counting slope over dyadic scales delta_0 / 2^k, k < BOX_LEVELS,
+    with delta_0 a quarter of the bounding-box size, on the points within
+    WINDOW_RADIUS."""
     if len(cloud) < 1000:
         raise LimitSetError("box counting needs at least 1000 points")
-    z = cloud.plane_values(window_radius)
+    z = cloud.plane_values(WINDOW_RADIUS)
     if z.shape[0] < 1000:
         raise LimitSetError("box counting needs at least 1000 points in the window")
     x, y = z.real, z.imag
@@ -544,11 +539,9 @@ def box_dimension(
     size = max(float(x.max() - xmin), float(y.max() - ymin))
     if size == 0.0:
         raise LimitSetError("degenerate cloud: all points coincide")
-    if levels < 2:
-        raise LimitSetError("box counting needs at least two scales")
     log_inv_delta = []
     log_counts = []
-    for k in range(levels):
+    for k in range(BOX_LEVELS):
         delta = size / 4.0 / (2.0**k)
         ix = np.floor((x - xmin) / delta).astype(np.int64)
         iy = np.floor((y - ymin) / delta).astype(np.int64)
@@ -569,6 +562,10 @@ def render(
     inside the window (re_min, re_max, im_min, im_max)."""
     if width < 1 or height < 1:
         raise LimitSetError("image dimensions must be positive")
+    if width * height > MAX_PIXELS:
+        raise LimitSetError(
+            f"image of {width} x {height} pixels exceeds the budget of {MAX_PIXELS}"
+        )
     re_min, re_max, im_min, im_max = (float(v) for v in window)
     if not (re_min < re_max and im_min < im_max):
         raise LimitSetError("window must be a nonempty rectangle")

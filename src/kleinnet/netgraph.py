@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .words import Presentation, Word, reduce_word
+from .words import Word, reduce_word
 
 __all__ = [
     "Network",
@@ -27,7 +27,6 @@ __all__ = [
     "load_network",
     "loop_basis",
     "walk_to_word",
-    "loop_presentation",
 ]
 
 
@@ -221,9 +220,3 @@ def walk_to_word(net: Network, basis: LoopBasis, walk) -> Word:
         raise GraphError(f"walk is not closed: starts at {start}, ends at {pos}")
     return reduce_word(letters)
 
-
-def loop_presentation(basis: LoopBasis) -> Presentation:
-    """The (free) presentation on one generator per non-tree edge."""
-    if basis.rank < 1:
-        raise GraphError("the loop group is trivial: no non-tree edges")
-    return Presentation.free(basis.rank)

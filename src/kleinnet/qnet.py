@@ -196,10 +196,7 @@ def apply_gate(state: TensorState, gate: Gate) -> TensorState:
 def run_circuit(
     initial: Sequence[AreaState],
     circuit: Sequence[Gate],
-    cap: int = MAX_AREAS,
 ) -> TensorState:
-    if len(initial) > cap:
-        raise QnetError(f"{len(initial)} areas exceeds the cap of {cap}")
     state = tensor(initial)
     for gate in circuit:
         state = apply_gate(state, gate)
@@ -387,10 +384,10 @@ def load_circuit(fp: TextIO) -> tuple[list[AreaState], list[Gate]]:
     return parse_circuit_text(fp.read())
 
 
-def run_circuit_text(text: str, cap: int = MAX_AREAS) -> TensorState:
+def run_circuit_text(text: str) -> TensorState:
     """Parse, normalize every init state, and run; the file bridge."""
     states, gates = parse_circuit_text(text)
-    return run_circuit([normalize(s) for s in states], gates, cap=cap)
+    return run_circuit([normalize(s) for s in states], gates)
 
 
 def _csv_rows(state: TensorState) -> Iterator[str]:

@@ -1,4 +1,4 @@
-"""SL(2,C) matrices, representations of free-ish groups, characters, and
+"""SL(2,C) matrices, representations of free groups, characters, and
 isometry classification for the hyperbolic 3-space action.
 
 Unimodularity is checked with a tolerance that scales with the squared entry
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotUnimodularError, RepresentationError
-from .words import ConjugacyClassList, Presentation, Word
+from .words import ConjugacyClassList, Word
 
 __all__ = [
     "Matrix2C",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 UNIMODULAR_TOL = 1e-9
-RELATION_TOL = 1e-6
 CLASSIFY_TOL = 1e-9
 
 
@@ -89,24 +88,26 @@ class Matrix2C:
         return (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
 
     def max_abs_diff(self, other: "Matrix2C") -> float:
-        return max(
+        """Largest entry difference in modulus; NaN if any of them is NaN."""
+        diffs = (
             abs(self.a - other.a),
             abs(self.b - other.b),
             abs(self.c - other.c),
             abs(self.d - other.d),
         )
+        # max keeps an earlier number over a later NaN; a sum of moduli is
+        # NaN exactly when one of them is
+        if math.isnan(sum(diffs)):
+            return math.nan
+        return max(diffs)
 
-    def apply(self, z: complex) -> complex:
-        """Möbius action on a finite point with a finite image."""
-        return (self.a * z + self.b) / (self.c * z + self.d)
 
-
-def check_unimodular(m: Matrix2C, tol: float = UNIMODULAR_TOL) -> None:
+def check_unimodular(m: Matrix2C) -> None:
     det = m.det
     if not cmath.isfinite(det):
         raise NotUnimodularError("not unimodular: det is not finite")
     s = m.scale()
-    bound = tol * max(1.0, s * s)
+    bound = UNIMODULAR_TOL * max(1.0, s * s)
     if not abs(det - 1.0) <= bound:
         raise NotUnimodularError(
             f"not unimodular: det = {det:.6g} (tolerance {bound:.3g})"
@@ -116,52 +117,32 @@ def check_unimodular(m: Matrix2C, tol: float = UNIMODULAR_TOL) -> None:
 def _dist_to_plus_minus_identity(m: Matrix2C) -> float:
     ident = Matrix2C.identity()
     neg = Matrix2C(-1.0, 0.0, 0.0, -1.0)
+    # a NaN entry makes both distances NaN, so min's order does not matter
     return min(m.max_abs_diff(ident), m.max_abs_diff(neg))
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Generator images (unimodular, precomputed inverses) plus the residuals
-    of the presentation's relations.  A relation residual beyond RELATION_TOL
-    flags the representation (`relations_ok` False) but does not reject it."""
+    """A representation of a free group: the unimodular images of its
+    generators, with their inverses precomputed."""
 
-    presentation: Presentation
     images: tuple[Matrix2C, ...]
     inverses: tuple[Matrix2C, ...]
-    relation_residuals: tuple[float, ...]
 
     @property
     def rank(self) -> int:
-        return self.presentation.n_generators
-
-    @property
-    def relations_ok(self) -> bool:
-        return all(r <= RELATION_TOL for r in self.relation_residuals)
+        return len(self.images)
 
 
-def make_rep(
-    presentation: Presentation,
-    matrices: Sequence[Matrix2C],
-    det_tol: float = UNIMODULAR_TOL,
-) -> Representation:
-    if len(matrices) != presentation.n_generators:
-        raise RepresentationError(
-            f"presentation has {presentation.n_generators} generators, "
-            f"got {len(matrices)} matrices"
-        )
+def make_rep(matrices: Sequence[Matrix2C]) -> Representation:
+    if not matrices:
+        raise RepresentationError("a representation needs at least one generator")
     for i, m in enumerate(matrices):
         try:
-            check_unimodular(m, det_tol)
+            check_unimodular(m)
         except NotUnimodularError as exc:
             raise NotUnimodularError(f"generator {i + 1}: {exc}") from None
-    images = tuple(matrices)
-    inverses = tuple(m.inverse() for m in matrices)
-    rep = Representation(presentation, images, inverses, ())
-    residuals = tuple(
-        _dist_to_plus_minus_identity(evaluate(rep, rel))
-        for rel in presentation.relations
-    )
-    return Representation(presentation, images, inverses, residuals)
+    return Representation(tuple(matrices), tuple(m.inverse() for m in matrices))
 
 
 def evaluate(rep: Representation, word: Word) -> Matrix2C:
@@ -214,16 +195,16 @@ def translation_length_arccosh(m: Matrix2C) -> float:
     return 2.0 * abs(cmath.acosh(m.trace / 2.0).real)
 
 
-def classify(m: Matrix2C, tol: float = CLASSIFY_TOL) -> IsometryClass:
+def classify(m: Matrix2C) -> IsometryClass:
     """Classify a unimodular matrix by trace; loxodromic length is 2*ln|mu|
     with the arccosh form asserted to agree."""
     check_unimodular(m)
-    if _dist_to_plus_minus_identity(m) <= tol:
+    if _dist_to_plus_minus_identity(m) <= CLASSIFY_TOL:
         return IsometryClass("identity")
     tr = m.trace
-    if abs(tr.imag) <= tol:
+    if abs(tr.imag) <= CLASSIFY_TOL:
         x = tr.real
-        if abs(abs(x) - 2.0) <= tol:
+        if abs(abs(x) - 2.0) <= CLASSIFY_TOL:
             return IsometryClass("parabolic")
         if -2.0 < x < 2.0:
             return IsometryClass("elliptic")
@@ -261,24 +242,16 @@ class ModuliPoint:
 _RANK2_COORDS = (Word((1,)), Word((2,)), Word((1, 2)))
 
 
-def moduli_point(
-    rep: Representation, coordinate_words: Sequence[Word] | None = None
-) -> ModuliPoint:
-    if coordinate_words is None:
-        if rep.rank != 2:
-            raise RepresentationError(
-                "default trace coordinates exist only for rank 2; "
-                "pass coordinate_words"
-            )
-        coordinate_words = _RANK2_COORDS
-    words = tuple(coordinate_words)
-    return ModuliPoint(words, tuple(character(rep, w) for w in words))
+def moduli_point(rep: Representation) -> ModuliPoint:
+    if rep.rank != 2:
+        raise RepresentationError("trace coordinates exist only for rank 2")
+    return ModuliPoint(_RANK2_COORDS, tuple(character(rep, w) for w in _RANK2_COORDS))
 
 
 def conjugate_rep(rep: Representation, g: Matrix2C) -> Representation:
     check_unimodular(g)
     gi = g.inverse()
-    return make_rep(rep.presentation, [g @ m @ gi for m in rep.images])
+    return make_rep([g @ m @ gi for m in rep.images])
 
 
 def random_sl2(rng, spread: float = 1.0) -> Matrix2C:

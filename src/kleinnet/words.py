@@ -17,7 +17,6 @@ from .errors import WordError
 
 __all__ = [
     "Word",
-    "Presentation",
     "ConjugacyClassList",
     "reduce_word",
     "cyclically_reduce",
@@ -145,30 +144,6 @@ def canonical_cyclic(word: Word) -> Word:
     rotations = (core[i:] + core[:i] for i in range(len(core)))
     best = min(rotations, key=lambda r: tuple(_letter_key(l) for l in r))
     return Word(best)
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """A finite presentation; relations empty means a free group."""
-
-    n_generators: int
-    relations: tuple[Word, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n_generators < 1:
-            raise WordError("a presentation needs at least one generator")
-        for rel in self.relations:
-            if not rel:
-                raise WordError("empty relation")
-            if rel.max_index() > self.n_generators:
-                raise WordError(
-                    f"relation {rel.text()!r} uses a generator beyond rank "
-                    f"{self.n_generators}"
-                )
-
-    @classmethod
-    def free(cls, rank: int) -> "Presentation":
-        return cls(rank, ())
 
 
 @dataclass(frozen=True)

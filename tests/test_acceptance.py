@@ -32,9 +32,8 @@ def test_criterion_1_trace_identities(report):
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
     worst = 0.0
-    pres = words.Presentation.free(2)
     for _ in range(1000):
-        rep = sl2.make_rep(pres, [sl2.random_sl2(rng), sl2.random_sl2(rng)])
+        rep = sl2.make_rep([sl2.random_sl2(rng), sl2.random_sl2(rng)])
         u = words.random_word(rng, 2, int(rng.integers(1, 6)))
         v = words.random_word(rng, 2, int(rng.integers(1, 6)))
         chi_u = sl2.character(rep, u)
@@ -54,8 +53,7 @@ def test_criterion_1_trace_identities(report):
 
 def test_criterion_2_conjugation_invariance(report):
     rng = np.random.default_rng(1002)
-    pres = words.Presentation.free(2)
-    rep = sl2.make_rep(pres, [sl2.random_loxodromic(rng), sl2.random_sl2(rng)])
+    rep = sl2.make_rep([sl2.random_loxodromic(rng), sl2.random_sl2(rng)])
     classes = words.enumerate_classes(2, 3)
     base_theta = np.array(sl2.morgan_shalen_vector(rep, classes))
     base_point = sl2.moduli_point(rep)

@@ -192,6 +192,14 @@ def test_character_moduli(capsys, rep_file):
     assert out.splitlines() == ["word,re,im", "a,3,0", "b,3,0", "ab,3,0"]
 
 
+def test_character_moduli_needs_rank_two(capsys, tmp_path):
+    path = tmp_path / "rep1.txt"
+    path.write_text(REP_333.splitlines()[0] + "\n")
+    code, out, err = run_cli(capsys, "character", "--rep", str(path), "--moduli")
+    assert code == 1 and out == ""
+    assert err == "error: trace coordinates exist only for rank 2\n"
+
+
 def test_character_words_file(capsys, rep_file, tmp_path):
     words_path = tmp_path / "words.txt"
     words_path.write_text("# batch\na\n\nba\n")
@@ -261,6 +269,14 @@ def test_degenerate_rejects_bad_grid(capsys):
     assert code == 1 and "increase" in err
     code, out, err = run_cli(capsys, "degenerate", "--t-values", "5,x")
     assert code == 1
+
+
+@pytest.mark.parametrize("t_values", ["5,nan", "nan,5"])
+def test_degenerate_names_a_nonfinite_grid(t_values):
+    code, out, err = run_module("degenerate", "--t-values", t_values)
+    assert code == 1 and out == ""
+    assert "finite" in err and "increase" not in err
+    assert "Traceback" not in err and "nan" not in err.lower()
 
 
 # Non-finite rep entries, an infinite t and a t whose products overflow each
@@ -374,6 +390,17 @@ def test_limitset_flag_validation(capsys, rep_file):
         capsys, "limitset", "--traces", "3,3,3", "--other-root", "--rep", rep_file
     )
     assert code == 1
+
+
+def test_limitset_refuses_an_image_over_the_pixel_budget(tmp_path):
+    out_path = tmp_path / "X.ppm"
+    code, out, err = run_module(
+        "limitset", "--traces", "3,3", "--eps", "1e-2",
+        "--width", "100000", "--height", "100000", "--out", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_limitset_defaults_come_from_the_library(capsys):
@@ -491,6 +518,14 @@ def test_qnet_rejects_nonfinite_numbers(tmp_path, text):
     code, out, err = run_module("qnet", "--circuit", str(path))
     assert code == 1 and out == ""
     assert "Traceback" not in err and "nan" not in err.lower()
+
+
+def test_qnet_rejects_negative_seed():
+    code, out, err = run_module(
+        "qnet", "--random-circuit", "5", "--areas", "2", "--seed", "-1"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_qnet_mode_and_zero_state_errors(capsys, tmp_path):

@@ -20,7 +20,7 @@ from kleinnet.degeneration import (
 )
 from kleinnet.errors import DegenerationError
 from kleinnet.sl2 import Matrix2C, conjugate_rep, make_rep, random_sl2
-from kleinnet.words import ConjugacyClassList, Presentation, Word, enumerate_classes
+from kleinnet.words import ConjugacyClassList, Word, enumerate_classes
 
 T_GRID = [5.0, 10.0, 15.0, 20.0]
 
@@ -34,7 +34,7 @@ ABAB_CLASSES = ConjugacyClassList(
 
 
 def diag_rep(x):
-    return make_rep(Presentation.free(1), [Matrix2C.diagonal(x, 1.0 / x)])
+    return make_rep([Matrix2C.diagonal(x, 1.0 / x)])
 
 
 def test_length_vector_diagonal_powers():
@@ -49,7 +49,7 @@ def test_length_vector_diagonal_powers():
 
 
 def test_length_vector_trivial_rep_is_zero():
-    rep = make_rep(Presentation.free(2), [Matrix2C.identity(), Matrix2C.identity()])
+    rep = make_rep([Matrix2C.identity(), Matrix2C.identity()])
     vec = length_vector(rep, ABAB_CLASSES)
     assert vec.values == (0.0, 0.0, 0.0)
     with pytest.raises(DegenerationError, match="vanishes"):
@@ -105,7 +105,7 @@ def test_square_class_tracks_product_class():
 
 def test_constant_family_has_zero_deltas():
     mats = [Matrix2C.diagonal(math.e, 1.0 / math.e), Matrix2C(2.0, 1.0, 3.0, 2.0)]
-    fam = RepFamily("constant", Presentation.free(2), lambda t: mats)
+    fam = RepFamily("constant", 2, lambda t: mats)
     vecs = sweep(fam, ABAB_CLASSES, [1.0, 2.0, 3.0])
     report = tree_limit_check(vecs, ABAB_CLASSES)
     assert report.deltas == (0.0, 0.0)
@@ -150,7 +150,7 @@ def test_oracle_vector_small_list():
 def test_single_generator_family_is_linear():
     fam = RepFamily(
         "diag",
-        Presentation.free(1),
+        1,
         lambda t: [Matrix2C.diagonal(math.exp(t), math.exp(-t))],
     )
     classes = enumerate_classes(1, 4, fold_inverses=True)
@@ -161,7 +161,7 @@ def test_single_generator_family_is_linear():
 
 def test_rescaled_limit_ignores_parameter_scaling():
     fam = schottky_family()
-    double = RepFamily("stretched", fam.presentation, lambda t: fam.builder(2.0 * t))
+    double = RepFamily("stretched", fam.rank, lambda t: fam.builder(2.0 * t))
     classes = enumerate_classes(2, 4)
     a = sweep(fam, classes, [10.0, 20.0])[-1]
     b = sweep(double, classes, [5.0, 10.0])[-1]
@@ -195,12 +195,6 @@ def test_laurent_family_validation():
         laurent_family("bad", [[[{0: 1.0}]]])
     with pytest.raises(DegenerationError):
         laurent_family("empty", [])
-    with pytest.raises(DegenerationError):
-        laurent_family(
-            "rank-mismatch",
-            [[[{0: 1.0}, {}], [{}, {0: 1.0}]]],
-            presentation=Presentation.free(2),
-        )
 
 
 def test_family_rejects_nonpositive_parameter():
@@ -214,6 +208,12 @@ def test_family_rejects_nonpositive_parameter():
             fam.build(t)
 
 
+def test_family_rejects_builder_of_wrong_rank():
+    fam = RepFamily("short", 2, lambda t: [Matrix2C.identity()])
+    with pytest.raises(DegenerationError, match="rank 2, got 1"):
+        fam.build(1.0)
+
+
 def test_sweep_validates_grid():
     fam = schottky_family()
     with pytest.raises(DegenerationError):
@@ -222,6 +222,9 @@ def test_sweep_validates_grid():
         sweep(fam, ABAB_CLASSES, [2.0, 1.0])
     with pytest.raises(DegenerationError):
         sweep(fam, ABAB_CLASSES, [1.0, 1.0])
+    for ts in ([5.0, math.nan], [math.nan, 5.0], [1.0, math.inf]):
+        with pytest.raises(DegenerationError, match="must be finite"):
+            sweep(fam, ABAB_CLASSES, ts)
 
 
 def test_sup_delta_requires_matching_classes():

@@ -483,6 +483,9 @@ def test_render_validates_window():
         render(cloud, 10, 10, (1.0, -1.0, -1.0, 1.0))
     with pytest.raises(LimitSetError):
         render(cloud, 10, 10, (-1.0, 1.0, 1.0, 1.0))
+    # one pixel over 8192 x 8192 is refused before any allocation
+    with pytest.raises(LimitSetError, match="pixels"):
+        render(cloud, 8192, 8193, (-1.0, 1.0, -1.0, 1.0))
 
 
 def test_cloud_csv(tmp_path):

@@ -8,7 +8,6 @@ from kleinnet.netgraph import (
     Network,
     build_network,
     loop_basis,
-    loop_presentation,
     parse_network,
     walk_to_word,
 )
@@ -192,11 +191,3 @@ def test_disconnected_components_counted():
     assert basis.n_components == 2
     assert basis.rank == 1
 
-
-def test_loop_presentation_rank():
-    net = _theta_graph()
-    pres = loop_presentation(loop_basis(net))
-    assert pres.n_generators == 2 and pres.relations == ()
-    flat = build_network([1, 2], [(1, 1, 2)])
-    with pytest.raises(GraphError):
-        loop_presentation(loop_basis(flat))

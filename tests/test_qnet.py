@@ -273,8 +273,8 @@ def test_hundred_random_gates_on_ten_areas():
 
 
 def test_circuit_cap():
-    with pytest.raises(QnetError, match="cap"):
-        run_circuit([UP] * 3, [], cap=2)
+    with pytest.raises(QnetError, match=f"between 1 and {MAX_AREAS}"):
+        run_circuit([UP] * (MAX_AREAS + 1), [])
 
 
 def test_random_circuit_validation():

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from kleinnet.errors import WordError
 from kleinnet.words import (
     ConjugacyClassList,
-    Presentation,
     Word,
     canonical_cyclic,
     cyclically_reduce,
@@ -224,16 +223,6 @@ def test_power_notation():
     assert (w ** 3).text() == "ababab"
     assert (w ** -1) == w.inverse()
     assert (w ** 0).letters == ()
-
-
-def test_presentation_validation():
-    Presentation.free(2)
-    with pytest.raises(WordError):
-        Presentation(0)
-    with pytest.raises(WordError):
-        Presentation(1, (Word.from_text("ab"),))
-    with pytest.raises(WordError):
-        Presentation(2, (Word(()),))
 
 
 def test_class_list_container_api():
