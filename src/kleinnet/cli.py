@@ -180,7 +180,7 @@ def _limitset_spec(args: argparse.Namespace) -> limitset.GroupSpec:
     if args.rep is not None:
         if args.other_root:
             raise KleinnetError("--other-root applies only to --traces")
-        return limitset.GroupSpec.from_matrices(sl2.load_rep(args.rep))
+        return limitset.GroupSpec(tuple(sl2.load_rep(args.rep)))
     values = [_parse_complex(p) for p in args.traces.split(",")]
     if len(values) == 2:
         return limitset.GroupSpec.from_traces(
@@ -194,9 +194,15 @@ def _limitset_spec(args: argparse.Namespace) -> limitset.GroupSpec:
 
 
 def _cmd_limitset(args: argparse.Namespace) -> int:
-    from . import limitset
+    from . import limitset, sl2
 
     spec = _limitset_spec(args)
+    for i, g in enumerate(spec.generators, start=1):
+        if sl2.classify(g).kind == "elliptic":
+            raise KleinnetError(
+                f"generator {i} is elliptic: the limit-set search needs "
+                "loxodromic or parabolic generators"
+            )
     # flags left unset fall back to enumerate_limit_set's own defaults
     options = {"epsilon": args.eps, "max_depth": args.depth, "cap": args.cap}
     cloud = limitset.enumerate_limit_set(

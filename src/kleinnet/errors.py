@@ -31,13 +31,7 @@ class LimitSetError(KleinnetError):
 
 
 class ElementaryGroupError(LimitSetError):
-    """The group spec is elementary; the limit set has at most two points.
-
-    The points are attached as `.points` (list of SpherePoint)."""
-
-    def __init__(self, message, points):
-        super().__init__(message)
-        self.points = list(points)
+    """The group spec is elementary; the limit set has at most two points."""
 
 
 class DessinError(KleinnetError):

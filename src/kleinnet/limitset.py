@@ -17,7 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -30,10 +29,8 @@ from .sl2 import (
 )
 
 __all__ = [
-    "SpherePoint",
     "GroupSpec",
     "LimitPointCloud",
-    "mobius_fixed_points",
     "enumerate_limit_set",
     "circle_deviation",
     "box_dimension",
@@ -54,63 +51,20 @@ BOX_LEVELS = 7
 MAX_PIXELS = 1 << 26
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of the Riemann sphere in one of two charts: the point is
-    `value` in chart 0 and `1/value` in chart 1 (so chart 1, value 0 is the
-    point at infinity)."""
-
-    value: complex
-    chart: int
-
-    def __post_init__(self) -> None:
-        if self.chart not in (0, 1):
-            raise LimitSetError(f"chart must be 0 or 1, got {self.chart}")
-
-    @classmethod
-    def from_plane(cls, z: complex) -> "SpherePoint":
-        z = complex(z)
-        if abs(z) <= 1.0:
-            return cls(z, 0)
-        return cls(1.0 / z, 1)
-
-    @classmethod
-    def infinity(cls) -> "SpherePoint":
-        return cls(0j, 1)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.chart == 1 and self.value == 0
-
-    def to_plane(self) -> complex:
-        if self.chart == 0:
-            return self.value
-        if self.value == 0:
-            raise LimitSetError("the point at infinity has no plane coordinate")
-        return 1.0 / self.value
-
-    def sphere3(self) -> tuple[float, float, float]:
-        """Stereographic lift onto the radius-1/2 sphere; the chordal metric
-        is the Euclidean distance between lifts."""
-        v = self.value
-        n2 = v.real * v.real + v.imag * v.imag
-        den = 1.0 + n2
-        if self.chart == 0:
-            return (v.real / den, v.imag / den, (n2 - 1.0) / (2.0 * den))
-        return (v.real / den, -v.imag / den, (1.0 - n2) / (2.0 * den))
-
-    def chordal(self, other: "SpherePoint") -> float:
-        ax, ay, az = self.sphere3()
-        bx, by, bz = other.sphere3()
-        return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+# infinity as a (chart value, chart) pair
+_INFINITY = (0j, 1)
 
 
-def _point_key(p: SpherePoint) -> tuple[int, float, float]:
-    return (p.chart, p.value.real, p.value.imag)
+def _chart_point(z: complex) -> tuple[complex, int]:
+    """The plane point z as a (chart value, chart) pair: z itself in chart 0
+    inside the unit disc, else 1/z in chart 1."""
+    if abs(z) <= 1.0:
+        return (z, 0)
+    return (1.0 / z, 1)
 
 
-def mobius_fixed_points(m: Matrix2C) -> list[SpherePoint]:
-    """Fixed points on the sphere, attracting first for loxodromic input.
+def _fixed_points(m: Matrix2C) -> list[tuple[complex, int]]:
+    """Fixed points on the sphere as (chart value, chart) pairs.
 
     The finite fixed points solve c z^2 + (d-a) z - b = 0; infinity is fixed
     exactly when c = 0.
@@ -121,26 +75,27 @@ def mobius_fixed_points(m: Matrix2C) -> list[SpherePoint]:
     a, b, c, d = m.entries()
     if c == 0:
         if kind == "parabolic" or a == d:
-            return [SpherePoint.infinity()]
-        finite = SpherePoint.from_plane(b / (d - a))
-        inf = SpherePoint.infinity()
-        if kind == "loxodromic":
-            # multiplier at infinity is d/a (chart w = 1/z)
-            return [inf, finite] if abs(a) > abs(d) else [finite, inf]
-        return sorted([finite, inf], key=_point_key)
+            return [_INFINITY]
+        return [_chart_point(b / (d - a)), _INFINITY]
     qa, qb, qc = c, d - a, -b
     if kind == "parabolic":
-        return [SpherePoint.from_plane(-qb / (2.0 * qa))]
+        return [_chart_point(-qb / (2.0 * qa))]
     sq = cmath.sqrt(qb * qb - 4.0 * qa * qc)
     s = sq if abs(qb + sq) >= abs(qb - sq) else -sq
     q = -(qb + s) / 2.0
-    z1 = q / qa
-    z2 = qc / q
-    p1, p2 = SpherePoint.from_plane(z1), SpherePoint.from_plane(z2)
-    if kind == "loxodromic":
-        # |derivative| = |c z + d|^-2: attracting where |c z + d| is larger
-        return [p1, p2] if abs(c * z1 + d) > abs(c * z2 + d) else [p2, p1]
-    return sorted([p1, p2], key=_point_key)
+    return [_chart_point(q / qa), _chart_point(qc / q)]
+
+
+def _share_a_point(ps, qs) -> bool:
+    """Whether a point of ps and a point of qs, (chart value, chart) pairs,
+    are within SHARED_FIX_TOL in the chordal metric."""
+    values, charts = zip(*ps, *qs)
+    lifts = _lift(np.array(values), np.array(charts)).tolist()
+    return any(
+        math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2) <= SHARED_FIX_TOL
+        for ax, ay, az in lifts[:len(ps)]
+        for bx, by, bz in lifts[len(ps):]
+    )
 
 
 def _attracting_eigvec(m: Matrix2C) -> tuple[complex, complex]:
@@ -178,10 +133,6 @@ class GroupSpec:
             check_unimodular(g)
             if _dist_to_plus_minus_identity(g) <= 1e-12:
                 raise LimitSetError(f"generator {i + 1} is +/-identity")
-
-    @classmethod
-    def from_matrices(cls, matrices: Sequence[Matrix2C]) -> "GroupSpec":
-        return cls(tuple(matrices))
 
     @classmethod
     def from_traces(
@@ -256,12 +207,10 @@ class LimitPointCloud:
         keep = np.isfinite(mag) & (mag <= radius)
         return out[keep]
 
-    def sphere3(self) -> np.ndarray:
-        return _lift(self.values, self.charts)
-
 
 def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
-    """Radius-1/2 sphere lift of chart coordinates, one row per point."""
+    """Radius-1/2 sphere lift of chart coordinates, one row per point; the
+    chordal metric is the Euclidean distance between lifts."""
     re = values.real
     im = values.imag
     n2 = re * re + im * im
@@ -269,14 +218,6 @@ def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     sign = np.where(charts == 0, 1.0, -1.0)
     height = np.where(charts == 0, n2 - 1.0, 1.0 - n2)
     return np.column_stack([re / den, sign * im / den, height / (2.0 * den)])
-
-
-def _dedupe_points(points: list[SpherePoint], tol: float) -> list[SpherePoint]:
-    out: list[SpherePoint] = []
-    for p in points:
-        if all(p.chordal(q) > tol for q in out):
-            out.append(p)
-    return out
 
 
 def _make_cloud(
@@ -469,20 +410,9 @@ def enumerate_limit_set(
         raise LimitSetError("max_depth must be at least 1")
     if cap < 1:
         raise LimitSetError("point cap must be at least 1")
-    fixed_sets = [mobius_fixed_points(g) for g in spec.generators]
-    if len(spec.generators) == 1:
-        raise ElementaryGroupError(
-            "elementary: limit set has <= 2 points", fixed_sets[0]
-        )
-    if any(
-        p.chordal(q) <= SHARED_FIX_TOL
-        for p in fixed_sets[0]
-        for q in fixed_sets[1]
-    ):
-        points = _dedupe_points(fixed_sets[0] + fixed_sets[1], SHARED_FIX_TOL)
-        raise ElementaryGroupError(
-            "elementary: limit set has <= 2 points", points
-        )
+    fixed_sets = [_fixed_points(g) for g in spec.generators]
+    if len(fixed_sets) == 1 or _share_a_point(*fixed_sets):
+        raise ElementaryGroupError("elementary: limit set has <= 2 points")
 
     a, b = spec.generators
     mats = (a, a.inverse(), b, b.inverse())

@@ -25,6 +25,11 @@ __all__ = [
     "random_word",
 ]
 
+# the most letters, summed over all reduced words of length <= max_length,
+# that enumerate_classes accepts: the class list and the walk are bounded by
+# that sum, so a larger one could exhaust memory
+MAX_LETTERS = 1 << 24
+
 
 def _check_letter(letter: int, rank: int | None = None) -> None:
     if not isinstance(letter, int) or isinstance(letter, bool) or letter == 0:
@@ -192,6 +197,14 @@ def enumerate_classes(
         raise WordError("rank must be >= 1")
     if max_length < 1:
         raise WordError("max_length must be >= 1: an empty class list is useless")
+    letters = 0
+    for n in range(1, max_length + 1):
+        letters += n * 2 * rank * (2 * rank - 1) ** (n - 1)
+        if letters > MAX_LETTERS:
+            raise WordError(
+                f"max_length {max_length} is too large for rank {rank}: the reduced "
+                f"words up to length {n} hold more than {MAX_LETTERS} letters"
+            )
     alphabet = [l for k in range(1, rank + 1) for l in (k, -k)]
     level = [((l,), 1) for l in alphabet]
     reps: list[Word] = []

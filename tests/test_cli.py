@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -96,7 +98,7 @@ def _env_with_src():
     return env
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     """Run `python -m kleinnet` in a fresh interpreter, so that an uncaught
     exception shows as a traceback on stderr rather than in the test."""
     proc = subprocess.run(
@@ -104,6 +106,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=_env_with_src(),
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -279,6 +282,28 @@ def test_degenerate_names_a_nonfinite_grid(t_values):
     assert "Traceback" not in err and "nan" not in err.lower()
 
 
+# Class lists whose reduced words would hold more than words.MAX_LETTERS
+# letters are refused before the walk starts.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("degenerate", "--t-values", "5,10", "--max-len", "20"),
+        ("character", "--rep", "REP", "--list-classes", "--max-len", "100000"),
+    ],
+    ids=["degenerate-rank-2", "character-rank-1"],
+)
+def test_class_lists_past_the_letter_budget_exit_one(tmp_path, argv):
+    rep = tmp_path / "rep.txt"
+    rep.write_text("a 2,0 0,0 0,0 0.5,0\n")
+    start = time.perf_counter()
+    code, out, err = run_module(
+        *(str(rep) if a == "REP" else a for a in argv), timeout=30
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: max_length") and "Traceback" not in err
+
+
 # Non-finite rep entries, an infinite t and a t whose products overflow each
 # exit 1 with a message that names no non-finite value.
 @pytest.mark.parametrize(
@@ -419,6 +444,44 @@ def test_limitset_rejects_nonfinite_traces(capsys, traces):
     code, out, err = run_cli(capsys, "limitset", "--traces", traces)
     assert code == 1 and err.startswith("error: traces must be finite")
     assert "nan" not in err.lower()
+
+
+# The limit-set search needs loxodromic or parabolic generators: finite-order
+# ones never prune, and their clouds are no limit sets.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--traces", "1.3,3"),
+        ("--traces", "0,0"),
+        ("--rep", "REP"),
+    ],
+    ids=["traces-1.3", "traces-0", "rep"],
+)
+def test_limitset_rejects_elliptic_generators(tmp_path, argv):
+    rep = tmp_path / "rep.txt"
+    rep.write_text("a 2,0 0,0 0,0 0.5,0\nb 0,0 1,0 -1,0 0,0\n")
+    code, out, err = run_module(
+        "limitset", *(str(rep) if a == "REP" else a for a in argv), timeout=30
+    )
+    assert code == 1 and out == ""
+    assert "elliptic" in err and "Traceback" not in err
+    assert not re.search(r"\b(nan|inf)\b", err, re.IGNORECASE)
+
+
+@pytest.mark.parametrize(
+    "rep_text",
+    [
+        "a 2.718281828459045,0 0,0 0,0 0.36787944117144233,0\n",
+        "a 2.718281828459045,0 0,0 0,0 0.36787944117144233,0\nb 1,0 1,0 0,0 1,0\n",
+    ],
+    ids=["one-generator", "shared-fixed-point"],
+)
+def test_limitset_elementary_rep_exits_one(tmp_path, rep_text):
+    rep = tmp_path / "rep.txt"
+    rep.write_text(rep_text)
+    code, out, err = run_module("limitset", "--rep", str(rep), timeout=30)
+    assert code == 1 and out == ""
+    assert "elementary" in err and "Traceback" not in err
 
 
 # -- dessin ------------------------------------------------------------------------

@@ -9,17 +9,22 @@ from kleinnet.errors import ElementaryGroupError, LimitSetError
 from kleinnet.limitset import (
     GroupSpec,
     LimitPointCloud,
-    SpherePoint,
     box_dimension,
     circle_deviation,
     cloud_group_invariance,
     enumerate_limit_set,
     format_cloud_csv,
-    mobius_fixed_points,
     render,
     write_cloud_csv,
 )
-from kleinnet.limitset import _Nearest, _attracting_eigvec
+from kleinnet.limitset import (
+    _INFINITY,
+    _Nearest,
+    _attracting_eigvec,
+    _chart_point,
+    _fixed_points,
+    _lift,
+)
 from kleinnet.sl2 import Matrix2C, parse_rep_text, random_loxodromic
 
 FUCHSIAN = GroupSpec.from_traces(3, 3, 3)
@@ -39,95 +44,84 @@ def synthetic_circle(n=10000, radius=1.0):
 # -- sphere points -----------------------------------------------------------
 
 
+def _chordal(p, q):
+    """Chordal distance between two (chart value, chart) pairs."""
+    lifts = _lift(np.array([p[0], q[0]]), np.array([p[1], q[1]]))
+    return float(np.linalg.norm(lifts[0] - lifts[1]))
+
+
 def test_sphere_point_charts():
-    p = SpherePoint.from_plane(0.5 + 0.25j)
-    assert p.chart == 0 and p.value == 0.5 + 0.25j
-    q = SpherePoint.from_plane(4.0)
-    assert q.chart == 1 and q.value == 0.25
-    assert q.to_plane() == 4.0
-    inf = SpherePoint.infinity()
-    assert inf.is_infinity
-    with pytest.raises(LimitSetError):
-        inf.to_plane()
-    with pytest.raises(LimitSetError):
-        SpherePoint(0j, 2)
+    assert _chart_point(0.5 + 0.25j) == (0.5 + 0.25j, 0)
+    assert _chart_point(1.0 + 0j) == (1.0 + 0j, 0)
+    assert _chart_point(4.0 + 0j) == (0.25, 1)
+    assert _INFINITY == (0j, 1)
 
 
 def test_sphere_lift_has_radius_half():
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        z = complex(rng.normal(0, 3), rng.normal(0, 3))
-        p = SpherePoint.from_plane(z)
-        assert abs(math.hypot(*p.sphere3()) - 0.5) <= 1e-12
-    assert SpherePoint.infinity().sphere3() == (0.0, 0.0, 0.5)
+    points = [
+        _chart_point(complex(rng.normal(0, 3), rng.normal(0, 3))) for _ in range(50)
+    ]
+    values, charts = zip(*points)
+    radii = np.linalg.norm(_lift(np.array(values), np.array(charts)), axis=1)
+    assert np.abs(radii - 0.5).max() <= 1e-12
+    assert _lift(np.array([0j]), np.array([1])).tolist() == [[0.0, 0.0, 0.5]]
 
 
 def test_chordal_metric():
-    a = SpherePoint.from_plane(0.0)
-    b = SpherePoint.infinity()
-    assert abs(a.chordal(b) - 1.0) <= 1e-15  # antipodes on a diameter-1 sphere
-    assert a.chordal(a) == 0.0
-    c = SpherePoint.from_plane(1.0)
-    assert abs(a.chordal(c) - c.chordal(a)) == 0.0
-    # same sphere point represented in both charts
-    d0 = SpherePoint(1.0 + 0j, 0)
-    d1 = SpherePoint(1.0 + 0j, 1)
-    assert d0.chordal(d1) <= 1e-15
+    zero = _chart_point(0j)
+    assert abs(_chordal(zero, _INFINITY) - 1.0) <= 1e-15  # antipodes
+    assert _chordal(zero, zero) == 0.0
+    one = _chart_point(1.0 + 0j)
+    assert _chordal(zero, one) == _chordal(one, zero)
+    # the same sphere point written in both charts
+    assert _chordal((1.0 + 0j, 0), (1.0 + 0j, 1)) <= 1e-15
 
 
 # -- fixed points -------------------------------------------------------------
 
 
 def test_fixed_points_diagonal():
-    pts = mobius_fixed_points(Matrix2C.diagonal(math.e, 1.0 / math.e))
-    assert pts[0].is_infinity  # attracting for z -> e^2 z
-    assert pts[1].chart == 0 and abs(pts[1].value) == 0.0
+    pts = _fixed_points(Matrix2C.diagonal(math.e, 1.0 / math.e))
+    assert sorted(pts, key=lambda p: p[1]) == [(0j, 0), _INFINITY]
 
 
 def test_fixed_points_parabolic_translation():
-    pts = mobius_fixed_points(Matrix2C(1.0, 1.0, 0.0, 1.0))
-    assert len(pts) == 1 and pts[0].is_infinity
+    assert _fixed_points(Matrix2C(1.0, 1.0, 0.0, 1.0)) == [_INFINITY]
 
 
 def test_fixed_points_quarter_turn():
-    pts = mobius_fixed_points(Matrix2C(0.0, 1.0, -1.0, 0.0))
-    got = sorted((p.value.real, p.value.imag) for p in pts)
-    assert len(pts) == 2
-    assert abs(got[0][1] + 1.0) <= 1e-15 and abs(got[1][1] - 1.0) <= 1e-15
+    pts = _fixed_points(Matrix2C(0.0, 1.0, -1.0, 0.0))
+    assert [p[1] for p in pts] == [0, 0]
+    got = sorted(p[0].imag for p in pts)
+    assert abs(got[0] + 1.0) <= 1e-15 and abs(got[1] - 1.0) <= 1e-15
 
 
 def test_fixed_points_reject_identity():
-    with pytest.raises(LimitSetError):
-        mobius_fixed_points(Matrix2C.identity())
-    with pytest.raises(LimitSetError):
-        mobius_fixed_points(Matrix2C(-1.0, 0.0, 0.0, -1.0))
+    with pytest.raises(LimitSetError, match="every point is fixed"):
+        _fixed_points(Matrix2C.identity())
+    with pytest.raises(LimitSetError, match="every point is fixed"):
+        _fixed_points(Matrix2C(-1.0, 0.0, 0.0, -1.0))
 
 
 def _apply(m, p):
-    if p.chart == 0:
-        u, v = p.value, 1.0 + 0j
-    else:
-        u, v = 1.0 + 0j, p.value
+    value, chart = p
+    u, v = (value, 1.0 + 0j) if chart == 0 else (1.0 + 0j, value)
     a, b, c, d = m.entries()
     nu, nv = a * u + b * v, c * u + d * v
     if abs(nu) <= abs(nv):
-        return SpherePoint(nu / nv, 0)
-    return SpherePoint(nv / nu, 1)
+        return (nu / nv, 0)
+    return (nv / nu, 1)
 
 
-def test_fixed_points_are_fixed_and_attracting_first():
+def test_fixed_points_are_fixed():
     rng = np.random.default_rng(17)
     for _ in range(100):
         m = random_loxodromic(rng)
-        pts = mobius_fixed_points(m)
+        pts = _fixed_points(m)
         assert len(pts) == 2
         for p in pts:
-            assert _apply(m, p).chordal(p) <= 1e-6
-        # iteration from a generic point converges to the first listed point
-        z = SpherePoint.from_plane(complex(0.137, 0.731))
-        for _ in range(80):
-            z = _apply(m, z)
-        assert z.chordal(pts[0]) <= 1e-6
+            assert _chordal(_apply(m, p), p) <= 1e-6
 
 
 # -- group specs ---------------------------------------------------------------
@@ -178,20 +172,21 @@ def test_trace_triple_rejects_bad_relation():
 
 def test_single_generator_is_elementary():
     spec = GroupSpec((Matrix2C.diagonal(math.e, 1.0 / math.e),))
-    with pytest.raises(ElementaryGroupError) as info:
+    with pytest.raises(ElementaryGroupError, match="elementary"):
         enumerate_limit_set(spec)
-    assert len(info.value.points) == 2
-    assert "elementary" in str(info.value)
+    # fixed points come first: a generator within the classify tolerance of
+    # the identity is refused as such, not as elementary
+    near_identity = GroupSpec((Matrix2C(1.0, 1e-10, 0.0, 1.0),))
+    with pytest.raises(LimitSetError, match="every point is fixed"):
+        enumerate_limit_set(near_identity)
 
 
 def test_shared_fixed_point_is_elementary():
     spec = GroupSpec(
         (Matrix2C.diagonal(math.e, 1.0 / math.e), Matrix2C(1.0, 1.0, 0.0, 1.0))
     )
-    with pytest.raises(ElementaryGroupError) as info:
+    with pytest.raises(ElementaryGroupError, match="elementary"):
         enumerate_limit_set(spec)
-    assert any(p.is_infinity for p in info.value.points)
-    assert len(info.value.points) <= 3
 
 
 def test_enumerate_validates_parameters():
@@ -362,10 +357,10 @@ def test_cloud_is_group_invariant():
 
 # two loxodromics with multipliers 1.5 and 1.4+0.3i (the mixed-chart group of
 # test_golden.py)
-MIXED_CHART = GroupSpec.from_matrices(parse_rep_text("""\
+MIXED_CHART = GroupSpec(tuple(parse_rep_text("""\
 a 0.8123728608220304,0.0 0.041237201056955816,0.0 -0.041237201056955844,0.0 1.2288685914972843,0.0
 b 1.1761106089186535,0.1178249649092908 0.06900797527159591,0.04117377857387757 0.06900797527159591,0.04117377857387758 0.8448723276149932,-0.07980917224532155
-"""))
+""")))
 
 
 # (spec, enumeration arguments, repr of the invariance), recorded with a

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kleinnet import words
 from kleinnet.errors import WordError
 from kleinnet.words import (
     ConjugacyClassList,
@@ -172,6 +173,18 @@ def test_class_counts_match_burnside(rank, L):
 def test_zero_max_length_rejected():
     with pytest.raises(WordError):
         enumerate_classes(2, 0)
+
+
+def test_class_lists_past_the_letter_budget_are_refused(monkeypatch):
+    # one past the largest accepted length at each rank
+    for rank, length in ((1, 4096), (2, 13), (3, 9), (26, 4)):
+        with pytest.raises(WordError, match="too large"):
+            enumerate_classes(rank, length)
+    # the reduced words of rank 2 up to lengths 1, 2, 3 hold 4, 28, 136 letters
+    monkeypatch.setattr(words, "MAX_LETTERS", 28)
+    assert len(enumerate_classes(2, 2)) == len(_oracle_classes(2, 2))
+    with pytest.raises(WordError, match="up to length 3 hold more than 28"):
+        enumerate_classes(2, 3)
 
 
 def test_fold_inverses_merges_mutually_inverse_classes():
