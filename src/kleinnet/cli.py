@@ -228,7 +228,7 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
         lines.append(
             "circle_deviation %.9g" % limitset.circle_deviation(cloud, radius)
         )
-    if len(cloud) >= 1000:
+    if len(cloud.plane_values(limitset.WINDOW_RADIUS)) >= 1000:
         lines.append("box_dimension %.9g" % limitset.box_dimension(cloud))
     lines.append("invariance %.9g" % limitset.cloud_group_invariance(cloud, spec))
     print("\n".join(lines))

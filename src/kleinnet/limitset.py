@@ -268,8 +268,8 @@ def _entries(rows):
 
 # letters 0=a, 1=a^-1, 2=b, 3=b^-1; after letter l come the letters h != l^1
 _NEXT = np.array([[h for h in range(4) if h != l ^ 1] for l in range(4)])
-# rows evaluated at once (frontier nodes of one level, invariance queries):
-# bounds the temporaries
+# rows handled at once (frontier nodes of one level, invariance queries, CSV
+# rows): bounds the temporaries
 _CHUNK = 1 << 15
 
 
@@ -767,10 +767,16 @@ def _image_batches(mats, vals: np.ndarray, charts: np.ndarray):
 
 
 def format_cloud_csv(cloud: LimitPointCloud) -> str:
-    lines = ["re,im,chart"]
-    for v, c in zip(cloud.values, cloud.charts):
-        lines.append(f"{v.real:.9g},{v.imag:.9g},{int(c)}")
-    return "\n".join(lines) + "\n"
+    re, im, charts = cloud.values.real, cloud.values.imag, cloud.charts
+    parts = ["re,im,chart\n"]
+    for s in range(0, len(cloud), _CHUNK):
+        rows = zip(
+            re[s : s + _CHUNK].tolist(),
+            im[s : s + _CHUNK].tolist(),
+            charts[s : s + _CHUNK].tolist(),
+        )
+        parts.append("".join(map("%.9g,%.9g,%d\n".__mod__, rows)))
+    return "".join(parts)
 
 
 def write_cloud_csv(path, cloud: LimitPointCloud) -> None:

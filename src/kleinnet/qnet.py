@@ -141,66 +141,191 @@ class TensorState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def kron_amplitudes(states: Sequence[AreaState]) -> np.ndarray:
-    """Kronecker product of raw (possibly unnormalized) area amplitudes."""
+def _product_rows(states: Sequence[AreaState]) -> np.ndarray:
+    """Kronecker product of raw area amplitudes as (2, 2^n) float rows."""
     if not 1 <= len(states) <= MAX_AREAS:
         raise QnetError(f"need between 1 and {MAX_AREAS} area states")
-    out = np.ones(1, dtype=np.complex128)
+    rows = np.array([[1.0], [0.0]])
     for s in states:
-        out = np.kron(out, np.array([s.a, s.b], dtype=np.complex128))
-    return out
+        p, q = rows
+        out = np.empty((2, p.size, 2))
+        for j, (u, v) in enumerate(((s.a.real, s.a.imag), (s.b.real, s.b.imag))):
+            out[0, :, j] = p * u - q * v
+            out[1, :, j] = p * v + q * u
+        rows = out.reshape(2, -1)
+    return rows
 
 
-def tensor(states: Sequence[AreaState]) -> TensorState:
-    """Product state of normalized areas, in order (area 1 first = MSB)."""
+def _to_complex(rows: np.ndarray) -> np.ndarray:
+    amps = np.empty(rows.shape[1], dtype=np.complex128)
+    amps.real = rows[0]
+    amps.imag = rows[1]
+    return amps
+
+
+def kron_amplitudes(states: Sequence[AreaState]) -> np.ndarray:
+    """Kronecker product of raw (possibly unnormalized) area amplitudes."""
+    return _to_complex(_product_rows(states))
+
+
+def _check_normalized(states: Sequence[AreaState]) -> None:
     for i, s in enumerate(states, start=1):
         if not s.is_normalized:
             raise QnetError(
                 f"area {i} state has norm {s.norm!r}; normalize it first"
             )
+
+
+def tensor(states: Sequence[AreaState]) -> TensorState:
+    """Product state of normalized areas, in order (area 1 first = MSB)."""
+    _check_normalized(states)
     return TensorState(len(states), kron_amplitudes(states))
 
 
-def _axis(state: TensorState, area: int, role: str) -> int:
-    if not 1 <= area <= state.n_areas:
-        raise QnetError(
-            f"{role} area {area} out of range for {state.n_areas} areas"
+# -- gate kernel -------------------------------------------------------------------
+#
+# The state is one (2, 2^n) float64 array, row 0 the real parts and row 1 the
+# imaginary parts, and each gate updates it in place.  Complex products are
+# spelled out on the rows, re = p*u - q*v and im = p*v + q*u, as in
+# limitset._mul: float multiply and add never fuse, so no BLAS or SIMD complex
+# kernel decides the bits, and the amplitudes do not depend on the CPU.
+#
+# numpy runs a ufunc or a copy fast only along a long inner axis, and a ufunc
+# only when its operands can be walked as one run.  So a gate gathers its
+# strided views into contiguous scratch, does its arithmetic on flat rows, and
+# writes back through a ufunc whose inputs are contiguous: numpy then keeps the
+# axis order it is given, where np.copyto would re-sort by the destination.
+
+# amplitude pairs per SU2 block, so that a block's scratch stays in cache
+_BLOCK = 8192
+# a view whose innermost axis is shorter than this is walked along its last
+# axis that is not
+_MIN_RUN = 8
+
+
+def _pairs(psi: np.ndarray, n: int, target: int, control: int = 0) -> np.ndarray:
+    """View of the amplitude pairs that differ in the bit of `target` (and,
+    given a `control`, have its bit set): target bit first, rows second.
+    When its innermost axis is short, the last long one is moved there."""
+    if not control:
+        v = psi.reshape(2, 1 << (target - 1), 2, 1 << (n - target))
+        v = v.transpose(2, 0, 1, 3)
+    else:
+        first, second = sorted((control, target))
+        v = psi.reshape(
+            2, 1 << (first - 1), 2, 1 << (second - first - 1), 2, 1 << (n - second)
         )
-    return area - 1
+        if control < target:
+            v = v[:, :, 1].transpose(3, 0, 1, 2, 4)
+        else:
+            v = v[:, :, :, :, 1].transpose(2, 0, 1, 3, 4)
+    if v.shape[-1] < _MIN_RUN:
+        rest = list(range(2, v.ndim))
+        long = [ax for ax in rest if v.shape[ax] >= _MIN_RUN]
+        inner = long[-1] if long else max(rest, key=lambda ax: v.shape[ax])
+        rest.remove(inner)
+        v = v.transpose(0, 1, *rest, inner)
+    return v
+
+
+def _blocks(pairs: np.ndarray) -> list[np.ndarray]:
+    """`pairs`, with two axes after the rows, cut into blocks of at most
+    _BLOCK pairs."""
+    outer, inner = pairs.shape[2:]
+    step_in = min(inner, _BLOCK)
+    step_out = _BLOCK // step_in
+    return [
+        pairs[:, :, i : i + step_out, j : j + step_in]
+        for i in range(0, outer, step_out)
+        for j in range(0, inner, step_in)
+    ]
+
+
+class _Scratch:
+    """Preallocated flat buffers for the gates on one (2, n_amps) state: `x`
+    holds a whole state (NOT swaps every pair) or one SU2 block, and `u`, `w`
+    and `t` the rows of one block."""
+
+    def __init__(self, n_amps: int) -> None:
+        rows = 2 * min(n_amps // 2, _BLOCK)
+        self.x = np.empty(2 * n_amps)
+        self.u = np.empty(rows)
+        self.w = np.empty(rows)
+        self.t = np.empty(rows)
+
+    def like(self, view: np.ndarray) -> np.ndarray:
+        return self.x[: view.size].reshape(view.shape)
+
+
+def _swap(pairs: np.ndarray, scratch: _Scratch) -> None:
+    old = scratch.like(pairs)
+    np.copyto(old, pairs)
+    np.positive(old[::-1], out=pairs)
+
+
+def _cmul(out: np.ndarray, tmp: np.ndarray, z: complex, rows: np.ndarray) -> None:
+    """out = z * rows, with rows and out as (re, im) rows."""
+    np.multiply(rows, z.real, out=out)
+    np.multiply(rows, z.imag, out=tmp)
+    np.subtract(out[0], tmp[1], out=out[0])
+    np.add(out[1], tmp[0], out=out[1])
+
+
+def _apply_su2(pairs: np.ndarray, m: Matrix2C, scratch: _Scratch) -> None:
+    blocks = _blocks(pairs)
+    old = scratch.like(blocks[0])
+    h = old.size // 4
+    lo, hi = old.reshape(2, 2, h)
+    u, w, t = (arr[: 2 * h].reshape(2, h) for arr in (scratch.u, scratch.w, scratch.t))
+    u_out, w_out = u.reshape(old.shape[1:]), w.reshape(old.shape[1:])
+    a, b, c, d = m.entries()
+    for block in blocks:
+        np.copyto(old, block)
+        for out, z, y in ((block[0], a, b), (block[1], c, d)):
+            _cmul(u, t, z, lo)
+            _cmul(w, t, y, hi)
+            np.add(u_out, w_out, out=out)
+
+
+def _check_area(area: int, n: int, role: str) -> int:
+    if not 1 <= area <= n:
+        raise QnetError(f"{role} area {area} out of range for {n} areas")
+    return area
+
+
+def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> None:
+    """Apply `gates` to `psi` in place.  `psi` must be C-contiguous: the gate
+    views are reshapes of it, and a reshape of any other layout is a copy."""
+    scratch = _Scratch(psi.shape[1])
+    for gate in gates:
+        if isinstance(gate, SU2Gate):
+            pairs = _pairs(psi, n, _check_area(gate.area, n, "target"))
+            _apply_su2(pairs, gate.matrix, scratch)
+        elif isinstance(gate, CNOTGate):
+            control = _check_area(gate.control, n, "control")
+            target = _check_area(gate.target, n, "target")
+            _swap(_pairs(psi, n, target, control), scratch)
+        elif isinstance(gate, NotGate):
+            _swap(_pairs(psi, n, _check_area(gate.area, n, "target")), scratch)
+        else:
+            raise QnetError(f"unknown gate {gate!r}")
 
 
 def apply_gate(state: TensorState, gate: Gate) -> TensorState:
-    n = state.n_areas
-    view = state.amplitudes.reshape((2,) * n)
-    if isinstance(gate, NotGate):
-        out = np.flip(view, axis=_axis(state, gate.area, "target")).copy()
-    elif isinstance(gate, SU2Gate):
-        ax = _axis(state, gate.area, "target")
-        m = gate.matrix
-        u = np.array([[m.a, m.b], [m.c, m.d]], dtype=np.complex128)
-        out = np.moveaxis(np.tensordot(u, view, axes=([1], [ax])), 0, ax)
-    elif isinstance(gate, CNOTGate):
-        c_ax = _axis(state, gate.control, "control")
-        t_ax = _axis(state, gate.target, "target")
-        out = view.copy()
-        idx = [slice(None)] * n
-        idx[c_ax] = 1
-        # indexing removed the control axis, so later axes shift down by one
-        t_sub = t_ax - 1 if t_ax > c_ax else t_ax
-        out[tuple(idx)] = np.flip(view[tuple(idx)], axis=t_sub)
-    else:
-        raise QnetError(f"unknown gate {gate!r}")
-    return TensorState(n, out.reshape(-1))
+    amps = state.amplitudes
+    psi = np.stack([amps.real, amps.imag])
+    _apply_gates(psi, state.n_areas, [gate])
+    return TensorState(state.n_areas, _to_complex(psi))
 
 
 def run_circuit(
     initial: Sequence[AreaState],
     circuit: Sequence[Gate],
 ) -> TensorState:
-    state = tensor(initial)
-    for gate in circuit:
-        state = apply_gate(state, gate)
-    return state
+    _check_normalized(initial)
+    psi = _product_rows(initial)
+    _apply_gates(psi, len(initial), circuit)
+    return TensorState(len(initial), _to_complex(psi))
 
 
 def states_allclose(
@@ -391,9 +516,12 @@ def run_circuit_text(text: str) -> TensorState:
 
 
 def _csv_rows(state: TensorState) -> Iterator[str]:
+    amps = state.amplitudes
     yield "basis_index,re,im"
-    for i, amp in enumerate(state.amplitudes):
-        yield "%d,%.9g,%.9g" % (i, amp.real, amp.imag)
+    yield from map(
+        "%d,%.9g,%.9g".__mod__,
+        zip(range(amps.size), amps.real.tolist(), amps.imag.tolist()),
+    )
 
 
 def format_amplitudes_csv(state: TensorState) -> str:

@@ -439,6 +439,20 @@ def test_limitset_defaults_come_from_the_library(capsys):
     assert implicit == explicit and implicit[0] == 0
 
 
+def test_limitset_skips_box_dimension_with_few_points_in_the_window(capsys, tmp_path):
+    # 888 of the 1,000 capped points lie within WINDOW_RADIUS, too few to
+    # box-count; the other statistics still print
+    csv_path = tmp_path / "X.csv"
+    code, out, err = run_cli(
+        capsys, "limitset", "--traces", "3,3,3", "--eps", "1e-3",
+        "--cap", "1000", "--csv", str(csv_path),
+    )
+    assert code == 0 and err == ""
+    keys = [line.split(" ", 1)[0] for line in out.splitlines()]
+    assert keys == ["points", "truncated", "circle_deviation", "invariance"]
+    assert len(csv_path.read_text().splitlines()) == 1001
+
+
 @pytest.mark.parametrize("traces", ["1e200,3", "nan,3", "3,3,nan", "1e200,3,3"])
 def test_limitset_rejects_nonfinite_traces(capsys, traces):
     code, out, err = run_cli(capsys, "limitset", "--traces", traces)

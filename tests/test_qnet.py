@@ -1,5 +1,7 @@
 import io
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -31,6 +33,7 @@ from kleinnet.qnet import (
     write_amplitudes_csv,
 )
 from kleinnet.sl2 import Matrix2C
+from test_cli import _env_with_src
 
 INV_SQRT2 = 2 ** -0.5
 
@@ -261,6 +264,67 @@ def test_bell_circuit():
     assert states_allclose(out, target, tol=1e-12, up_to_phase=True)
     # the det-1 Hadamard convention leaves a global phase of i
     assert not states_allclose(out, target, tol=1e-12)
+
+
+def test_gate_by_gate_matches_the_whole_circuit():
+    # apply_gate and run_circuit share one kernel, so their bytes agree
+    rng = np.random.default_rng(53)
+    states = [random_area_state(rng) for _ in range(6)]
+    gates = random_circuit(rng, 6, 60) + [NotGate(k) for k in range(1, 7)]
+    state = tensor(states)
+    for gate in gates:
+        state = apply_gate(state, gate)
+    whole = run_circuit(states, gates)
+    assert state.amplitudes.tobytes() == whole.amplitudes.tobytes()
+
+
+# Prints the sha256 of the raw amplitude bytes of a seeded 12-area, 500-gate
+# circuit, and of a Kronecker product of raw area states.
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from kleinnet import qnet
+rng = np.random.default_rng(2024)
+raw = [qnet.AreaState(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+       for _ in range(12)]
+gates = qnet.random_circuit(rng, 12, 500)
+final = qnet.run_circuit([qnet.normalize(s) for s in raw], gates)
+for amps in (final.amplitudes, qnet.kron_amplitudes(raw)):
+    print(hashlib.sha256(amps.tobytes()).hexdigest())
+"""
+
+
+def _amplitude_digests(env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def _plain_cpu_env():
+    """The test environment with OpenBLAS's oldest x86-64 kernel and every
+    numpy SIMD dispatch target this CPU has switched off."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    env = _env_with_src()
+    env["OPENBLAS_CORETYPE"] = "Prescott"
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(
+        f for f in __cpu_dispatch__ if __cpu_features__.get(f)
+    )
+    return env
+
+
+def test_amplitude_bytes_do_not_depend_on_cpu_kernels():
+    default = _amplitude_digests(_env_with_src())
+    assert len(default) == 2
+    assert _amplitude_digests(_plain_cpu_env()) == default
 
 
 def test_hundred_random_gates_on_ten_areas():
