@@ -172,32 +172,31 @@ def _cmd_degenerate(args: argparse.Namespace) -> int:
 # -- limitset ------------------------------------------------------------------
 
 
-def _limitset_spec(args: argparse.Namespace) -> limitset.GroupSpec:
-    from . import limitset, sl2
+def _limitset_rep(args: argparse.Namespace) -> sl2.Representation:
+    from . import limitset
 
     if (args.traces is None) == (args.rep is None):
         raise KleinnetError("pass exactly one of --traces or --rep")
     if args.rep is not None:
         if args.other_root:
             raise KleinnetError("--other-root applies only to --traces")
-        return limitset.GroupSpec(tuple(sl2.load_rep(args.rep)))
+        return _load_rep(args.rep)
     values = [_parse_complex(p) for p in args.traces.split(",")]
     if len(values) == 2:
-        return limitset.GroupSpec.from_traces(
-            values[0], values[1], other_root=args.other_root
-        )
+        return limitset.from_traces(values[0], values[1], other_root=args.other_root)
     if len(values) == 3:
         if args.other_root:
             raise KleinnetError("--other-root applies only when z is solved")
-        return limitset.GroupSpec.from_traces(values[0], values[1], values[2])
+        return limitset.from_traces(values[0], values[1], values[2])
     raise KleinnetError("--traces needs two or three comma-separated values")
 
 
 def _cmd_limitset(args: argparse.Namespace) -> int:
     from . import limitset, sl2
 
-    spec = _limitset_spec(args)
-    for i, g in enumerate(spec.generators, start=1):
+    rep = _limitset_rep(args)
+    window = limitset.check_window(_parse_floats_csv(args.window, "window"))
+    for i, g in enumerate(rep.images, start=1):
         if sl2.classify(g).kind == "elliptic":
             raise KleinnetError(
                 f"generator {i} is elliptic: the limit-set search needs "
@@ -206,11 +205,8 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
     # flags left unset fall back to enumerate_limit_set's own defaults
     options = {"epsilon": args.eps, "max_depth": args.depth, "cap": args.cap}
     cloud = limitset.enumerate_limit_set(
-        spec, **{k: v for k, v in options.items() if v is not None}
+        rep, **{k: v for k, v in options.items() if v is not None}
     )
-    window = tuple(_parse_floats_csv(args.window, "window"))
-    if len(window) != 4:
-        raise KleinnetError("--window needs re_min,re_max,im_min,im_max")
     if args.out is not None:
         ppm = limitset.render(cloud, args.width, args.height, window)
         with open(args.out, "wb") as fh:
@@ -230,7 +226,7 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
         )
     if len(cloud.plane_values(limitset.WINDOW_RADIUS)) >= 1000:
         lines.append("box_dimension %.9g" % limitset.box_dimension(cloud))
-    lines.append("invariance %.9g" % limitset.cloud_group_invariance(cloud, spec))
+    lines.append("invariance %.9g" % limitset.cloud_group_invariance(cloud, rep))
     print("\n".join(lines))
     return 0
 

@@ -31,7 +31,7 @@ class LimitSetError(KleinnetError):
 
 
 class ElementaryGroupError(LimitSetError):
-    """The group spec is elementary; the limit set has at most two points."""
+    """The group is elementary; the limit set has at most two points."""
 
 
 class DessinError(KleinnetError):

@@ -15,26 +15,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ElementaryGroupError, LimitSetError
-from .sl2 import (
-    Matrix2C,
-    _dist_to_plus_minus_identity,
-    check_unimodular,
-    classify,
-)
+from .sl2 import Matrix2C, Representation, classify, make_rep
 
 __all__ = [
-    "GroupSpec",
+    "from_traces",
     "LimitPointCloud",
     "enumerate_limit_set",
     "circle_deviation",
     "box_dimension",
     "render",
+    "check_window",
     "cloud_group_invariance",
     "format_cloud_csv",
     "write_cloud_csv",
@@ -44,58 +40,17 @@ DEFAULT_EPSILON = 1e-3
 DEFAULT_MAX_DEPTH = 30
 DEFAULT_CAP = 1_000_000
 MARKOV_TOL = 1e-8
-SHARED_FIX_TOL = 1e-8
+# rounding allowance of the trace relation, in units of the largest rounding
+# error of one of its terms
+MARKOV_ULPS = 32
+# two generators share a fixed point when |tr[a,b] - 2| is at most this
+# multiple of (a.scale() * b.scale())^2: each trace carries rounding errors
+# of order 2^-52 times its matrices' entries, and the polynomial squares them
+COMMUTATOR_TOL = 1e-14
 WINDOW_RADIUS = 4.0
 BOX_LEVELS = 7
 # the largest image render draws: 8192 x 8192, 192 MiB of pixels
 MAX_PIXELS = 1 << 26
-
-
-# infinity as a (chart value, chart) pair
-_INFINITY = (0j, 1)
-
-
-def _chart_point(z: complex) -> tuple[complex, int]:
-    """The plane point z as a (chart value, chart) pair: z itself in chart 0
-    inside the unit disc, else 1/z in chart 1."""
-    if abs(z) <= 1.0:
-        return (z, 0)
-    return (1.0 / z, 1)
-
-
-def _fixed_points(m: Matrix2C) -> list[tuple[complex, int]]:
-    """Fixed points on the sphere as (chart value, chart) pairs.
-
-    The finite fixed points solve c z^2 + (d-a) z - b = 0; infinity is fixed
-    exactly when c = 0.
-    """
-    kind = classify(m).kind
-    if kind == "identity":
-        raise LimitSetError("every point is fixed: matrix is +/-identity")
-    a, b, c, d = m.entries()
-    if c == 0:
-        if kind == "parabolic" or a == d:
-            return [_INFINITY]
-        return [_chart_point(b / (d - a)), _INFINITY]
-    qa, qb, qc = c, d - a, -b
-    if kind == "parabolic":
-        return [_chart_point(-qb / (2.0 * qa))]
-    sq = cmath.sqrt(qb * qb - 4.0 * qa * qc)
-    s = sq if abs(qb + sq) >= abs(qb - sq) else -sq
-    q = -(qb + s) / 2.0
-    return [_chart_point(q / qa), _chart_point(qc / q)]
-
-
-def _share_a_point(ps, qs) -> bool:
-    """Whether a point of ps and a point of qs, (chart value, chart) pairs,
-    are within SHARED_FIX_TOL in the chordal metric."""
-    values, charts = zip(*ps, *qs)
-    lifts = _lift(np.array(values), np.array(charts)).tolist()
-    return any(
-        math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2) <= SHARED_FIX_TOL
-        for ax, ay, az in lifts[:len(ps)]
-        for bx, by, bz in lifts[len(ps):]
-    )
 
 
 def _attracting_eigvec(m: Matrix2C) -> tuple[complex, complex]:
@@ -120,60 +75,53 @@ def _attracting_eigvec(m: Matrix2C) -> tuple[complex, complex]:
     return (u / s, v / s)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """One or two unimodular generators, none equal to +/-identity."""
+def _markov(x: complex, y: complex, z: complex) -> tuple[complex, float]:
+    """x^2 + y^2 + z^2 - xyz and the sum of its terms' moduli.  For the
+    traces x, y, z of a, b and ab the first is tr[a,b] + 2 (Fricke)."""
+    x2, y2, z2, xyz = x * x, y * y, z * z, x * y * z
+    return x2 + y2 + z2 - xyz, abs(x2) + abs(y2) + abs(z2) + abs(xyz)
 
-    generators: tuple[Matrix2C, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.generators) not in (1, 2):
-            raise LimitSetError("a group spec takes one or two generators")
-        for i, g in enumerate(self.generators):
-            check_unimodular(g)
-            if _dist_to_plus_minus_identity(g) <= 1e-12:
-                raise LimitSetError(f"generator {i + 1} is +/-identity")
-
-    @classmethod
-    def from_traces(
-        cls,
-        x: complex,
-        y: complex,
-        z: complex | None = None,
-        other_root: bool = False,
-    ) -> "GroupSpec":
-        """Generators with traces (x, y, z) subject to the Markov relation
-        x^2 + y^2 + z^2 = xyz.  When z is omitted it is solved from the
-        relation; the root of larger modulus is used unless other_root."""
-        x, y = complex(x), complex(y)
-        if z is None:
-            sq = cmath.sqrt(x * x * y * y - 4.0 * (x * x + y * y))
-            r1 = (x * y + sq) / 2.0
-            r2 = (x * y - sq) / 2.0
-            big, small = (r1, r2) if abs(r1) >= abs(r2) else (r2, r1)
-            z = small if other_root else big
-        else:
-            if other_root:
-                raise LimitSetError("other_root applies only when z is solved")
-            z = complex(z)
-        residual = abs(x * x + y * y + z * z - x * y * z)
-        # non-finite traces, given or solved, and traces too large to square
-        # leave no finite residual
-        if not math.isfinite(residual):
-            raise LimitSetError("traces must be finite and small enough to square")
-        if not residual <= MARKOV_TOL:
-            raise LimitSetError(
-                f"trace triple violates x^2+y^2+z^2 = xyz by {residual:.3g}"
-            )
-        sq = cmath.sqrt(z * z - 4.0)
-        mu = (-z + sq) / 2.0
-        alt = (-z - sq) / 2.0
-        if abs(alt) > abs(mu):
-            mu = alt
-        a = Matrix2C(x, 1.0, -1.0, 0.0)
-        b = Matrix2C(0.0, mu, -1.0 / mu, y)
-        return cls((a, b))
-
+def from_traces(
+    x: complex,
+    y: complex,
+    z: complex | None = None,
+    other_root: bool = False,
+) -> Representation:
+    """Generators with traces (x, y, z) subject to the Markov relation
+    x^2 + y^2 + z^2 = xyz, so that tr[a,b] = -2.  When z is omitted it is
+    solved from the relation; the root of larger modulus is used unless
+    other_root.  The relation must hold to MARKOV_TOL plus the rounding
+    error of evaluating it."""
+    x, y = complex(x), complex(y)
+    if z is None:
+        sq = cmath.sqrt(x * x * y * y - 4.0 * (x * x + y * y))
+        r1 = (x * y + sq) / 2.0
+        r2 = (x * y - sq) / 2.0
+        big, small = (r1, r2) if abs(r1) >= abs(r2) else (r2, r1)
+        z = small if other_root else big
+    else:
+        if other_root:
+            raise LimitSetError("other_root applies only when z is solved")
+        z = complex(z)
+    value, size = _markov(x, y, z)
+    residual = abs(value)
+    # non-finite traces, given or solved, and traces too large to square
+    # leave no finite residual
+    if not math.isfinite(residual):
+        raise LimitSetError("traces must be finite and small enough to square")
+    if not residual <= MARKOV_TOL + MARKOV_ULPS * 2.0**-52 * size:
+        raise LimitSetError(
+            f"trace triple violates x^2+y^2+z^2 = xyz by {residual:.3g}"
+        )
+    sq = cmath.sqrt(z * z - 4.0)
+    mu = (-z + sq) / 2.0
+    alt = (-z - sq) / 2.0
+    if abs(alt) > abs(mu):
+        mu = alt
+    a = Matrix2C(x, 1.0, -1.0, 0.0)
+    b = Matrix2C(0.0, mu, -1.0 / mu, y)
+    return make_rep([a, b])
 
 @dataclass(frozen=True, eq=False)
 class LimitPointCloud:
@@ -392,30 +340,50 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
 
 
 def enumerate_limit_set(
-    spec: GroupSpec,
+    rep: Representation,
     epsilon: float = DEFAULT_EPSILON,
     max_depth: int = DEFAULT_MAX_DEPTH,
     cap: int = DEFAULT_CAP,
 ) -> LimitPointCloud:
     """Sample the limit set by the pruned traversal of nonbacktracking words.
 
+    The group must be non-elementary: two generators, neither +/-identity,
+    with tr[a,b] != 2, which holds exactly when they share no fixed point.
+
     A run is truncated when the whole traversal would emit more than `cap`
     points; it then keeps exactly `cap` points, taken level by level from
     the first open nodes in word order (so the shortest words come first),
     and sets `truncated`.
     """
+    if rep.rank not in (1, 2):
+        raise LimitSetError(
+            f"the limit-set search takes one or two generators, not {rep.rank}"
+        )
+    for i, g in enumerate(rep.images, start=1):
+        if classify(g).kind == "identity":
+            raise LimitSetError(f"every point is fixed: generator {i} is +/-identity")
+    if rep.rank == 1:
+        raise ElementaryGroupError("elementary: limit set has <= 2 points")
+    a, b = rep.images
+    value, _ = _markov(a.trace, b.trace, (a @ b).trace)
+    # tr[a,b] - 2
+    gap = abs(value - 4.0)
+    scale = max(1.0, a.scale() * b.scale())
+    bound = COMMUTATOR_TOL * (scale * scale)
+    if not (math.isfinite(gap) and math.isfinite(bound)):
+        raise LimitSetError(
+            "generator entries are too large to compute the commutator trace"
+        )
+    if gap <= bound:
+        raise ElementaryGroupError("elementary: limit set has <= 2 points")
     if not epsilon > 0.0:
         raise LimitSetError("epsilon must be positive")
     if max_depth < 1:
         raise LimitSetError("max_depth must be at least 1")
     if cap < 1:
         raise LimitSetError("point cap must be at least 1")
-    fixed_sets = [_fixed_points(g) for g in spec.generators]
-    if len(fixed_sets) == 1 or _share_a_point(*fixed_sets):
-        raise ElementaryGroupError("elementary: limit set has <= 2 points")
 
-    a, b = spec.generators
-    mats = (a, a.inverse(), b, b.inverse())
+    mats = (a, rep.inverses[0], b, rep.inverses[1])
     gens = [m.entries() for m in mats]
     fixes = [_attracting_eigvec(m) for m in mats]
     re, im, charts, truncated = _traverse(gens, fixes, epsilon, max_depth, cap)
@@ -482,6 +450,20 @@ def box_dimension(cloud: LimitPointCloud) -> float:
     return float(slope)
 
 
+def check_window(window) -> tuple[float, float, float, float]:
+    """The window (re_min, re_max, im_min, im_max) as floats, once it is
+    checked to be a finite nonempty rectangle."""
+    bounds = tuple(float(v) for v in window)
+    if len(bounds) != 4:
+        raise LimitSetError("window needs re_min,re_max,im_min,im_max")
+    if not all(math.isfinite(v) for v in bounds):
+        raise LimitSetError("window bounds must be finite")
+    re_min, re_max, im_min, im_max = bounds
+    if not (re_min < re_max and im_min < im_max):
+        raise LimitSetError("window must be a nonempty rectangle")
+    return bounds
+
+
 def render(
     cloud: LimitPointCloud,
     width: int = 800,
@@ -496,9 +478,7 @@ def render(
         raise LimitSetError(
             f"image of {width} x {height} pixels exceeds the budget of {MAX_PIXELS}"
         )
-    re_min, re_max, im_min, im_max = (float(v) for v in window)
-    if not (re_min < re_max and im_min < im_max):
-        raise LimitSetError("window must be a nonempty rectangle")
+    re_min, re_max, im_min, im_max = check_window(window)
     img = np.full((height, width, 3), 255, dtype=np.uint8)
     z = cloud.plane_values(radius=math.inf) if len(cloud) else np.empty(0, complex)
     if z.size:
@@ -722,7 +702,7 @@ class _Nearest:
         return best
 
 
-def cloud_group_invariance(cloud: LimitPointCloud, spec: GroupSpec) -> float:
+def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float:
     """One-sided chordal distance from the generator-mapped cloud back to the
     cloud: small values witness invariance of the sampled set under the
     group.
@@ -741,7 +721,7 @@ def cloud_group_invariance(cloud: LimitPointCloud, spec: GroupSpec) -> float:
     vals = vals[keep]
     charts = charts[keep]
     nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
-    mats = list(spec.generators) + [g.inverse() for g in spec.generators]
+    mats = rep.images + rep.inverses
     return math.sqrt(nearest.max_squared(_image_batches(mats, vals, charts)))
 
 

@@ -136,14 +136,14 @@ def _synthetic_circle_cloud(n: int) -> limitset.LimitPointCloud:
 
 
 def test_criterion_5_fuchsian_fractal_separation(report):
-    spec_fuchsian = limitset.GroupSpec.from_traces(3.0, 3.0, 3.0)
-    spec_perturbed = limitset.GroupSpec.from_traces(3.0 + 0.5j, 3.0)
+    rep_fuchsian = limitset.from_traces(3.0, 3.0, 3.0)
+    rep_perturbed = limitset.from_traces(3.0 + 0.5j, 3.0)
 
     start = time.perf_counter()
-    cloud_f = limitset.enumerate_limit_set(spec_fuchsian, epsilon=1e-3)
+    cloud_f = limitset.enumerate_limit_set(rep_fuchsian, epsilon=1e-3)
     time_f = time.perf_counter() - start
     start = time.perf_counter()
-    cloud_p = limitset.enumerate_limit_set(spec_perturbed, epsilon=1e-3)
+    cloud_p = limitset.enumerate_limit_set(rep_perturbed, epsilon=1e-3)
     time_p = time.perf_counter() - start
 
     dev_f = limitset.circle_deviation(cloud_f)
@@ -172,12 +172,12 @@ def test_criterion_5_fuchsian_fractal_separation(report):
 def test_criterion_6_limit_set_invariance(report):
     worst = 0.0
     eps = 1e-3
-    for spec in (
-        limitset.GroupSpec.from_traces(3.0, 3.0, 3.0),
-        limitset.GroupSpec.from_traces(3.0 + 0.5j, 3.0),
+    for rep in (
+        limitset.from_traces(3.0, 3.0, 3.0),
+        limitset.from_traces(3.0 + 0.5j, 3.0),
     ):
-        cloud = limitset.enumerate_limit_set(spec, epsilon=eps)
-        worst = max(worst, limitset.cloud_group_invariance(cloud, spec))
+        cloud = limitset.enumerate_limit_set(rep, epsilon=eps)
+        worst = max(worst, limitset.cloud_group_invariance(cloud, rep))
     ok = worst < 5.0 * eps
     assert report(
         6,

@@ -498,6 +498,49 @@ def test_limitset_elementary_rep_exits_one(tmp_path, rep_text):
     assert "elementary" in err and "Traceback" not in err
 
 
+# Both pairs fix a point (infinity, resp. 0), but with entries near 1e150 the
+# rounding bound on tr[a,b] - 2 is not finite, so the question cannot be
+# settled; the run exits 1 with a plain message.
+@pytest.mark.parametrize(
+    "rep_text",
+    [
+        "a 1e150,0 0,0 0,0 1e-150,0\nb 1,0 1e150,0 0,0 1,0\n",
+        "a 1e150,0 0,0 0,0 1e-150,0\nb 1,0 0,0 1e150,0 1,0\n",
+    ],
+    ids=["upper", "lower"],
+)
+def test_limitset_huge_entries_exit_one(tmp_path, rep_text):
+    rep = tmp_path / "rep.txt"
+    rep.write_text(rep_text)
+    code, out, err = run_module("limitset", "--rep", str(rep), timeout=30)
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not re.search(r"\b(nan|inf)\b", err, re.IGNORECASE)
+
+
+# Markov triples have tr[a,b] = -2, so they are never elementary, however
+# close their generators' fixed points come in the chordal metric.
+@pytest.mark.parametrize("x", ["52.6", "60", "90.6", "150", "199.9"])
+def test_limitset_large_markov_traces_run(capsys, x):
+    code, out, err = run_cli(capsys, "limitset", "--traces", f"{x},{x}", "--eps", "1e-3")
+    assert code == 0 and err == ""
+    assert out.startswith("points ")
+
+
+# The window is checked before the search, whether or not an image is drawn
+# (an uncaught exception would fail the test in-process).
+@pytest.mark.parametrize(
+    "window", ["nan,1,0,1", "inf,inf,inf,inf", "0,inf,0,1", "1,0,0,1", "0,1,0,1,2"]
+)
+@pytest.mark.parametrize("draw", [False, True], ids=["stats", "ppm"])
+def test_limitset_rejects_a_bad_window(capsys, tmp_path, window, draw):
+    out_path = tmp_path / "X.ppm"
+    argv = ["limitset", "--traces", "3,3", "--window", window]
+    code, out, err = run_cli(capsys, *argv, *(["--out", str(out_path)] if draw else []))
+    assert code == 1 and out == "" and err.startswith("error: window")
+    assert not out_path.exists()
+
+
 # -- dessin ------------------------------------------------------------------------
 
 

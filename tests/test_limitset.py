@@ -5,32 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleinnet.errors import ElementaryGroupError, LimitSetError
+from kleinnet.errors import ElementaryGroupError, LimitSetError, RepresentationError
 from kleinnet.limitset import (
-    GroupSpec,
     LimitPointCloud,
     box_dimension,
     circle_deviation,
     cloud_group_invariance,
     enumerate_limit_set,
     format_cloud_csv,
+    from_traces,
     render,
     write_cloud_csv,
 )
-from kleinnet.limitset import (
-    _INFINITY,
-    _Nearest,
-    _attracting_eigvec,
-    _chart_point,
-    _fixed_points,
-    _lift,
+from kleinnet.limitset import _Nearest, _attracting_eigvec, _lift
+from kleinnet.sl2 import (
+    Matrix2C,
+    make_rep,
+    parse_rep_text,
+    random_loxodromic,
+    random_sl2,
 )
-from kleinnet.sl2 import Matrix2C, parse_rep_text, random_loxodromic
 
-FUCHSIAN = GroupSpec.from_traces(3, 3, 3)
+FUCHSIAN = from_traces(3, 3, 3)
 # complex perturbation of the (3,3,3) triple, z re-solved from the relation;
 # the cloud leaves the real line and picks up box dimension
-PERTURBED = GroupSpec.from_traces(complex(3.0, 0.5), 3.0)
+PERTURBED = from_traces(complex(3.0, 0.5), 3.0)
 
 
 def synthetic_circle(n=10000, radius=1.0):
@@ -43,6 +42,15 @@ def synthetic_circle(n=10000, radius=1.0):
 
 # -- sphere points -----------------------------------------------------------
 
+# infinity as a (chart value, chart) pair
+INFINITY = (0j, 1)
+
+
+def _chart(z):
+    """The plane point z as a (chart value, chart) pair: z itself in chart 0
+    inside the unit disc, else 1/z in chart 1."""
+    return (z, 0) if abs(z) <= 1.0 else (1.0 / z, 1)
+
 
 def _chordal(p, q):
     """Chordal distance between two (chart value, chart) pairs."""
@@ -51,16 +59,19 @@ def _chordal(p, q):
 
 
 def test_sphere_point_charts():
-    assert _chart_point(0.5 + 0.25j) == (0.5 + 0.25j, 0)
-    assert _chart_point(1.0 + 0j) == (1.0 + 0j, 0)
-    assert _chart_point(4.0 + 0j) == (0.25, 1)
-    assert _INFINITY == (0j, 1)
+    # a point lifts to the same sphere point from either chart
+    for z in (0.5 + 0.25j, 1.0 + 0j, 4.0 + 0j, -3.0 - 7.5j):
+        assert _chordal((z, 0), (1.0 / z, 1)) <= 1e-15
+    # 0 lifts to the south pole; chart 1 holds infinity at 0, the north pole
+    assert _lift(np.array([0j, 0j]), np.array([0, 1])).tolist() == [
+        [0.0, 0.0, -0.5], [0.0, 0.0, 0.5]
+    ]
 
 
 def test_sphere_lift_has_radius_half():
     rng = np.random.default_rng(4)
     points = [
-        _chart_point(complex(rng.normal(0, 3), rng.normal(0, 3))) for _ in range(50)
+        _chart(complex(rng.normal(0, 3), rng.normal(0, 3))) for _ in range(50)
     ]
     values, charts = zip(*points)
     radii = np.linalg.norm(_lift(np.array(values), np.array(charts)), axis=1)
@@ -69,79 +80,31 @@ def test_sphere_lift_has_radius_half():
 
 
 def test_chordal_metric():
-    zero = _chart_point(0j)
-    assert abs(_chordal(zero, _INFINITY) - 1.0) <= 1e-15  # antipodes
+    zero = _chart(0j)
+    assert abs(_chordal(zero, INFINITY) - 1.0) <= 1e-15  # antipodes
     assert _chordal(zero, zero) == 0.0
-    one = _chart_point(1.0 + 0j)
+    one = _chart(1.0 + 0j)
     assert _chordal(zero, one) == _chordal(one, zero)
     # the same sphere point written in both charts
     assert _chordal((1.0 + 0j, 0), (1.0 + 0j, 1)) <= 1e-15
 
 
-# -- fixed points -------------------------------------------------------------
-
-
-def test_fixed_points_diagonal():
-    pts = _fixed_points(Matrix2C.diagonal(math.e, 1.0 / math.e))
-    assert sorted(pts, key=lambda p: p[1]) == [(0j, 0), _INFINITY]
-
-
-def test_fixed_points_parabolic_translation():
-    assert _fixed_points(Matrix2C(1.0, 1.0, 0.0, 1.0)) == [_INFINITY]
-
-
-def test_fixed_points_quarter_turn():
-    pts = _fixed_points(Matrix2C(0.0, 1.0, -1.0, 0.0))
-    assert [p[1] for p in pts] == [0, 0]
-    got = sorted(p[0].imag for p in pts)
-    assert abs(got[0] + 1.0) <= 1e-15 and abs(got[1] - 1.0) <= 1e-15
-
-
-def test_fixed_points_reject_identity():
-    with pytest.raises(LimitSetError, match="every point is fixed"):
-        _fixed_points(Matrix2C.identity())
-    with pytest.raises(LimitSetError, match="every point is fixed"):
-        _fixed_points(Matrix2C(-1.0, 0.0, 0.0, -1.0))
-
-
-def _apply(m, p):
-    value, chart = p
-    u, v = (value, 1.0 + 0j) if chart == 0 else (1.0 + 0j, value)
-    a, b, c, d = m.entries()
-    nu, nv = a * u + b * v, c * u + d * v
-    if abs(nu) <= abs(nv):
-        return (nu / nv, 0)
-    return (nv / nu, 1)
-
-
-def test_fixed_points_are_fixed():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        m = random_loxodromic(rng)
-        pts = _fixed_points(m)
-        assert len(pts) == 2
-        for p in pts:
-            assert _chordal(_apply(m, p), p) <= 1e-6
-
-
-# -- group specs ---------------------------------------------------------------
+# -- groups --------------------------------------------------------------------
 
 
 def test_group_spec_validation():
     a = Matrix2C.diagonal(2.0, 0.5)
-    with pytest.raises(LimitSetError):
-        GroupSpec(())
-    with pytest.raises(LimitSetError):
-        GroupSpec((a, a, a))
-    with pytest.raises(LimitSetError):
-        GroupSpec((a, Matrix2C.identity()))
-    with pytest.raises(LimitSetError):
-        GroupSpec((a, Matrix2C(-1.0, 0.0, 0.0, -1.0)))
+    with pytest.raises(RepresentationError):
+        make_rep([])
+    with pytest.raises(LimitSetError, match="one or two generators"):
+        enumerate_limit_set(make_rep([a, a, a]))
+    for minus_or_plus in (Matrix2C.identity(), Matrix2C(-1.0, 0.0, 0.0, -1.0)):
+        with pytest.raises(LimitSetError, match="every point is fixed: generator 2"):
+            enumerate_limit_set(make_rep([a, minus_or_plus]))
 
 
 def test_trace_triple_construction():
-    spec = GroupSpec.from_traces(3, 3, 3)
-    a, b = spec.generators
+    a, b = from_traces(3, 3, 3).images
     ab = a @ b
     assert abs(a.trace - 3.0) <= 1e-12
     assert abs(b.trace - 3.0) <= 1e-12
@@ -152,41 +115,87 @@ def test_trace_triple_construction():
 
 def test_trace_triple_solves_z():
     # x = y = 3: the relation gives z in {3, 6}; default takes modulus 6
-    spec = GroupSpec.from_traces(3, 3)
-    a, b = spec.generators
+    a, b = from_traces(3, 3).images
     assert abs((a @ b).trace - 6.0) <= 1e-9
-    other = GroupSpec.from_traces(3, 3, other_root=True)
-    a, b = other.generators
+    a, b = from_traces(3, 3, other_root=True).images
     assert abs((a @ b).trace - 3.0) <= 1e-9
 
 
 def test_trace_triple_rejects_bad_relation():
     with pytest.raises(LimitSetError, match="xyz"):
-        GroupSpec.from_traces(3, 3, 4)
+        from_traces(3, 3, 4)
     with pytest.raises(LimitSetError):
-        GroupSpec.from_traces(3, 3, 3, other_root=True)
+        from_traces(3, 3, 3, other_root=True)
+    # off by 3e-8, far above the rounding error of the relation at (3, 3, 6)
+    with pytest.raises(LimitSetError, match="xyz"):
+        from_traces(3, 3, 6.00000001)
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
 def test_single_generator_is_elementary():
-    spec = GroupSpec((Matrix2C.diagonal(math.e, 1.0 / math.e),))
+    rep = make_rep([Matrix2C.diagonal(math.e, 1.0 / math.e)])
     with pytest.raises(ElementaryGroupError, match="elementary"):
-        enumerate_limit_set(spec)
+        enumerate_limit_set(rep)
     # fixed points come first: a generator within the classify tolerance of
     # the identity is refused as such, not as elementary
-    near_identity = GroupSpec((Matrix2C(1.0, 1e-10, 0.0, 1.0),))
+    near_identity = make_rep([Matrix2C(1.0, 1e-10, 0.0, 1.0)])
     with pytest.raises(LimitSetError, match="every point is fixed"):
         enumerate_limit_set(near_identity)
 
 
 def test_shared_fixed_point_is_elementary():
-    spec = GroupSpec(
-        (Matrix2C.diagonal(math.e, 1.0 / math.e), Matrix2C(1.0, 1.0, 0.0, 1.0))
+    rep = make_rep(
+        [Matrix2C.diagonal(math.e, 1.0 / math.e), Matrix2C(1.0, 1.0, 0.0, 1.0)]
     )
     with pytest.raises(ElementaryGroupError, match="elementary"):
-        enumerate_limit_set(spec)
+        enumerate_limit_set(rep)
+
+
+def _upper_triangular(rng, parabolic):
+    """An upper-triangular unimodular matrix, which fixes infinity: a
+    parabolic with diagonal +/-1, else a loxodromic."""
+    if parabolic:
+        mu = 1.0 if rng.random() < 0.5 else -1.0
+    else:
+        mu = np.exp(complex(rng.uniform(0.2, 1.5), rng.uniform(0.0, 2.0 * math.pi)))
+    return Matrix2C(mu, complex(rng.normal(), rng.normal()), 0.0, 1.0 / mu)
+
+
+def _is_elementary(a, b):
+    try:
+        enumerate_limit_set(make_rep([a, b]), max_depth=1)
+    except ElementaryGroupError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("spread", [1.0, 10.0])
+def test_elementary_exactly_when_a_fixed_point_is_shared(spread):
+    # conjugates of two upper-triangular matrices share the fixed point g(oo),
+    # as do a parabolic and a loxodromic built that way; two independent
+    # random loxodromics share none
+    rng = np.random.default_rng(23)
+    for i in range(300):
+        g = random_sl2(rng, spread)
+        gi = g.inverse()
+        a = g @ _upper_triangular(rng, i % 2 == 0) @ gi
+        b = g @ _upper_triangular(rng, False) @ gi
+        assert _is_elementary(a, b) and _is_elementary(b, a)
+        c, d = random_loxodromic(rng, spread), random_loxodromic(rng, spread)
+        assert not _is_elementary(c, d)
+
+
+def test_large_markov_traces_are_not_elementary():
+    # the relation's terms grow like x^4, so its rounding error passes any
+    # absolute tolerance: x = y = 50, 50.1, ..., 199.9 are all accepted; and
+    # tr[a,b] = -2 for every Markov triple, however close the generators'
+    # fixed points come, so each integer x enumerates
+    for tenths in range(500, 2000):
+        rep = from_traces(tenths / 10.0, tenths / 10.0)
+        if tenths % 10 == 0:
+            assert len(enumerate_limit_set(rep, epsilon=1e-2, max_depth=1)) > 0
 
 
 def test_enumerate_validates_parameters():
@@ -235,10 +244,10 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def reference_points(spec, epsilon, max_depth):
+def reference_points(rep, epsilon, max_depth):
     """Scalar depth-first twin of the traversal, one node at a time with
     Python complex numbers: the sorted (re, im, chart) points."""
-    a, b = spec.generators
+    a, b = rep.images
     mats = [m.entries() for m in (a, a.inverse(), b, b.inverse())]
     fixes = [_attracting_eigvec(m) for m in (a, a.inverse(), b, b.inverse())]
     out = []
@@ -300,14 +309,14 @@ def test_traversal_matches_scalar_reference_bit_for_bit():
     rng = np.random.default_rng(11)
     cases = [(FUCHSIAN, 4e-3, 30), (PERTURBED, 8e-3, 30)]
     cases += [
-        (GroupSpec((random_loxodromic(rng), random_loxodromic(rng))), 2e-2, depth)
+        (make_rep([random_loxodromic(rng), random_loxodromic(rng)]), 2e-2, depth)
         for depth in (1, 2, 3, 4, 5, 6) * 3
     ]
-    for spec, eps, depth in cases:
-        cloud = enumerate_limit_set(spec, epsilon=eps, max_depth=depth)
+    for rep, eps, depth in cases:
+        cloud = enumerate_limit_set(rep, epsilon=eps, max_depth=depth)
         got = zip(cloud.values.real.tolist(), cloud.values.imag.tolist(),
                   cloud.charts.tolist())
-        assert _hex_points(got) == _hex_points(reference_points(spec, eps, depth))
+        assert _hex_points(got) == _hex_points(reference_points(rep, eps, depth))
 
 
 def _point_set(cloud):
@@ -336,8 +345,8 @@ def test_truncated_run_keeps_points_of_the_full_run():
 def test_cap_bounds_a_deep_parabolic_run():
     # parabolic generators: near the cusps branches run to the depth floor,
     # so the frontier would grow without the cap
-    spec = GroupSpec.from_traces(2, 2)
-    cloud = enumerate_limit_set(spec, epsilon=1e-14, max_depth=300, cap=50)
+    rep = from_traces(2, 2)
+    cloud = enumerate_limit_set(rep, epsilon=1e-14, max_depth=300, cap=50)
     assert len(cloud) == 50
     assert cloud.truncated
 
@@ -350,20 +359,20 @@ def test_enumeration_is_deterministic():
 
 
 def test_cloud_is_group_invariant():
-    for spec in (FUCHSIAN, PERTURBED):
-        cloud = enumerate_limit_set(spec, epsilon=1e-3)
-        assert cloud_group_invariance(cloud, spec) < 5e-3
+    for rep in (FUCHSIAN, PERTURBED):
+        cloud = enumerate_limit_set(rep, epsilon=1e-3)
+        assert cloud_group_invariance(cloud, rep) < 5e-3
 
 
 # two loxodromics with multipliers 1.5 and 1.4+0.3i (the mixed-chart group of
 # test_golden.py)
-MIXED_CHART = GroupSpec(tuple(parse_rep_text("""\
+MIXED_CHART = make_rep(parse_rep_text("""\
 a 0.8123728608220304,0.0 0.041237201056955816,0.0 -0.041237201056955844,0.0 1.2288685914972843,0.0
 b 1.1761106089186535,0.1178249649092908 0.06900797527159591,0.04117377857387757 0.06900797527159591,0.04117377857387758 0.8448723276149932,-0.07980917224532155
-""")))
+"""))
 
 
-# (spec, enumeration arguments, repr of the invariance), recorded with a
+# (representation, enumeration arguments, repr of the invariance), recorded with a
 # scipy cKDTree nearest-neighbour query; from_traces(0, 0) is a finite group
 # whose capped cloud holds 4 distinct points, each repeated thousands of times
 INVARIANCE_GUARD = [
@@ -371,7 +380,7 @@ INVARIANCE_GUARD = [
     (PERTURBED, {"epsilon": 1e-3}, "0.00487868537034946"),
     (PERTURBED, {"epsilon": 2e-4}, "0.001329360471773329"),
     (MIXED_CHART, {"max_depth": 3}, "0.23398013211877935"),
-    (GroupSpec.from_traces(0, 0), {"cap": 20000}, "0.7999999999999999"),
+    (from_traces(0, 0), {"cap": 20000}, "0.7999999999999999"),
 ]
 
 
