@@ -1,10 +1,13 @@
-"""Golden sha256 digests of `kleinnet limitset` outputs.
+"""Golden sha256 digests of `kleinnet limitset` and `kleinnet degenerate`
+outputs.
 
 The digests pin the exact bytes of the point-cloud CSV, the PPM image and
 stdout for a fixed set of inputs, so any change to the limit-set traversal
 that moves a single float shows up here.  The mixed-chart group below is
 built so that depth-floor nodes whose candidates straddle the two charts
-occur at every depth from 1 to 4.
+occur at every depth from 1 to 4.  The degenerate digests pin the sweep CSV
+and the stdout of `--report` the same way, for the word evaluation,
+classification and report.
 """
 
 import hashlib
@@ -100,3 +103,40 @@ def test_limitset_golden_outputs(capsys, tmp_path, flags, csv_sha, ppm_sha, out_
     assert code == 0
     got = (_sha(csv.read_bytes()), _sha(ppm.read_bytes()), _sha(out.encode()))
     assert got == (csv_sha, ppm_sha, out_sha)
+
+
+# (t values, max-len, stdout sha256, csv sha256), all with --report
+DEGENERATE_GOLDEN = [
+    (
+        "5,10", 4,
+        "b83195320fe72cbf1eee878191f8d5b10dc97e8d6d5bc83bac2f72d7f7db9069",
+        "1e92880f1d2661c490488622611432d8d16dfa64303507758a735d9112294090",
+    ),
+    (
+        "5,10,15,20", 9,
+        "0f79f95becee3eefc0fd59515e85966e5b640764e94d1af0e6e7a15759ec00e2",
+        "09a99a93231e9e50ba2cea80816bbd38aed2c33109ecc59efb1fde6c64e9fcf4",
+    ),
+    (
+        "5,10,15,20", 10,
+        "c8e647498ac94050970dbd2db68526780ad90b561101eee4cc3e1f33abb348ea",
+        "26e3f8992fe59f514e749f3f3edc9166888f4ca30e9d642f479ff64eb841cf1e",
+    ),
+    (
+        "0.5,1,2", 7,
+        "e3d33d9cf8e6e896d24c515435477719ec6627b6b2180f30335b0c2860798114",
+        "13490efbd1232b5ece8948fecc1039bc6ba7c588489df12b9f0c08593bcfb6d2",
+    ),
+]
+
+
+@pytest.mark.parametrize("t_values,max_len,out_sha,csv_sha", DEGENERATE_GOLDEN)
+def test_degenerate_golden_outputs(capsys, tmp_path, t_values, max_len, out_sha, csv_sha):
+    csv = tmp_path / "sweep.csv"
+    code = main([
+        "degenerate", "--t-values", t_values, "--max-len", str(max_len),
+        "--csv", str(csv), "--report",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (_sha(out.encode()), _sha(csv.read_bytes())) == (out_sha, csv_sha)
