@@ -196,6 +196,8 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
 
     rep = _limitset_rep(args)
     window = limitset.check_window(_parse_floats_csv(args.window, "window"))
+    if args.out is not None:
+        limitset.check_image_size(args.width, args.height)
     for i, g in enumerate(rep.images, start=1):
         if sl2.classify(g).kind == "elliptic":
             raise KleinnetError(

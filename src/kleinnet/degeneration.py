@@ -5,6 +5,13 @@ sup-norm.  For the built-in stretched pair the rescaled vectors converge to
 the projectivized cyclic word length, which is the translation length
 function of an action on a tree; `tree_limit_check` measures the distance to
 that oracle and the length-function axioms on the final sample.
+
+The class matrices come from the prefix trie of the representatives: each
+distinct prefix costs one product M(w l) = M(w) @ g_l, which is the product
+`sl2.evaluate` makes at that step, so every matrix is bit for bit the same.
+Each is classified through `sl2.classify_entries`, the path `sl2.classify`
+takes.  The report looks up inverses by their `words.necklace` and powers of
+a necklace w by w repeated, so it makes no `Word` per lookup.
 """
 
 from __future__ import annotations
@@ -12,16 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import DegenerationError
-from .sl2 import Matrix2C, Representation, classify, evaluate, make_rep
-from .words import (
-    ConjugacyClassList,
-    Word,
-    canonical_cyclic,
-    cyclically_reduce,
-)
+from .errors import DegenerationError, RepresentationError
+from .sl2 import Matrix2C, Representation, classify_entries, make_rep
+from .words import ConjugacyClassList, cyclically_reduce, necklace
 
 __all__ = [
     "LengthVector",
@@ -66,13 +68,80 @@ class LengthVector:
         return max(self.values) if self.values else 0.0
 
 
-def length_vector(rep: Representation, classes: ConjugacyClassList) -> LengthVector:
+def _trie_walk(classes: ConjugacyClassList) -> list[tuple[int, int]]:
+    """The class representatives in depth-first order of their prefix trie,
+    as (class index, letters shared with the previous word in that order).
+    Lexicographic order puts each prefix's extensions together, so a walk
+    that keeps the products of the current word's prefixes makes exactly
+    one product per distinct prefix."""
+    letters = [w.letters for w in classes]
+    walk = []
+    prev: tuple[int, ...] = ()
+    for i in sorted(range(len(letters)), key=letters.__getitem__):
+        w = letters[i]
+        n = min(len(w), len(prev))
+        k = 0
+        while k < n and w[k] == prev[k]:
+            k += 1
+        walk.append((i, k))
+        prev = w
+    return walk
+
+
+def _class_matrices(
+    rep: Representation, classes: ConjugacyClassList, walk: list[tuple[int, int]]
+) -> Iterator[tuple[int, tuple[complex, complex, complex, complex]]]:
+    """(class index, entries a, b, c, d of its image) for every class, in
+    the order of `walk`, the class list's `_trie_walk`.  M(w l) = M(w) @ g_l
+    is taken once per distinct prefix, from the identity, with
+    `Matrix2C.__matmul__`'s formula on the same operands, so each matrix is
+    bit for bit `evaluate(rep, w)`.  Only the products along the current
+    word are held."""
+    gens: dict[int, tuple[complex, complex, complex, complex]] = {}
+    for k, (g, h) in enumerate(zip(rep.images, rep.inverses), start=1):
+        gens[k] = (g.a, g.b, g.c, g.d)
+        gens[-k] = (h.a, h.b, h.c, h.d)
+    path = [(1.0, 0.0, 0.0, 1.0)]
+    try:
+        for i, shared in walk:
+            del path[shared + 1:]
+            a, b, c, d = path[-1]
+            for letter in classes[i].letters[shared:]:
+                ga, gb, gc, gd = gens[letter]
+                a, b, c, d = (
+                    a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+                )
+                path.append((a, b, c, d))
+            yield i, (a, b, c, d)
+    except KeyError:
+        w = next(w for w in classes if w.max_index() > rep.rank)
+        raise RepresentationError(
+            f"word {w.text()!r} uses generator {w.max_index()} beyond rank {rep.rank}"
+        ) from None
+
+
+def _length_vector(
+    rep: Representation, classes: ConjugacyClassList, walk: list[tuple[int, int]]
+) -> LengthVector:
     if len(classes) == 0:
         raise DegenerationError("empty class list")
-    values = tuple(
-        classify(evaluate(rep, w)).translation_length for w in classes
-    )
-    return LengthVector(classes, values, 1.0)
+    values = [0.0] * len(classes)
+    failed: tuple[int, RepresentationError] | None = None
+    for i, m in _class_matrices(rep, classes, walk):
+        try:
+            values[i] = classify_entries(*m)[1]
+        except RepresentationError as exc:
+            # report the first failing class in class order, as a loop
+            # over the classes would
+            if failed is None or i < failed[0]:
+                failed = (i, exc)
+    if failed is not None:
+        raise failed[1]
+    return LengthVector(classes, tuple(values), 1.0)
+
+
+def length_vector(rep: Representation, classes: ConjugacyClassList) -> LengthVector:
+    return _length_vector(rep, classes, _trie_walk(classes))
 
 
 def projectivize(v: LengthVector) -> LengthVector:
@@ -178,7 +247,8 @@ def sweep(
     if any(not b > a for a, b in zip(ts, ts[1:])):
         raise DegenerationError("sweep parameter values must increase")
 
-    return [projectivize(length_vector(family.build(t), classes)) for t in ts]
+    walk = _trie_walk(classes)
+    return [projectivize(_length_vector(family.build(t), classes, walk)) for t in ts]
 
 
 def cyclic_length_oracle(classes: ConjugacyClassList) -> LengthVector:
@@ -231,7 +301,12 @@ class TreeLimitReport:
 
 
 def _axiom_residuals(final: LengthVector) -> tuple[float, float]:
+    """Largest |l(w) - l(w^-1)| and |l(w^n) - n l(w)| over the classes whose
+    inverse or power is in the list.  The representatives are necklaces, so
+    the necklace of w^n is w repeated n times, and only the inverse needs a
+    least rotation."""
     classes = final.classes
+    values = final.values
     index = _class_index(classes)
     sym = 0.0
     hom = 0.0
@@ -239,16 +314,15 @@ def _axiom_residuals(final: LengthVector) -> tuple[float, float]:
         letters = w.letters
         if not letters:
             continue
-        inv = canonical_cyclic(Word(letters).inverse())
-        j = index.get(inv.letters)
+        x = values[i]
+        j = index.get(necklace(tuple(-l for l in reversed(letters))))
         if j is not None:
-            sym = max(sym, abs(final.values[i] - final.values[j]))
+            sym = max(sym, abs(x - values[j]))
         n = 2
         while n * len(letters) <= classes.max_length:
-            power = canonical_cyclic(Word(letters * n))
-            j = index.get(power.letters)
+            j = index.get(letters * n)
             if j is not None:
-                hom = max(hom, abs(final.values[j] - n * final.values[i]))
+                hom = max(hom, abs(values[j] - n * x))
             n += 1
     return sym, hom
 

@@ -31,6 +31,7 @@ __all__ = [
     "box_dimension",
     "render",
     "check_window",
+    "check_image_size",
     "cloud_group_invariance",
     "format_cloud_csv",
     "write_cloud_csv",
@@ -464,6 +465,17 @@ def check_window(window) -> tuple[float, float, float, float]:
     return bounds
 
 
+def check_image_size(width: int, height: int) -> None:
+    """Refuse an image with a side below one pixel or more than MAX_PIXELS
+    pixels, before anything is allocated or searched."""
+    if width < 1 or height < 1:
+        raise LimitSetError("image dimensions must be positive")
+    if width * height > MAX_PIXELS:
+        raise LimitSetError(
+            f"image of {width} x {height} pixels exceeds the budget of {MAX_PIXELS}"
+        )
+
+
 def render(
     cloud: LimitPointCloud,
     width: int = 800,
@@ -472,12 +484,7 @@ def render(
 ) -> bytes:
     """Binary PPM (P6): white background, one black pixel per cloud point
     inside the window (re_min, re_max, im_min, im_max)."""
-    if width < 1 or height < 1:
-        raise LimitSetError("image dimensions must be positive")
-    if width * height > MAX_PIXELS:
-        raise LimitSetError(
-            f"image of {width} x {height} pixels exceeds the budget of {MAX_PIXELS}"
-        )
+    check_image_size(width, height)
     re_min, re_max, im_min, im_max = check_window(window)
     img = np.full((height, width, 3), 255, dtype=np.uint8)
     z = cloud.plane_values(radius=math.inf) if len(cloud) else np.empty(0, complex)

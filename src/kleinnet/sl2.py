@@ -26,6 +26,7 @@ __all__ = [
     "evaluate",
     "character",
     "classify",
+    "classify_entries",
     "translation_length_arccosh",
     "morgan_shalen_vector",
     "moduli_point",
@@ -103,10 +104,14 @@ class Matrix2C:
 
 
 def check_unimodular(m: Matrix2C) -> None:
-    det = m.det
+    _check_unimodular_entries(m.a, m.b, m.c, m.d)
+
+
+def _check_unimodular_entries(a: complex, b: complex, c: complex, d: complex) -> None:
+    det = a * d - b * c
     if not cmath.isfinite(det):
         raise NotUnimodularError("not unimodular: det is not finite")
-    s = m.scale()
+    s = max(abs(a), abs(b), abs(c), abs(d))
     bound = UNIMODULAR_TOL * max(1.0, s * s)
     if not abs(det - 1.0) <= bound:
         raise NotUnimodularError(
@@ -192,29 +197,46 @@ def _length_from_trace(tr: complex) -> float:
 
 def translation_length_arccosh(m: Matrix2C) -> float:
     """Cross-check formula: 2*|Re arccosh(tr/2)|."""
-    return 2.0 * abs(cmath.acosh(m.trace / 2.0).real)
+    return _length_arccosh(m.trace)
+
+
+def _length_arccosh(tr: complex) -> float:
+    return 2.0 * abs(cmath.acosh(tr / 2.0).real)
 
 
 def classify(m: Matrix2C) -> IsometryClass:
     """Classify a unimodular matrix by trace; loxodromic length is 2*ln|mu|
     with the arccosh form asserted to agree."""
-    check_unimodular(m)
-    if _dist_to_plus_minus_identity(m) <= CLASSIFY_TOL:
-        return IsometryClass("identity")
-    tr = m.trace
+    return IsometryClass(*classify_entries(m.a, m.b, m.c, m.d))
+
+
+def classify_entries(
+    a: complex, b: complex, c: complex, d: complex
+) -> tuple[str, float]:
+    """`classify` on the entries a b / c d of a matrix: its kind and
+    translation length, without building a `Matrix2C` or an `IsometryClass`.
+    Bulk callers such as the degeneration sweep use it directly."""
+    _check_unimodular_entries(a, b, c, d)
+    # the gate leaves every entry finite, so testing b and c first changes
+    # no outcome; it spares the full distance for all but diagonal matrices
+    if abs(b) <= CLASSIFY_TOL and abs(c) <= CLASSIFY_TOL and (
+        _dist_to_plus_minus_identity(Matrix2C(a, b, c, d)) <= CLASSIFY_TOL
+    ):
+        return "identity", 0.0
+    tr = a + d
     if abs(tr.imag) <= CLASSIFY_TOL:
         x = tr.real
         if abs(abs(x) - 2.0) <= CLASSIFY_TOL:
-            return IsometryClass("parabolic")
+            return "parabolic", 0.0
         if -2.0 < x < 2.0:
-            return IsometryClass("elliptic")
+            return "elliptic", 0.0
     length = _length_from_trace(tr)
-    cross = translation_length_arccosh(m)
+    cross = _length_arccosh(tr)
     if not math.isclose(length, cross, rel_tol=1e-6, abs_tol=1e-9):
         raise RepresentationError(
             f"translation length formulas disagree: {length!r} vs {cross!r}"
         )
-    return IsometryClass("loxodromic", length)
+    return "loxodromic", length
 
 
 def morgan_shalen_vector(

@@ -21,6 +21,7 @@ __all__ = [
     "reduce_word",
     "cyclically_reduce",
     "canonical_cyclic",
+    "necklace",
     "enumerate_classes",
     "random_word",
 ]
@@ -38,8 +39,9 @@ def _check_letter(letter: int, rank: int | None = None) -> None:
         raise WordError(f"generator index {abs(letter)} out of range for rank {rank}")
 
 
-def _letter_key(letter: int) -> tuple[int, int]:
-    return (abs(letter), 0 if letter > 0 else 1)
+def _letter_key(letter: int) -> int:
+    """a, A, b, B, ... -> 0, 1, 2, 3, ...: the letter order as an integer."""
+    return 2 * letter - 2 if letter > 0 else -2 * letter - 1
 
 
 def _reduce(letters: Iterable[int], rank: int | None = None) -> tuple[int, ...]:
@@ -134,21 +136,40 @@ def reduce_word(letters: Sequence[int], rank: int | None = None) -> Word:
 
 
 def cyclically_reduce(word: Word) -> Word:
-    ls = list(word.letters)
+    letters = word.letters
+    if len(letters) < 2 or letters[0] != -letters[-1]:
+        return word
+    ls = list(letters)
     while len(ls) >= 2 and ls[0] == -ls[-1]:
         ls = ls[1:-1]
     return Word(tuple(ls))
 
 
+def necklace(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of a letter tuple under the letter order; for a
+    cyclically reduced word, its conjugacy class's canonical representative.
+    It takes O(len(letters)) comparisons of integer letter keys: the
+    least-rotation form of Duval's Lyndon factorization (1983)."""
+    n = len(letters)
+    if n <= 1:
+        return letters
+    s = [_letter_key(l) for l in letters] * 2
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return letters[start:] + letters[:start]
+
+
 def canonical_cyclic(word: Word) -> Word:
     """Canonical conjugacy-class representative: cyclically reduce, then take
     the lexicographically least rotation."""
-    core = cyclically_reduce(word).letters
-    if len(core) <= 1:
-        return Word(core)
-    rotations = (core[i:] + core[:i] for i in range(len(core)))
-    best = min(rotations, key=lambda r: tuple(_letter_key(l) for l in r))
-    return Word(best)
+    return Word(necklace(cyclically_reduce(word).letters))
 
 
 @dataclass(frozen=True)
@@ -191,7 +212,8 @@ def enumerate_classes(
     3,582 classes of rank 2 up to length 9.
 
     `fold_inverses` merges each class with its inverse class, keeping the
-    smaller representative.
+    smaller representative; the inverse class's representative is its
+    `necklace`, an O(L) least rotation.
     """
     if rank < 1:
         raise WordError("rank must be >= 1")
@@ -211,11 +233,10 @@ def enumerate_classes(
     for n in range(1, max_length + 1):
         for w, p in level:
             if n % p == 0 and w[0] != -w[-1]:
-                rep = Word(w)
-                if not fold_inverses or (
-                    rep.shortlex_key() <= canonical_cyclic(rep.inverse()).shortlex_key()
+                if not fold_inverses or list(map(_letter_key, w)) <= list(
+                    map(_letter_key, necklace(tuple(-l for l in reversed(w))))
                 ):
-                    reps.append(rep)
+                    reps.append(Word(w))
         if n < max_length:
             level = [
                 (w + (l,), p if l == w[n - p] else n + 1)

@@ -541,6 +541,30 @@ def test_limitset_rejects_a_bad_window(capsys, tmp_path, window, draw):
     assert not out_path.exists()
 
 
+# The image size is checked before the search too, but only when an image is
+# drawn: --width and --height mean nothing without --out.
+@pytest.mark.parametrize(
+    "size,message",
+    [(("100000", "100000"), "exceeds the budget"), (("0", "10"), "must be positive")],
+    ids=["over-budget", "empty"],
+)
+def test_limitset_checks_the_image_size_before_the_search(
+    capsys, tmp_path, monkeypatch, size, message
+):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the limit-set search ran")
+
+    monkeypatch.setattr(limitset, "enumerate_limit_set", no_search)
+    out_path = tmp_path / "X.ppm"
+    code, out, err = run_cli(
+        capsys, "limitset", "--traces", "3,3", "--width", size[0],
+        "--height", size[1], "--out", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert not out_path.exists()
+
+
 # -- dessin ------------------------------------------------------------------------
 
 

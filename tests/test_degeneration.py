@@ -18,8 +18,16 @@ from kleinnet.degeneration import (
     tree_limit_check,
     write_sweep_csv,
 )
-from kleinnet.errors import DegenerationError
-from kleinnet.sl2 import Matrix2C, conjugate_rep, make_rep, random_sl2
+from kleinnet.degeneration import _class_matrices, _trie_walk
+from kleinnet.errors import DegenerationError, RepresentationError
+from kleinnet.sl2 import (
+    Matrix2C,
+    conjugate_rep,
+    evaluate,
+    make_rep,
+    random_loxodromic,
+    random_sl2,
+)
 from kleinnet.words import ConjugacyClassList, Word, enumerate_classes
 
 T_GRID = [5.0, 10.0, 15.0, 20.0]
@@ -65,6 +73,45 @@ def test_length_vector_is_a_class_invariant():
     a = length_vector(rep, classes)
     b = length_vector(crep, classes)
     assert sup_delta(a, b) <= 1e-8 * max(a.values)
+
+
+def _entry_bits(z):
+    """The value and the sign of each part of an entry, so that 0.0 and -0.0
+    differ; its type as well, since entries may be floats or complex."""
+    z_type = type(z)
+    z = complex(z)
+    return (
+        z_type, z.real, math.copysign(1.0, z.real), z.imag, math.copysign(1.0, z.imag)
+    )
+
+
+def _identity_cases():
+    rng = np.random.default_rng(1992)
+    schottky = schottky_family()
+    for fold in (False, True):
+        rank2 = enumerate_classes(2, 8, fold_inverses=fold)
+        yield make_rep([random_loxodromic(rng), random_loxodromic(rng)]), rank2
+        yield schottky.build(5.0), rank2
+        yield schottky.build(20.0), rank2
+        rank3 = enumerate_classes(3, 5, fold_inverses=fold)
+        yield make_rep([random_loxodromic(rng) for _ in range(3)]), rank3
+
+
+def test_class_matrices_are_evaluate_bit_for_bit():
+    for rep, classes in _identity_cases():
+        seen = set()
+        for i, m in _class_matrices(rep, classes, _trie_walk(classes)):
+            want = evaluate(rep, classes[i])
+            want_entries = (want.a, want.b, want.c, want.d)
+            assert list(map(_entry_bits, m)) == list(map(_entry_bits, want_entries))
+            seen.add(i)
+        assert seen == set(range(len(classes)))
+
+
+def test_length_vector_names_a_generator_beyond_the_rank():
+    rep = schottky_family().build(1.0)
+    with pytest.raises(RepresentationError, match="'c' uses generator 3 beyond rank 2"):
+        length_vector(rep, enumerate_classes(3, 2))
 
 
 def test_projectivize_basics():

@@ -90,6 +90,28 @@ def test_canonical_fixed_point():
     assert canonical_cyclic(w) == w
 
 
+def _least_rotation_by_brute_force(letters):
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
+    return min(rotations, key=lambda r: [words._letter_key(l) for l in r], default=())
+
+
+def test_necklace_is_the_least_rotation():
+    rng = np.random.default_rng(2024)
+    samples = [Word.from_text(t) for t in ("abab", "aBaBaB", "AAAA", "abAB" * 3, "a")]
+    for _ in range(1500):
+        w = random_word(rng, int(rng.integers(1, 5)), int(rng.integers(0, 31)))
+        samples.append(w)
+        # a power of a cyclically reduced word is periodic and still reduced
+        core = cyclically_reduce(w)
+        if core:
+            samples.append(Word(core.letters * int(rng.integers(2, 4))))
+    for w in samples:
+        core = cyclically_reduce(w).letters
+        want = _least_rotation_by_brute_force(core)
+        assert words.necklace(core) == want
+        assert canonical_cyclic(w).letters == want
+
+
 def test_rank1_class_list_is_shortlex():
     classes = enumerate_classes(1, 2)
     assert classes.words_text() == ["a", "A", "aa", "AA"]
