@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -349,6 +350,33 @@ def test_cap_bounds_a_deep_parabolic_run():
     cloud = enumerate_limit_set(rep, epsilon=1e-14, max_depth=300, cap=50)
     assert len(cloud) == 50
     assert cloud.truncated
+
+
+# (max_depth, sha256 of values.tobytes(), sha256 of charts.tobytes()) of the
+# capped cloud of from_traces(2, 2) at epsilon 1e-14 and cap 50: a narrow
+# frontier that runs to the depth floor near the cusps
+DEEP_NARROW = [
+    (
+        300,
+        "c9f9b2d28366878f1503f6a3ba2c66a52e76107e85408223c15be2af4404fdaf",
+        "cc2786e1f9910a9d811400edcddaf7075195f7a16b216dcbefba3bc7c4f2ae51",
+    ),
+    (
+        2000,
+        "607dec7b943cd8ccad13779297b0c724b30d5668cc9df3e2dbb727ac750d1d11",
+        "cc2786e1f9910a9d811400edcddaf7075195f7a16b216dcbefba3bc7c4f2ae51",
+    ),
+]
+
+
+@pytest.mark.parametrize("depth,values_sha,charts_sha", DEEP_NARROW)
+def test_deep_narrow_cloud_digests(depth, values_sha, charts_sha):
+    cloud = enumerate_limit_set(from_traces(2, 2), epsilon=1e-14, max_depth=depth, cap=50)
+    got = (
+        hashlib.sha256(cloud.values.tobytes()).hexdigest(),
+        hashlib.sha256(cloud.charts.tobytes()).hexdigest(),
+    )
+    assert got == (values_sha, charts_sha)
 
 
 def test_enumeration_is_deterministic():
