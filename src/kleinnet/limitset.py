@@ -164,9 +164,12 @@ def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     im = values.imag
     n2 = re * re + im * im
     den = 1.0 + n2
-    sign = np.where(charts == 0, 1.0, -1.0)
-    height = np.where(charts == 0, n2 - 1.0, 1.0 - n2)
-    return np.column_stack([re / den, sign * im / den, height / (2.0 * den)])
+    chart0 = charts == 0
+    lift = np.empty((len(values), 3))
+    lift[:, 0] = re / den
+    lift[:, 1] = np.where(chart0, 1.0, -1.0) * im / den
+    lift[:, 2] = np.where(chart0, n2 - 1.0, 1.0 - n2) / (2.0 * den)
+    return lift
 
 
 def _make_cloud(
@@ -186,105 +189,129 @@ def _make_cloud(
     )
 
 
-# Complex numbers in the traversal are (re, im) pairs of float arrays, and
-# the arithmetic is CPython's naive formulas written out, so results do not
-# depend on how numpy or the interpreter evaluates complex products.
-
-
-def _mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _normalized(m):
-    """Entries of m over their largest |re| + |im|, stacked as rows re, im
-    per entry.  The quotient is spelled as CPython divides a complex by a
-    float (the float is promoted to complex), which keeps signed zeros."""
-    s = np.maximum.reduce([np.abs(re) + np.abs(im) for re, im in m])
-    return np.array(
-        [x for re, im in m for x in ((re + im * 0.0) / s, (im - re * 0.0) / s)]
-    )
-
-
-def _entries(rows):
-    """The four (re, im) entry pairs of matrices stacked as _normalized
-    returns them."""
-    return list(zip(rows[0::2], rows[1::2]))
-
+# Complex numbers in the traversal are (re, im) pairs of floats, and the
+# arithmetic is CPython's naive formulas written out, so results do not
+# depend on how numpy or the interpreter evaluates complex products.  The
+# 2x2 matrices of a level are one array with axes (re/im, column, row,
+# node), so each arithmetic step is one numpy call for the whole level.
 
 # letters 0=a, 1=a^-1, 2=b, 3=b^-1; after letter l come the letters h != l^1
 _NEXT = np.array([[h for h in range(4) if h != l ^ 1] for l in range(4)])
 # rows handled at once (frontier nodes of one level, invariance queries, CSV
 # rows): bounds the temporaries
 _CHUNK = 1 << 15
+# the signed zeros with which CPython divides a complex by a float
+_QUOTIENT_ZEROS = np.array([0.0, -0.0])[:, None, None, None]
+# signs that turn (q.re, q.re) * (p.re, p.im) + (q.im, -q.im) * (p.im, p.re)
+# into the numerators of p/q
+_CONJUGATE = np.array([1.0, -1.0])[:, None, None]
 
 
-def _node_points(u, v, eps2: float, at_floor: bool):
-    """Evaluate nodes whose candidate points are u/v, shape (nodes, k).
+def _count_table(k: int) -> np.ndarray:
+    """For a node with c0 of its k candidates in chart 0 and c1 in chart 1,
+    column c0 * (k + 1) + c1 holds: whether it takes chart 0 (all fit it,
+    else not all fit chart 1 and a majority fits it), whether all fit one
+    chart, how many fit the chart it takes, and that chart."""
+    table = np.zeros((4, (k + 1) ** 2), dtype=np.int64)
+    for c0 in range(k + 1):
+        for c1 in range(k + 1):
+            use0 = c0 == k or (c1 != k and 2 * c0 >= k)
+            table[:, c0 * (k + 1) + c1] = (
+                use0, c0 == k or c1 == k, c0 if use0 else c1, 0 if use0 else 1
+            )
+    return table
+
+
+# per candidate count k: the weights of a node's chart-fit flags that make
+# its column of _count_table, that table, and the candidate index pairs
+# i < j (all i, then all j) over which the diameter is taken
+_CANDIDATES = {
+    k: (
+        np.repeat([k + 1, 1], k),
+        _count_table(k),
+        np.concatenate(np.triu_indices(k, 1)),
+    )
+    for k in (3, 4)
+}
+
+
+def _multiplier(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The table that makes products with the complex numbers re + i*im
+    real: axis 0 pairs a factor's re part with (re, im) and its im part with
+    (-im, re), and the re/im axis of the result comes after the first axis
+    of re and im."""
+    return np.ascontiguousarray(np.array([[re, im], [-im, re]]).swapaxes(1, 2))
+
+
+def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The sums over c of m[c] x[c] for complex m and x: m has axes (re/im,
+    c, ...) and x is a _multiplier table, broadcast against m.  Each
+    product is re*re - im*im and re*im + im*re, and the sum over c runs
+    left to right."""
+    p = m * x
+    p = p[0] + p[1]
+    return p[0] + p[1]
+
+
+def _normalized(m: np.ndarray) -> np.ndarray:
+    """Matrices with axes (re/im, column, row, node) over their entries'
+    largest |re| + |im|.  The quotient is spelled as CPython divides a
+    complex by a float (the float is promoted to complex), which keeps
+    signed zeros: re + im*0.0 and im - re*0.0, over the scale."""
+    a = np.abs(m)
+    s = (a[0] + a[1]).reshape(4, -1).max(axis=0)
+    return (m + m[::-1] * _QUOTIENT_ZEROS) / s
+
+
+def _node_points(uv, eps2: float, at_floor: bool):
+    """Evaluate nodes whose candidate points are u/v; uv has axes (u or v,
+    re/im, candidate, node).
 
     A node emits when its candidates fit one chart and have squared
     diameter below eps2, and always at the depth floor, where a candidate
     set straddling the charts takes the majority chart.  The emitted point
     is the centroid of the candidates in that chart.  Returns the emit mask
-    and, for every node, the centroid and chart.
+    and, for every node, the centroid as (re, im) rows and the chart.
     """
-    k = u[0].shape[1]
-    nu = u[0] * u[0] + u[1] * u[1]
-    nv = v[0] * v[0] + v[1] * v[1]
-    fits0 = nu <= 4.0 * nv
-    fits1 = nv <= 4.0 * nu
-    all0 = fits0.all(axis=1)
-    all1 = fits1.all(axis=1)
-    use0 = all0 | (~all1 & (2 * fits0.sum(axis=1) >= k))
-    w0 = use0[:, None]
-    in_chart = np.where(w0, fits0, fits1)
-    p = (np.where(w0, u[0], v[0]), np.where(w0, u[1], v[1]))
-    q = (np.where(w0, v[0], u[0]), np.where(w0, v[1], u[1]))
-    d = np.where(w0, nv, nu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zr = (p[0] * q[0] + p[1] * q[1]) / d
-        zi = (p[1] * q[0] - p[0] * q[1]) / d
-    diam2 = np.zeros(len(use0))
-    for i, j in combinations(range(k), 2):
-        dr = zr[:, i] - zr[:, j]
-        di = zi[:, i] - zi[:, j]
-        diam2 = np.fmax(diam2, dr * dr + di * di)
-    emit = ((all0 | all1) & (diam2 < eps2)) | at_floor
-    cr = ci = 0.0
-    for i in range(k):
-        cr = cr + np.where(in_chart[:, i], zr[:, i], 0.0)
-        ci = ci + np.where(in_chart[:, i], zi[:, i], 0.0)
-    n = in_chart.sum(axis=1)
-    return emit, cr / n, ci / n, np.where(use0, 0, 1)
+    k = uv.shape[2]
+    weights, table, pairs = _CANDIDATES[k]
+    sq = uv * uv
+    norm = sq[:, 0] + sq[:, 1]
+    # fits[0]: |u| <= 2|v|, the candidate fits chart 0; fits[1]: chart 1
+    fits = norm <= 4.0 * norm[::-1]
+    use0, uniform, in_count, chart = table[:, np.dot(weights, fits.reshape(2 * k, -1))]
+    in_chart = np.where(use0, fits[0], fits[1])
+    # the candidates as p/q in the chosen chart
+    p, q = np.where(use0, uv, uv[::-1])
+    d = np.where(use0, norm[1], norm[0])
+    z = (p * q[0] + p[::-1] * (q[1] * _CONJUGATE)) / d
+    ends = np.take(z, pairs, axis=1).reshape(2, 2, -1, len(use0))
+    dz = ends[:, 0] - ends[:, 1]
+    dz = dz * dz
+    diam2 = np.fmax.reduce(dz[0] + dz[1], axis=0, initial=0.0)
+    emit = np.logical_and(diam2 < eps2, uniform)
+    if at_floor:
+        emit[:] = True
+    z = np.where(in_chart, z, 0.0)
+    c = 0.0 + z[:, 0]
+    for i in range(1, k):
+        c = c + z[:, i]
+    return emit, c / in_count, chart
 
 
-def _expand(rows, last, g, fu, fv, eps2: float, at_floor: bool):
-    """One chunk of a level: nodes with prefix matrices `rows` (as
-    _normalized stacks them) and last letters `last`.  Returns the points of
-    the emitting nodes and the open nodes' children, each node's children
-    in letter order."""
-    m = _entries(rows)
-    nxt = _NEXT[last]
-    cu = (fu[0][nxt], fu[1][nxt])
-    cv = (fv[0][nxt], fv[1][nxt])
-    col = [(re[:, None], im[:, None]) for re, im in m]
-    u = _add(_mul(col[0], cu), _mul(col[1], cv))
-    v = _add(_mul(col[2], cu), _mul(col[3], cv))
-    emit, cr, ci, chart = _node_points(u, v, eps2, at_floor)
+def _expand(mats, last, cands, steps, eps2: float, at_floor: bool):
+    """One chunk of a level: nodes with prefix matrices `mats` (as
+    _normalized returns them) and last letters `last`.  cands and steps are
+    the _multiplier tables of the candidates after each last letter and of
+    the letters' matrices.  Returns the points of the emitting nodes and the
+    open nodes' children, each node's children in letter order."""
+    uv = _product(mats[:, :, :, None, None], np.take(cands, last, axis=-1)[:, :, None])
+    emit, centroid, chart = _node_points(uv, eps2, at_floor)
     grow = ~emit
-    child_last = nxt[grow].ravel()
-    p = [(re[grow].repeat(3), im[grow].repeat(3)) for re, im in m]
-    gh = [(re[child_last], im[child_last]) for re, im in g]
-    child_rows = _normalized([
-        _add(_mul(p[0], gh[0]), _mul(p[1], gh[2])),
-        _add(_mul(p[0], gh[1]), _mul(p[1], gh[3])),
-        _add(_mul(p[2], gh[0]), _mul(p[3], gh[2])),
-        _add(_mul(p[2], gh[1]), _mul(p[3], gh[3])),
-    ])
-    return (cr[emit], ci[emit], chart[emit]), (child_rows, child_last)
+    child_last = _NEXT[last[grow]].ravel()
+    parents = mats[..., grow].repeat(3, axis=-1)[:, :, None, None]
+    children = _product(parents, np.take(steps, child_last, axis=-1)[:, :, :, :, None])
+    return (centroid[:, emit], chart[emit]), (_normalized(children), child_last)
 
 
 def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
@@ -298,19 +325,32 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
     would emit more than cap points, and then it returns exactly cap points.
     """
     eps2 = epsilon * epsilon
-    g = [(np.array([m[e].real for m in gens]), np.array([m[e].imag for m in gens]))
-         for e in range(4)]
-    fu = (np.array([f[0].real for f in fixes]), np.array([f[0].imag for f in fixes]))
-    fv = (np.array([f[1].real for f in fixes]), np.array([f[1].imag for f in fixes]))
+    # entries as (re/im, column, row, letter), fixed points as (re/im, u or
+    # v, letter)
+    g = np.array([[m[e].real for m in gens] for e in range(4)])
+    g = np.array([g, [[m[e].imag for m in gens] for e in range(4)]])
+    g = g.reshape(2, 2, 2, 4).swapaxes(1, 2)
+    fix = np.array([[[f[c].real for f in fixes] for c in range(2)],
+                    [[f[c].imag for f in fixes] for c in range(2)]])
 
-    # depth 0: the identity prefix, all four letters allowed
-    emit, cr, ci, chart = _node_points(
-        (fu[0][None], fu[1][None]), (fv[0][None], fv[1][None]), eps2, False
-    )
-    if emit[0]:
-        return cr, ci, chart, False
+    # a candidate at the infinity of its chart divides by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # depth 0: the identity prefix, all four letters allowed
+        emit, centroid, chart = _node_points(fix.swapaxes(0, 1)[..., None], eps2, False)
+        if emit[0]:
+            return centroid[0], centroid[1], chart, False
+        # the fixed points of the letters after each last letter, as
+        # (u or v, candidate, last letter), and the letters' entries as
+        # (row, column, letter)
+        after = fix[:, :, _NEXT.T]
+        cands = _multiplier(after[0], after[1])
+        steps = _multiplier(g[0].swapaxes(0, 1), g[1].swapaxes(0, 1))
+        return _levels(_normalized(g), cands, steps, eps2, max_depth, cap)
 
-    rows, last = _normalized(g), np.arange(4)
+
+def _levels(mats, cands, steps, eps2: float, max_depth: int, cap: int):
+    """The levels of _traverse below depth 0."""
+    last = np.arange(4)
     points = []
     emitted = 0
     truncated = False
@@ -318,26 +358,30 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
         room = cap - emitted
         if len(last) > room:
             truncated = True
-            rows, last = rows[:, :room], last[:room]
+            mats, last = mats[..., :room], last[:room]
         children = []
         n_children = 0
         for s in range(0, len(last), _CHUNK):
             pts, kids = _expand(
-                rows[:, s:s + _CHUNK], last[s:s + _CHUNK],
-                g, fu, fv, eps2, depth >= max_depth,
+                mats[..., s:s + _CHUNK], last[s:s + _CHUNK],
+                cands, steps, eps2, depth >= max_depth,
             )
             points.append(pts)
-            emitted += len(pts[0])
+            emitted += len(pts[1])
             # children past cap - emitted would be cut before the next level
             if n_children < cap - emitted:
                 children.append(kids)
                 n_children += len(kids[1])
         if n_children == 0:
             break
-        rows = np.concatenate([kid[0] for kid in children], axis=1)
-        last = np.concatenate([kid[1] for kid in children])
-    re, im, charts = (np.concatenate(col) for col in zip(*points))
-    return re, im, charts, truncated
+        if len(children) == 1:
+            mats, last = children[0]
+        else:
+            mats = np.concatenate([kid[0] for kid in children], axis=-1)
+            last = np.concatenate([kid[1] for kid in children])
+    centroids, charts = zip(*points)
+    re, im = np.concatenate(centroids, axis=1)
+    return re, im, np.concatenate(charts), truncated
 
 
 def enumerate_limit_set(
@@ -444,7 +488,7 @@ def box_dimension(cloud: LimitPointCloud) -> float:
         delta = size / 4.0 / (2.0**k)
         ix = np.floor((x - xmin) / delta).astype(np.int64)
         iy = np.floor((y - ymin) / delta).astype(np.int64)
-        count = np.unique(ix << 32 | iy).size
+        count = len(_run_starts(np.sort(ix << 32 | iy)))
         log_inv_delta.append(math.log(1.0 / delta))
         log_counts.append(math.log(count))
     slope = np.polyfit(log_inv_delta, log_counts, 1)[0]
@@ -520,9 +564,13 @@ _SUMMARY_CELLS = 4096
 _SLACK = 2.0**-20
 
 
-def _cell_keys(x: np.ndarray, side: float, shift: float) -> np.ndarray:
-    cells = np.floor((x + 1.0) / side - shift).astype(np.int64) + 1
-    return (cells[:, 0] << 42) | (cells[:, 1] << 21) | cells[:, 2]
+def _cell_keys(columns, side: float, shift: float) -> np.ndarray:
+    """Cell keys of the points with coordinate arrays columns[0..2]."""
+    keys = np.zeros(len(columns[0]), dtype=np.int64)
+    for x, bits in zip(columns, (42, 21, 0)):
+        cells = np.floor((x + 1.0) / side - shift).astype(np.int64) + 1
+        keys |= cells << bits
+    return keys
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -533,21 +581,22 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """Points bucketed into cubic cells of the given side, sorted by key."""
+    """Points bucketed into cubic cells of the given side, sorted by key;
+    columns are the points' coordinate arrays."""
 
-    def __init__(self, points: np.ndarray, side: float):
-        keys = _cell_keys(points, side, 0.0)
+    def __init__(self, columns, side: float):
+        keys = _cell_keys(columns, side, 0.0)
         order = np.argsort(keys, kind="stable")
         self.side = side
         self.keys = keys[order]
-        self.coords = [points[order, i] for i in range(3)]
+        self.coords = [x[order] for x in columns]
         # a block holds every point within side/2 of its query
         self.exact_sq = (0.5 * side * (1.0 - _SLACK)) ** 2
 
     def block_nearest_sq(self, queries: np.ndarray) -> np.ndarray:
         """Squared distance from each query to the nearest point in the
         2x2x2 block of cells centred on it (inf where the block is empty)."""
-        base = _cell_keys(queries, self.side, 0.5)
+        base = _cell_keys(queries.T, self.side, 0.5)
         order = np.argsort(base, kind="stable")
         base = base[order]
         # queries sharing a block look it up once
@@ -564,6 +613,17 @@ class _Grid:
             (run_end - run_start).T.repeat(repeats, axis=0),
         )
         return best
+
+    def own_cell_sq(self, queries: np.ndarray):
+        """Whether each query's own cell holds a point, and for those that
+        do, the squared distance to the first point of the cell, summed as
+        runs_nearest_sq sums it."""
+        keys = _cell_keys(queries.T, self.side, 0.0)
+        at = np.searchsorted(self.keys, keys)
+        hit = np.take(self.keys, at, mode="clip") == keys
+        at = at[hit]
+        dx, dy, dz = (queries[hit, k] - self.coords[k][at] for k in range(3))
+        return hit, dx * dx + dy * dy + dz * dz
 
     def runs_nearest_sq(self, queries, starts, counts) -> np.ndarray:
         """Squared distance from query i to the nearest of the sorted points
@@ -601,38 +661,42 @@ class _Nearest:
     rest are compared with whole cells of a coarse grid, the finest of side
     h * 4^k with at most _SUMMARY_CELLS nonempty cells: a cell can hold the
     nearest point only if its first point is no farther than the nearest
-    first point plus the cell's radius about its first point.  Grids are
-    built on first use."""
+    first point plus the cell's radius about its first point, and that grid
+    is built on first use.  The distance from a query to any one point bounds
+    its nearest distance from above, and max_squared prunes with that
+    bound."""
 
     def __init__(self, points: np.ndarray, h: float):
-        self.points = points
         self.h = h if h >= _MIN_CELL else _MIN_CELL
-        self.grids: list[_Grid] = []
+        self.grids = [_Grid(points.T, self.h), _Grid(points.T, 4.0 * self.h)]
         self.summary = None
-
-    def _grid(self, level: int) -> _Grid:
-        while len(self.grids) <= level:
-            self.grids.append(_Grid(self.points, self.h * 4.0 ** len(self.grids)))
-        return self.grids[level]
 
     def _summary(self):
         """The coarse grid with each cell's first index, point count, first
         point (one row per cell) and radius about that point."""
         if self.summary is None:
-            cells = self._grid(0).keys
+            cells = self.grids[0].keys
             cells = cells[_run_starts(cells)]
             k = 0
             while len(cells) > _SUMMARY_CELLS:
                 # a cell of side 4s is a block of 4x4x4 cells of side s
                 x, y, z = ((((cells >> b) & 0x1FFFFF) - 1) // 4 + 1 for b in (42, 21, 0))
-                cells = np.unique((x << 42) | (y << 21) | z)
+                cells = np.sort((x << 42) | (y << 21) | z)
+                cells = cells[_run_starts(cells)]
                 k += 1
-            grid = _Grid(self.points, self.h * 4.0**k)
+            if k < len(self.grids):
+                grid = self.grids[k]
+            else:
+                grid = _Grid(self.grids[1].coords, self.h * 4.0**k)
             first = _run_starts(grid.keys)
             counts = np.diff(np.r_[first, len(grid.keys)])
             reps = np.column_stack([c[first] for c in grid.coords])
-            off = [c - r.repeat(counts) for c, r in zip(grid.coords, reps.T)]
-            radius = np.sqrt(np.maximum.reduceat(sum(o * o for o in off), first))
+            off2 = np.zeros(len(grid.keys))
+            for c, r in zip(grid.coords, reps.T):
+                off = c - r.repeat(counts)
+                off *= off
+                off2 += off
+            radius = np.sqrt(np.maximum.reduceat(off2, first))
             self.summary = (grid, first, counts, reps, radius)
         return self.summary
 
@@ -642,7 +706,7 @@ class _Nearest:
         best = np.empty(len(queries))
         todo = np.arange(len(queries))
         for level in range(level, 2):
-            grid = self._grid(level)
+            grid = self.grids[level]
             d2 = grid.block_nearest_sq(queries[todo])
             done = d2 <= grid.exact_sq
             best[todo[done]] = d2[done]
@@ -660,39 +724,69 @@ class _Nearest:
                 )
         return best
 
+    def own_cell_sq(self, queries: np.ndarray) -> np.ndarray:
+        """An upper bound on each query's squared nearest-point distance:
+        the squared distance to the first point of its own cell on the grid
+        of side h, else on the grid of side 4h, and inf where both cells
+        are empty."""
+        bound = np.full(len(queries), np.inf)
+        rows = np.arange(len(queries))
+        for level in range(2):
+            hit, d2 = self.grids[level].own_cell_sq(queries[rows])
+            bound[rows[hit]] = d2
+            rows = rows[~hit]
+        return bound
+
     def max_squared(self, batches) -> float:
         """The largest squared nearest-point distance over the query arrays
-        in `batches`.
+        in `batches`, which is iterated a second time when the bound below
+        needs it: a list, or an object whose iterator recomputes them.
 
-        Queries with a point within h/2 are settled on the finest grid.  The
-        others are gathered and grouped into cells, coarse to fine, and
-        only each cell's first query is measured: the distance to the
-        nearest point moves no faster than the query, so a cell whose first
-        query's distance plus the cell's radius about it does not exceed
-        the largest distance found cannot raise it, and its queries are
-        dropped.  This keeps queries far from a dense cloud from each
-        scanning it."""
-        grid = self._grid(0)
+        The largest distance is a max of minima, and a query whose own cell
+        holds a point at squared distance u cannot raise it once u is no
+        more than the largest distance found.  So only the "open" queries,
+        whose own cells on the grids of side h and 4h are both empty, are
+        searched exactly on the first pass, _CHUNK or more at a time.  A
+        second pass searches the other queries whose bound u exceeds the
+        largest distance found so far; it runs only when one does."""
         best = 0.0
-        far: list[np.ndarray] = []
+        bound = 0.0
+        held: list[np.ndarray] = []
+        n_held = 0
         for queries in batches:
-            d2 = grid.block_nearest_sq(queries)
-            near = d2 <= grid.exact_sq
-            best = float(np.max(d2[near], initial=best))
-            far.append(queries[~near])
-            if sum(map(len, far)) >= _CHUNK:
-                best = self._far_max_squared(np.concatenate(far), best)
-                far = []
-        if far:
-            best = self._far_max_squared(np.concatenate(far), best)
+            u = self.own_cell_sq(queries)
+            closed = u < np.inf
+            bound = float(np.max(u, where=closed, initial=bound))
+            held.append(queries[~closed])
+            n_held += len(held[-1])
+            if n_held >= _CHUNK:
+                best = self._exact_max_squared(np.concatenate(held), best)
+                held, n_held = [], 0
+        if n_held:
+            best = self._exact_max_squared(np.concatenate(held), best)
+        if bound > best:
+            for queries in batches:
+                u = self.own_cell_sq(queries)
+                best = self._exact_max_squared(queries[(u > best) & (u < np.inf)], best)
         return best
+
+    def _exact_max_squared(self, queries: np.ndarray, best: float) -> float:
+        """The larger of best and the queries' largest squared
+        nearest-point distance."""
+        if not len(queries):
+            return best
+        grid = self.grids[0]
+        d2 = grid.block_nearest_sq(queries)
+        near = d2 <= grid.exact_sq
+        best = float(np.max(d2, where=near, initial=best))
+        return self._far_max_squared(queries[~near], best)
 
     def _far_max_squared(self, far: np.ndarray, best: float) -> float:
         side = 1.0
         while far.size:
             if side < self.h:
                 return max(best, float(self.squared(far, 1).max()))
-            keys = _cell_keys(far, side, 0.0)
+            keys = _cell_keys(far.T, side, 0.0)
             order = np.argsort(keys, kind="stable")
             far, keys = far[order], keys[order]
             first = _run_starts(keys)
@@ -714,10 +808,14 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     cloud: small values witness invariance of the sampled set under the
     group.
 
-    The nearest cloud point of every image is found exactly, by uniform
-    grids on the sphere lift whose finest cells have side 2 * cloud.epsilon,
-    so the value is the one a KD-tree query gives, to the last bit.
-    Repeated points are searched once."""
+    The nearest cloud point of every image is found exactly where it can
+    matter, by uniform grids on the sphere lift whose finest cells have side
+    2 * cloud.epsilon, so the value is the one a KD-tree query gives, to the
+    last bit.  Images whose own grid cell holds a cloud point no farther than
+    the largest distance found are not searched (see _Nearest.max_squared).
+    The images are computed _CHUNK cloud points at a time, so the
+    temporaries do not grow with the cloud.  Repeated points are searched
+    once."""
     if len(cloud) == 0:
         raise LimitSetError("empty cloud")
     vals = cloud.values
@@ -725,32 +823,45 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     # a sorted cloud holds repeats next to each other
     keep = np.ones(len(vals), dtype=bool)
     keep[1:] = (vals[1:] != vals[:-1]) | (charts[1:] != charts[:-1])
-    vals = vals[keep]
-    charts = charts[keep]
+    if not keep.all():
+        vals, charts = vals[keep], charts[keep]
     nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
-    mats = rep.images + rep.inverses
-    return math.sqrt(nearest.max_squared(_image_batches(mats, vals, charts)))
+    images = _Images(rep.images + rep.inverses, vals, charts)
+    return math.sqrt(nearest.max_squared(images))
 
 
-def _image_batches(mats, vals: np.ndarray, charts: np.ndarray):
-    """Sphere lifts of the images of the points under each matrix, _CHUNK
-    rows at a time."""
-    u = np.where(charts == 0, vals, np.ones_like(vals))
-    v = np.where(charts == 0, np.ones_like(vals), vals)
-    for g in mats:
-        a, b, c, d = g.entries()
-        nu = a * u + b * v
-        nv = c * u + d * v
-        take0 = np.abs(nu) <= np.abs(nv)
-        new_vals = np.empty_like(nu)
-        # nv (resp. nu) is nonzero wherever take0 (resp. not): the images
-        # are genuine sphere points
-        new_vals[take0] = nu[take0] / nv[take0]
-        new_vals[~take0] = nv[~take0] / nu[~take0]
-        new_charts = np.where(take0, 0, 1).astype(np.int8)
-        images = _lift(new_vals, new_charts)
-        for s in range(0, len(images), _CHUNK):
-            yield images[s:s + _CHUNK]
+class _Images:
+    """Sphere lifts of the images of the points under each matrix.  Every
+    iteration computes them afresh, _CHUNK points at a time, and yields the
+    images of those points under all the matrices as one array."""
+
+    def __init__(self, mats, vals: np.ndarray, charts: np.ndarray):
+        self.entries = [g.entries() for g in mats]
+        self.vals = vals
+        self.charts = charts
+
+    def __iter__(self):
+        for s in range(0, len(self.vals), _CHUNK):
+            vals = self.vals[s:s + _CHUNK]
+            chart0 = self.charts[s:s + _CHUNK] == 0
+            u = np.where(chart0, vals, np.ones_like(vals))
+            v = np.where(chart0, np.ones_like(vals), vals)
+            yield np.concatenate([_image_lift(g, u, v) for g in self.entries])
+
+
+def _image_lift(g, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sphere lift of the images of the homogeneous points (u, v) under the
+    matrix with entries g."""
+    a, b, c, d = g
+    nu = a * u + b * v
+    nv = c * u + d * v
+    take0 = np.abs(nu) <= np.abs(nv)
+    new_vals = np.empty_like(nu)
+    # nv (resp. nu) is nonzero wherever take0 (resp. not): the images are
+    # genuine sphere points
+    new_vals[take0] = nu[take0] / nv[take0]
+    new_vals[~take0] = nv[~take0] / nu[~take0]
+    return _lift(new_vals, np.where(take0, 0, 1).astype(np.int8))
 
 
 def format_cloud_csv(cloud: LimitPointCloud) -> str:
