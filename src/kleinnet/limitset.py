@@ -197,9 +197,12 @@ def _make_cloud(
 
 # letters 0=a, 1=a^-1, 2=b, 3=b^-1; after letter l come the letters h != l^1
 _NEXT = np.array([[h for h in range(4) if h != l ^ 1] for l in range(4)])
-# rows handled at once (frontier nodes of one level, invariance queries, CSV
-# rows): bounds the temporaries
+# rows handled at once (invariance queries, CSV rows): bounds the
+# temporaries
 _CHUNK = 1 << 15
+# frontier nodes expanded at once: a level's stacked products hold up to
+# 96 floats per node, which this keeps within a few MB
+_LEVEL_CHUNK = 1 << 13
 # the signed zeros with which CPython divides a complex by a float
 _QUOTIENT_ZEROS = np.array([0.0, -0.0])[:, None, None, None]
 # signs that turn (q.re, q.re) * (p.re, p.im) + (q.im, -q.im) * (p.im, p.re)
@@ -236,10 +239,11 @@ _CANDIDATES = {
 
 
 def _multiplier(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The table that makes products with the complex numbers re + i*im
-    real: axis 0 pairs a factor's re part with (re, im) and its im part with
-    (-im, re), and the re/im axis of the result comes after the first axis
-    of re and im."""
+    """Products with w = re + i*im as sums of real products: m*w has re
+    part m.re*re + m.im*(-im) and im part m.re*im + m.im*re, so the table
+    holds (re, im) at index 0 of its first axis (m's part) and (-im, re) at
+    index 1.  The axis of the product's part comes after the first axis of
+    re and im."""
     return np.ascontiguousarray(np.array([[re, im], [-im, re]]).swapaxes(1, 2))
 
 
@@ -271,7 +275,8 @@ def _node_points(uv, eps2: float, at_floor: bool):
     diameter below eps2, and always at the depth floor, where a candidate
     set straddling the charts takes the majority chart.  The emitted point
     is the centroid of the candidates in that chart.  Returns the emit mask
-    and, for every node, the centroid as (re, im) rows and the chart.
+    and the emitting nodes' centroids, as (re, im) rows, and charts (None
+    when no node emits).
     """
     k = uv.shape[2]
     weights, table, pairs = _CANDIDATES[k]
@@ -292,26 +297,31 @@ def _node_points(uv, eps2: float, at_floor: bool):
     emit = np.logical_and(diam2 < eps2, uniform)
     if at_floor:
         emit[:] = True
-    z = np.where(in_chart, z, 0.0)
+    if not emit.any():
+        return emit, None
+    z = np.where(in_chart, z, 0.0)[..., emit]
     c = 0.0 + z[:, 0]
     for i in range(1, k):
         c = c + z[:, i]
-    return emit, c / in_count, chart
+    return emit, (c / in_count[emit], chart[emit])
 
 
 def _expand(mats, last, cands, steps, eps2: float, at_floor: bool):
     """One chunk of a level: nodes with prefix matrices `mats` (as
     _normalized returns them) and last letters `last`.  cands and steps are
     the _multiplier tables of the candidates after each last letter and of
-    the letters' matrices.  Returns the points of the emitting nodes and the
-    open nodes' children, each node's children in letter order."""
+    the letters' matrices.  Returns the points of the emitting nodes (None
+    if there are none) and the open nodes' children, each node's children
+    in letter order."""
     uv = _product(mats[:, :, :, None, None], np.take(cands, last, axis=-1)[:, :, None])
-    emit, centroid, chart = _node_points(uv, eps2, at_floor)
-    grow = ~emit
-    child_last = _NEXT[last[grow]].ravel()
-    parents = mats[..., grow].repeat(3, axis=-1)[:, :, None, None]
+    emit, points = _node_points(uv, eps2, at_floor)
+    if points is not None:
+        grow = ~emit
+        mats, last = mats[..., grow], last[grow]
+    child_last = _NEXT[last].ravel()
+    parents = mats.repeat(3, axis=-1)[:, :, None, None]
     children = _product(parents, np.take(steps, child_last, axis=-1)[:, :, :, :, None])
-    return (centroid[:, emit], chart[emit]), (_normalized(children), child_last)
+    return points, (_normalized(children), child_last)
 
 
 def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
@@ -325,31 +335,22 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
     would emit more than cap points, and then it returns exactly cap points.
     """
     eps2 = epsilon * epsilon
-    # entries as (re/im, column, row, letter), fixed points as (re/im, u or
-    # v, letter)
-    g = np.array([[m[e].real for m in gens] for e in range(4)])
-    g = np.array([g, [[m[e].imag for m in gens] for e in range(4)]])
-    g = g.reshape(2, 2, 2, 4).swapaxes(1, 2)
-    fix = np.array([[[f[c].real for f in fixes] for c in range(2)],
-                    [[f[c].imag for f in fixes] for c in range(2)]])
+    # entries as (row, column, letter) and fixed points as (u or v, letter)
+    ent = np.array(gens).T.reshape(2, 2, 4)
+    fix = np.array(fixes).T
 
-    # a candidate at the infinity of its chart divides by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # depth 0: the identity prefix, all four letters allowed
-        emit, centroid, chart = _node_points(fix.swapaxes(0, 1)[..., None], eps2, False)
-        if emit[0]:
-            return centroid[0], centroid[1], chart, False
-        # the fixed points of the letters after each last letter, as
-        # (u or v, candidate, last letter), and the letters' entries as
-        # (row, column, letter)
-        after = fix[:, :, _NEXT.T]
-        cands = _multiplier(after[0], after[1])
-        steps = _multiplier(g[0].swapaxes(0, 1), g[1].swapaxes(0, 1))
-        return _levels(_normalized(g), cands, steps, eps2, max_depth, cap)
+    # depth 0: the identity prefix, all four letters allowed
+    emit, points = _node_points(np.stack([fix.real, fix.imag], axis=1)[..., None], eps2, False)
+    if emit[0]:
+        (re, im), chart = points
+        return re, im, chart, False
 
-
-def _levels(mats, cands, steps, eps2: float, max_depth: int, cap: int):
-    """The levels of _traverse below depth 0."""
+    # the fixed points of the letters after each last letter, as (u or v,
+    # candidate, last letter)
+    after = fix[:, _NEXT.T]
+    cands = _multiplier(after.real, after.imag)
+    steps = _multiplier(ent.real, ent.imag)
+    mats = _normalized(np.array([ent.real, ent.imag]).swapaxes(1, 2))
     last = np.arange(4)
     points = []
     emitted = 0
@@ -361,13 +362,14 @@ def _levels(mats, cands, steps, eps2: float, max_depth: int, cap: int):
             mats, last = mats[..., :room], last[:room]
         children = []
         n_children = 0
-        for s in range(0, len(last), _CHUNK):
+        for s in range(0, len(last), _LEVEL_CHUNK):
             pts, kids = _expand(
-                mats[..., s:s + _CHUNK], last[s:s + _CHUNK],
+                mats[..., s:s + _LEVEL_CHUNK], last[s:s + _LEVEL_CHUNK],
                 cands, steps, eps2, depth >= max_depth,
             )
-            points.append(pts)
-            emitted += len(pts[1])
+            if pts is not None:
+                points.append(pts)
+                emitted += len(pts[1])
             # children past cap - emitted would be cut before the next level
             if n_children < cap - emitted:
                 children.append(kids)
@@ -431,7 +433,9 @@ def enumerate_limit_set(
     mats = (a, rep.inverses[0], b, rep.inverses[1])
     gens = [m.entries() for m in mats]
     fixes = [_attracting_eigvec(m) for m in mats]
-    re, im, charts, truncated = _traverse(gens, fixes, epsilon, max_depth, cap)
+    # a candidate at the infinity of its chart divides by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re, im, charts, truncated = _traverse(gens, fixes, epsilon, max_depth, cap)
     return _make_cloud(re, im, charts, epsilon, max_depth, truncated)
 
 
@@ -622,7 +626,8 @@ class _Grid:
         at = np.searchsorted(self.keys, keys)
         hit = np.take(self.keys, at, mode="clip") == keys
         at = at[hit]
-        dx, dy, dz = (queries[hit, k] - self.coords[k][at] for k in range(3))
+        found = queries[hit]
+        dx, dy, dz = (found[:, k] - np.take(self.coords[k], at) for k in range(3))
         return hit, dx * dx + dy * dy + dz * dz
 
     def runs_nearest_sq(self, queries, starts, counts) -> np.ndarray:
@@ -729,12 +734,12 @@ class _Nearest:
         the squared distance to the first point of its own cell on the grid
         of side h, else on the grid of side 4h, and inf where both cells
         are empty."""
+        hit, d2 = self.grids[0].own_cell_sq(queries)
         bound = np.full(len(queries), np.inf)
-        rows = np.arange(len(queries))
-        for level in range(2):
-            hit, d2 = self.grids[level].own_cell_sq(queries[rows])
-            bound[rows[hit]] = d2
-            rows = rows[~hit]
+        bound[hit] = d2
+        rows = np.flatnonzero(~hit)
+        hit, d2 = self.grids[1].own_cell_sq(queries[rows])
+        bound[rows[hit]] = d2
         return bound
 
     def max_squared(self, batches) -> float:
