@@ -141,6 +141,28 @@ def test_subcommands_import_only_what_they_use(net_file, rep_file):
     assert _heavy_modules_after(*limitset_run) == "['numpy']"
 
 
+def test_limitset_loads_no_numpy_ma():
+    # np.unique on int64 keys imports numpy.ma (about 13 ms cold); box
+    # counting and the invariance search count distinct keys without it.
+    # This run counts boxes and searches the coarse summary grid.
+    code = (
+        "import sys, kleinnet.cli\n"
+        "argv = ['limitset', '--traces', '3,3,3', '--eps', '1e-3']\n"
+        "assert kleinnet.cli.main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith("box_dimension ") for line in lines)
+    assert lines[-1] == "False"
+
+
 # -- graph -------------------------------------------------------------------------
 
 

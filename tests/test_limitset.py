@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -591,6 +592,65 @@ def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
     assert np.array_equal(nearest.squared(queries), expected)
     halves = [queries[: len(queries) // 2], queries[len(queries) // 2:]]
     assert _Nearest(points, 2.0 * eps).max_squared(halves) == expected.max()
+
+
+def _split(queries, parts):
+    return [queries[i::parts] for i in range(parts)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_squared_bound_pass_when_every_query_shares_a_cell(seed):
+    # every query is a cloud point moved by at most 1e-4 and shares its own
+    # finest cell with a point, so none is searched on the first pass; the
+    # first point of a cell of side 1/16 is mostly farther than the nearest
+    # point, so the bounds exceed the true max and the second pass decides
+    rng = np.random.default_rng(seed)
+    h = 1.0 / 16
+    points = _on_sphere(rng, 3000)
+    moved = points[:1500] + rng.uniform(-1e-4, 1e-4, (1500, 3))
+    moved = 0.5 * moved / np.linalg.norm(moved, axis=1, keepdims=True)
+    bound = _Nearest(points, h).own_cell_sq(moved)
+    queries = moved[np.isfinite(bound)]
+    bound = bound[np.isfinite(bound)]
+    assert len(queries) >= 1400
+    expected = _brute_nearest_sq(points, queries)
+    assert 0.0 < expected.max() < bound.max()
+    assert _Nearest(points, h).max_squared(_split(queries, 3)) == expected.max()
+
+
+def test_max_squared_when_a_bounded_query_holds_the_max():
+    # cloud points just left of the plane x = 0, which bounds cells of both
+    # sides 1/32 and 1/8, and open queries just right of it: their own cells
+    # are empty and their nearest points 0.002 away.  One query shares its
+    # own cell with the point 0.01 away from it, and holds the max
+    h = 1.0 / 32
+    yz = np.array([(y, z) for y in (-0.2, -0.1, 0.1, 0.2) for z in (-0.2, 0.1, 0.3)])
+    wall = np.column_stack([np.full(len(yz), -0.001), yz])
+    lone = np.array([[-0.3, 0.0, 0.0]])
+    points = np.concatenate([wall, lone])
+    queries = np.concatenate([wall + [0.002, 0.0, 0.0], lone + [0.01, 0.0, 0.0], wall[:3]])
+    nearest = _Nearest(points, h)
+    bound = nearest.own_cell_sq(queries)
+    assert np.isinf(bound[: len(wall)]).all()
+    assert np.isfinite(bound[len(wall):]).all()
+    expected = _brute_nearest_sq(points, queries)
+    assert expected.argmax() == len(wall)
+    assert expected.max() > expected[: len(wall)].max() > 0.0
+    for parts in (1, 2, 5):
+        assert _Nearest(points, h).max_squared(_split(queries, parts)) == expected.max()
+
+
+def test_invariance_memory_is_bounded():
+    # 319,150 points; the images are made and searched a chunk at a time
+    cloud = enumerate_limit_set(FUCHSIAN, epsilon=1e-5)
+    assert len(cloud) == 319_150
+    tracemalloc.start()
+    try:
+        cloud_group_invariance(cloud, FUCHSIAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 55e6
 
 
 def test_invariance_rejects_empty_cloud():
