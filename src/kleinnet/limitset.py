@@ -861,11 +861,9 @@ def _image_lift(g, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     nu = a * u + b * v
     nv = c * u + d * v
     take0 = np.abs(nu) <= np.abs(nv)
-    new_vals = np.empty_like(nu)
     # nv (resp. nu) is nonzero wherever take0 (resp. not): the images are
     # genuine sphere points
-    new_vals[take0] = nu[take0] / nv[take0]
-    new_vals[~take0] = nv[~take0] / nu[~take0]
+    new_vals = np.where(take0, nu, nv) / np.where(take0, nv, nu)
     return _lift(new_vals, np.where(take0, 0, 1).astype(np.int8))
 
 
