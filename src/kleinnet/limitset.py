@@ -755,13 +755,13 @@ class _Nearest:
         second pass searches the other queries whose bound u exceeds the
         largest distance found so far; it runs only when one does."""
         best = 0.0
-        bound = 0.0
+        largest_bound = 0.0
         held: list[np.ndarray] = []
         n_held = 0
         for queries in batches:
             u = self.own_cell_sq(queries)
             closed = u < np.inf
-            bound = float(np.max(u, where=closed, initial=bound))
+            largest_bound = float(np.max(u, where=closed, initial=largest_bound))
             held.append(queries[~closed])
             n_held += len(held[-1])
             if n_held >= _CHUNK:
@@ -769,7 +769,7 @@ class _Nearest:
                 held, n_held = [], 0
         if n_held:
             best = self._exact_max_squared(np.concatenate(held), best)
-        if bound > best:
+        if largest_bound > best:
             for queries in batches:
                 u = self.own_cell_sq(queries)
                 best = self._exact_max_squared(queries[(u > best) & (u < np.inf)], best)
