@@ -204,8 +204,8 @@ _CHUNK = 1 << 15
 _LEVEL_CHUNK = 1 << 13
 # the signed zeros with which CPython divides a complex by a float
 _QUOTIENT_ZEROS = np.array([0.0, -0.0])[:, None, None, None]
-# signs that turn (q.re, q.re) * (p.re, p.im) + (q.im, -q.im) * (p.im, p.re)
-# into the numerators of p/q
+# p/q has numerator p * conj(q): (p.re, p.im) * q.re + (p.im, p.re) * (q.im,
+# -q.im), whose second factor this makes from q.im
 _CONJUGATE = np.array([1.0, -1.0])[:, None, None]
 
 
