@@ -601,9 +601,9 @@ def _split(queries, parts):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_max_squared_bound_pass_when_every_query_shares_a_cell(seed):
     # every query is a cloud point moved by at most 1e-4 and shares its own
-    # finest cell with a point, so none is searched on the first pass; the
-    # first point of a cell of side 1/16 is mostly farther than the nearest
-    # point, so the bounds exceed the true max and the second pass decides
+    # cell with a point, so none is searched on the first pass; the first
+    # point of a cell of side 1/16 is mostly farther than the nearest point,
+    # so the bounds exceed the true max and the second pass decides
     rng = np.random.default_rng(seed)
     h = 1.0 / 16
     points = _on_sphere(rng, 3000)
