@@ -401,6 +401,61 @@ b 1.1761106089186535,0.1178249649092908 0.06900797527159591,0.04117377857387757 
 """))
 
 
+def _cloud_digest(cloud):
+    return (
+        hashlib.sha256(cloud.values.tobytes()).hexdigest(),
+        hashlib.sha256(cloud.charts.tobytes()).hexdigest(),
+        cloud.truncated,
+    )
+
+
+# (cap, sha256 of values.tobytes(), sha256 of charts.tobytes(), truncated) of
+# from_traces(3, 3, 3) at epsilon 1e-4, whose uncapped cloud has 34,162
+# points: caps that cut the first levels, cut inside a level chunk, and sit
+# one below and at the full count
+CAPPED_333 = [
+    (1, "3a39d81ebefa3777117c789dc8a9158f70ad6f143b30de82f9298cb740c42694",
+     "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a", True),
+    (2, "40554fe064ff5e9da5b67ed556fa302b38b3e30ae06e75e6e21387182de4d6e8",
+     "9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2", True),
+    (3, "f02ba994041527b2f0e1bc406019e8b70b0a7bc17af79c11eab78261a69acbdd",
+     "75c8fd04ad916aec3e3d5cb76a452b116b3d4d0912a0a485e9fb8e3d240e210c", True),
+    (4, "158b384dc81a7a78ff8d3fe8afd2a020320933b587697354fd8373fc5b78903c",
+     "27ecd0a598e76f8a2fd264d427df0a119903e8eae384e478902541756f089dd1", True),
+    (50, "b1a08bf88ec873c7f454ca7a989083ee7c59864eacc5c465bebb4d2044a35fcf",
+     "9df8bff0a706340db1c6eda55d6b44cec40065c45253fc541a5a094f17b57d84", True),
+    (999, "692e303d1f07f237fd644567fb88713f13f7f7c48100a93f45dbca95ede04c67",
+     "5418ef66c9eb92092506bb6b16c100c9360f44c05cae9f01b58c79527a5ac27c", True),
+    (1000, "dcc40dc3306bbd2183bd8f11fe60d3ce638ed85696800f60380e946238cbe2df",
+     "8fa987f1af6f47adb66d1c18eb35596e8cde6e429adf493df0edb482ea090ddf", True),
+    (1001, "89b9408e5ccdad1f9a50fae14aa4911321a5003ec5711b0662cc05b76abc08bc",
+     "e04a3e49210a5aa80387b9da8e026fe5d743d84022d704837d18075ea364bb13", True),
+    (30000, "1b6a1e0e6bd3b300982389c1d51307c9a068ae3cc02ca31d2d063253d96cc5bf",
+     "df5201f921f8c8b0d0f1a766ce3ba8b0a4572a4f45c65d269641b324113c73fc", True),
+    (34161, "2ed5b616cce89aa19135d7a4e22d728a82929689c722c5623fa8df31930724c5",
+     "cba97d91dae8d13690468f6999bfaab90ff46b685f9de26aedbbb6e371e77dce", True),
+    (34162, "cdd06903aae140e770e6f7605a787064826729c93f857c0157c8607f95991a9d",
+     "c09f16db4a6e51da4fe2a113984ffbd7dc58ba3c9d1d4c5bcf8d4d246f50362c", False),
+]
+
+
+@pytest.mark.parametrize("cap,values_sha,charts_sha,truncated", CAPPED_333)
+def test_capped_cloud_digests(cap, values_sha, charts_sha, truncated):
+    cloud = enumerate_limit_set(from_traces(3, 3, 3), epsilon=1e-4, cap=cap)
+    assert len(cloud) == min(cap, 34162)
+    assert _cloud_digest(cloud) == (values_sha, charts_sha, truncated)
+
+
+def test_capped_mixed_chart_cloud_digest():
+    # many levels are cut to the cap here, each in several level chunks
+    cloud = enumerate_limit_set(MIXED_CHART, epsilon=5e-3, cap=20000)
+    assert _cloud_digest(cloud) == (
+        "6563f18ca1bc74b0447a59dd6b4655a41764f162fa38ff710b2feb5024439375",
+        "28b4f41a7f3ee6d8cc87272db6e09c6d3566551fd4d18702b041a21658272a85",
+        True,
+    )
+
+
 # (representation, enumeration arguments, repr of the invariance), recorded with a
 # scipy cKDTree nearest-neighbour query; from_traces(0, 0) is a finite group
 # whose capped cloud holds 4 distinct points, each repeated thousands of times
