@@ -16,11 +16,10 @@ a necklace w by w repeated, so it makes no `Word` per lookup.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
+from ._record import Record
 from .errors import DegenerationError, RepresentationError
 from .sl2 import Matrix2C, Representation, classify_entries, make_rep
 from .words import ConjugacyClassList, cyclically_reduce, necklace
@@ -46,23 +45,25 @@ AXIOM_TOL = 1e-3
 ORACLE_TOL = 2e-2
 
 
-@dataclass(frozen=True)
-class LengthVector:
+class LengthVector(Record):
     """Translation lengths per conjugacy class, with the scale divided out.
 
     `scale` is 1 for raw vectors; after `projectivize` it holds the sup-norm
     of the raw values and the values have sup-norm 1.
     """
 
-    classes: ConjugacyClassList
-    values: tuple[float, ...]
-    scale: float = 1.0
+    __slots__ = ("classes", "values", "scale")
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.classes):
+    def __init__(
+        self, classes: ConjugacyClassList, values: tuple[float, ...], scale: float = 1.0
+    ) -> None:
+        if len(values) != len(classes):
             raise DegenerationError("length vector does not match its class list")
-        if any(v < 0.0 for v in self.values):
+        if any(v < 0.0 for v in values):
             raise DegenerationError("translation lengths are nonnegative")
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "scale", scale)
 
     def sup(self) -> float:
         return max(self.values) if self.values else 0.0
@@ -159,13 +160,17 @@ def sup_delta(u: LengthVector, v: LengthVector) -> float:
     return max(abs(x - y) for x, y in zip(u.values, v.values))
 
 
-@dataclass(frozen=True)
-class RepFamily:
+class RepFamily(Record):
     """A rule t -> Representation for positive t, validated at each sample."""
 
-    name: str
-    rank: int
-    builder: Callable[[float], Sequence[Matrix2C]]
+    __slots__ = ("name", "rank", "builder")
+
+    def __init__(
+        self, name: str, rank: int, builder: Callable[[float], Sequence[Matrix2C]]
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "builder", builder)
 
     def build(self, t: float) -> Representation:
         if not math.isfinite(t):
@@ -263,20 +268,41 @@ def _class_index(classes: ConjugacyClassList) -> dict[tuple[int, ...], int]:
     return {w.letters: i for i, w in enumerate(classes)}
 
 
-@dataclass(frozen=True)
-class TreeLimitReport:
+class TreeLimitReport(Record):
     """Convergence evidence for one sweep: Cauchy deltas, distance of the
     final vector to the cyclic-length oracle, and the two length-function
     axioms checked on the final vector."""
 
-    deltas: tuple[float, ...]
-    converged: bool
-    oracle_distance: float
-    oracle_ok: bool
-    symmetry_residual: float
-    symmetry_ok: bool
-    homogeneity_residual: float
-    homogeneity_ok: bool
+    __slots__ = (
+        "deltas",
+        "converged",
+        "oracle_distance",
+        "oracle_ok",
+        "symmetry_residual",
+        "symmetry_ok",
+        "homogeneity_residual",
+        "homogeneity_ok",
+    )
+
+    def __init__(
+        self,
+        deltas: tuple[float, ...],
+        converged: bool,
+        oracle_distance: float,
+        oracle_ok: bool,
+        symmetry_residual: float,
+        symmetry_ok: bool,
+        homogeneity_residual: float,
+        homogeneity_ok: bool,
+    ) -> None:
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "oracle_distance", oracle_distance)
+        object.__setattr__(self, "oracle_ok", oracle_ok)
+        object.__setattr__(self, "symmetry_residual", symmetry_residual)
+        object.__setattr__(self, "symmetry_ok", symmetry_ok)
+        object.__setattr__(self, "homogeneity_residual", homogeneity_residual)
+        object.__setattr__(self, "homogeneity_ok", homogeneity_ok)
 
     @property
     def passed(self) -> bool:
@@ -286,6 +312,9 @@ class TreeLimitReport:
         )
 
     def to_json(self) -> str:
+        # imported here: a sweep without --report loads no json
+        import json
+
         payload = {
             "deltas": list(self.deltas),
             "converged": self.converged,

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import DessinError, InfiniteIndexError
 from .words import Word
 
@@ -96,19 +96,16 @@ def _invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class SubgroupGraph:
+class SubgroupGraph(Record):
     """Folded coset graph: out_a[v] / out_b[v] give the head of the a/b edge
     leaving vertex v (0 when absent).  Vertices are 1..n_vertices, numbered
     by BFS from the base (always vertex 1)."""
 
-    n_vertices: int
-    out_a: Perm
-    out_b: Perm
+    __slots__ = ("n_vertices", "out_a", "out_b")
 
-    def __post_init__(self) -> None:
-        n = self.n_vertices
-        for name, out in (("a", self.out_a), ("b", self.out_b)):
+    def __init__(self, n_vertices: int, out_a: Perm, out_b: Perm) -> None:
+        n = n_vertices
+        for name, out in (("a", out_a), ("b", out_b)):
             if len(out) != n + 1 or out[0] != 0:
                 raise DessinError(f"out_{name} must map vertices 1..{n}")
             heads = [h for h in out[1:] if h != 0]
@@ -116,6 +113,9 @@ class SubgroupGraph:
                 raise DessinError(f"out_{name} points outside the graph")
             if len(set(heads)) != len(heads):
                 raise DessinError(f"graph is not folded along {name}")
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "out_a", out_a)
+        object.__setattr__(self, "out_b", out_b)
 
     @property
     def complete(self) -> bool:
@@ -242,17 +242,29 @@ def word_permutation(sigma_a: Perm, sigma_b: Perm, word: Word) -> Perm:
     return result
 
 
-@dataclass(frozen=True)
-class Dessin:
+class Dessin(Record):
     """Bipartite map: black vertices are cycles of sigma0, white vertices
     cycles of sigma1, faces cycles of sigma0 then sigma1."""
 
-    n_darts: int
-    sigma0: Perm
-    sigma1: Perm
-    black_cycles: tuple[tuple[int, ...], ...]
-    white_cycles: tuple[tuple[int, ...], ...]
-    face_cycles: tuple[tuple[int, ...], ...]
+    __slots__ = (
+        "n_darts", "sigma0", "sigma1", "black_cycles", "white_cycles", "face_cycles"
+    )
+
+    def __init__(
+        self,
+        n_darts: int,
+        sigma0: Perm,
+        sigma1: Perm,
+        black_cycles: tuple[tuple[int, ...], ...],
+        white_cycles: tuple[tuple[int, ...], ...],
+        face_cycles: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "n_darts", n_darts)
+        object.__setattr__(self, "sigma0", sigma0)
+        object.__setattr__(self, "sigma1", sigma1)
+        object.__setattr__(self, "black_cycles", black_cycles)
+        object.__setattr__(self, "white_cycles", white_cycles)
+        object.__setattr__(self, "face_cycles", face_cycles)
 
     @property
     def n_vertices(self) -> int:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import ElementaryGroupError, LimitSetError
 from .sl2 import Matrix2C, Representation, classify, make_rep
 
@@ -123,17 +123,28 @@ def from_traces(
     b = Matrix2C(0.0, mu, -1.0 / mu, y)
     return make_rep([a, b])
 
-@dataclass(frozen=True, eq=False)
-class LimitPointCloud:
+class LimitPointCloud(Record):
     """Sampled limit set: chart coordinates, chart flags, and the sampling
     parameters.  Points are sorted by (re, im, chart) so output is
-    independent of traversal scheduling."""
+    independent of traversal scheduling.  Clouds compare by identity."""
 
-    values: np.ndarray
-    charts: np.ndarray
-    epsilon: float
-    max_depth: int
-    truncated: bool = False
+    __slots__ = ("values", "charts", "epsilon", "max_depth", "truncated")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        values: np.ndarray,
+        charts: np.ndarray,
+        epsilon: float,
+        max_depth: int,
+        truncated: bool = False,
+    ) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "charts", charts)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "truncated", truncated)
 
     def __len__(self) -> int:
         return int(self.values.shape[0])

@@ -14,8 +14,7 @@ Text format, one directive per line (`#` starts a comment):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import GraphError
 from .words import Word, reduce_word
 
@@ -30,11 +29,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Network:
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (edge id, tail, head)
-    areas: tuple[tuple[str, tuple[int, ...]], ...]
+class Network(Record):
+    __slots__ = ("vertices", "edges", "areas")
+
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        edges: tuple[tuple[int, int, int], ...],  # (edge id, tail, head)
+        areas: tuple[tuple[str, tuple[int, ...]], ...],
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "areas", areas)
 
     def edge_by_id(self) -> dict[int, tuple[int, int]]:
         return {eid: (t, h) for eid, t, h in self.edges}
@@ -48,15 +54,19 @@ class Network:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class LoopBasis:
+class LoopBasis(Record):
     """Spanning forest plus the non-tree edges, one free generator each.
     Generator i (1-based) is the non-tree edge generators[i-1], oriented
     tail -> head as stored in the network."""
 
-    spanning_tree: frozenset[int]
-    generators: tuple[int, ...]
-    n_components: int
+    __slots__ = ("spanning_tree", "generators", "n_components")
+
+    def __init__(
+        self, spanning_tree: frozenset[int], generators: tuple[int, ...], n_components: int
+    ) -> None:
+        object.__setattr__(self, "spanning_tree", spanning_tree)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "n_components", n_components)
 
     @property
     def rank(self) -> int:

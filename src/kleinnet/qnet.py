@@ -12,11 +12,11 @@ ignore it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
+from ._record import Record
 from .errors import QnetError
 from .sl2 import Matrix2C
 
@@ -25,16 +25,14 @@ NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AreaState:
+class AreaState(Record):
     """Raw two-level state of one area; not necessarily normalized."""
 
-    a: complex
-    b: complex
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
+    def __init__(self, a: complex, b: complex) -> None:
+        object.__setattr__(self, "a", complex(a))
+        object.__setattr__(self, "b", complex(b))
 
     @property
     def norm(self) -> float:
@@ -65,22 +63,20 @@ def normalize(state: AreaState) -> AreaState:
     return AreaState(a / n, b / n)
 
 
-@dataclass(frozen=True)
-class NotGate:
-    area: int
+class NotGate(Record):
+    __slots__ = ("area",)
 
-    def __post_init__(self) -> None:
-        _check_area_field(self.area)
+    def __init__(self, area: int) -> None:
+        _check_area_field(area)
+        object.__setattr__(self, "area", area)
 
 
-@dataclass(frozen=True)
-class SU2Gate:
-    area: int
-    matrix: Matrix2C
+class SU2Gate(Record):
+    __slots__ = ("area", "matrix")
 
-    def __post_init__(self) -> None:
-        _check_area_field(self.area)
-        m = self.matrix
+    def __init__(self, area: int, matrix: Matrix2C) -> None:
+        _check_area_field(area)
+        m = matrix
         adjoint = Matrix2C(
             m.a.conjugate(), m.c.conjugate(), m.b.conjugate(), m.d.conjugate()
         )
@@ -88,18 +84,20 @@ class SU2Gate:
             raise QnetError("SU2 gate matrix is not unitary")
         if not abs(m.det - 1.0) <= UNITARY_TOL:
             raise QnetError("SU2 gate matrix does not have unit determinant")
+        object.__setattr__(self, "area", area)
+        object.__setattr__(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
-class CNOTGate:
-    control: int
-    target: int
+class CNOTGate(Record):
+    __slots__ = ("control", "target")
 
-    def __post_init__(self) -> None:
-        _check_area_field(self.control)
-        _check_area_field(self.target)
-        if self.control == self.target:
+    def __init__(self, control: int, target: int) -> None:
+        _check_area_field(control)
+        _check_area_field(target)
+        if control == target:
             raise QnetError("CNOT control and target must be distinct areas")
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "target", target)
 
 
 Gate = Union[NotGate, SU2Gate, CNOTGate]
@@ -116,24 +114,26 @@ def hadamard_gate(area: int) -> SU2Gate:
     return SU2Gate(area, Matrix2C(s, s, s, -s))
 
 
-@dataclass(frozen=True, eq=False)
-class TensorState:
-    """Joint state of `n_areas` areas as 2^n amplitudes, area 1 = MSB."""
+class TensorState(Record):
+    """Joint state of `n_areas` areas as 2^n amplitudes, area 1 = MSB.
+    States compare by identity."""
 
-    n_areas: int
-    amplitudes: np.ndarray
+    __slots__ = ("n_areas", "amplitudes")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_areas <= MAX_AREAS:
+    def __init__(self, n_areas: int, amplitudes: np.ndarray) -> None:
+        if not 1 <= n_areas <= MAX_AREAS:
             raise QnetError(f"area count must be in 1..{MAX_AREAS}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.n_areas,):
+        amps = np.asarray(amplitudes, dtype=np.complex128)
+        if amps.shape != (2**n_areas,):
             raise QnetError(
-                f"amplitude vector must have length {2**self.n_areas}, "
+                f"amplitude vector must have length {2**n_areas}, "
                 f"got shape {amps.shape}"
             )
         amps = amps.copy()
         amps.setflags(write=False)
+        object.__setattr__(self, "n_areas", n_areas)
         object.__setattr__(self, "amplitudes", amps)
 
     @property

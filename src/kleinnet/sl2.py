@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import NotUnimodularError, RepresentationError
 from .words import ConjugacyClassList, Word
 
@@ -43,14 +43,16 @@ UNIMODULAR_TOL = 1e-9
 CLASSIFY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Matrix2C:
+class Matrix2C(Record):
     """A 2x2 complex matrix, row-major entries a b / c d."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "Matrix2C":
@@ -126,13 +128,17 @@ def _dist_to_plus_minus_identity(m: Matrix2C) -> float:
     return min(m.max_abs_diff(ident), m.max_abs_diff(neg))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """A representation of a free group: the unimodular images of its
     generators, with their inverses precomputed."""
 
-    images: tuple[Matrix2C, ...]
-    inverses: tuple[Matrix2C, ...]
+    __slots__ = ("images", "inverses")
+
+    def __init__(
+        self, images: tuple[Matrix2C, ...], inverses: tuple[Matrix2C, ...]
+    ) -> None:
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "inverses", inverses)
 
     @property
     def rank(self) -> int:
@@ -167,19 +173,23 @@ def character(rep: Representation, word: Word) -> complex:
     return evaluate(rep, word).trace
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(Record):
     """Isometry type of the hyperbolic 3-space action, with the translation
     length along the axis (zero unless loxodromic)."""
 
-    kind: str  # "identity" | "parabolic" | "elliptic" | "loxodromic"
-    translation_length: float = 0.0
+    __slots__ = ("kind", "translation_length")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("identity", "parabolic", "elliptic", "loxodromic"):
-            raise RepresentationError(f"unknown isometry kind {self.kind!r}")
-        if self.kind != "loxodromic" and self.translation_length != 0.0:
+    def __init__(
+        self,
+        kind: str,  # "identity" | "parabolic" | "elliptic" | "loxodromic"
+        translation_length: float = 0.0,
+    ) -> None:
+        if kind not in ("identity", "parabolic", "elliptic", "loxodromic"):
+            raise RepresentationError(f"unknown isometry kind {kind!r}")
+        if kind != "loxodromic" and translation_length != 0.0:
             raise RepresentationError("only loxodromics translate")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "translation_length", translation_length)
 
 
 def _length_from_trace(tr: complex) -> float:
@@ -247,13 +257,15 @@ def morgan_shalen_vector(
     return [math.log(abs(character(rep, w)) + 2.0) for w in classes]
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Record):
     """Trace coordinates of a representation: the characters of a fixed tuple
     of coordinate words (for rank 2: a, b, ab, which determine the character)."""
 
-    words: tuple[Word, ...]
-    traces: tuple[complex, ...]
+    __slots__ = ("words", "traces")
+
+    def __init__(self, words: tuple[Word, ...], traces: tuple[complex, ...]) -> None:
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "traces", traces)
 
     def agrees(self, other: "ModuliPoint", tol: float = 1e-8) -> bool:
         if self.words != other.words:

@@ -10,9 +10,9 @@ a < a^-1 < b < b^-1 < ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import WordError
 
 __all__ = [
@@ -55,20 +55,20 @@ def _reduce(letters: Iterable[int], rank: int | None = None) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=False)
-class Word:
+class Word(Record):
     """A freely reduced word.  Construct via `reduce_word` or `Word.from_text`;
     the constructor rejects unreduced letter sequences."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        for i, letter in enumerate(self.letters):
+    def __init__(self, letters: tuple[int, ...] = ()) -> None:
+        for i, letter in enumerate(letters):
             _check_letter(letter)
-            if i and self.letters[i - 1] == -letter:
+            if i and letters[i - 1] == -letter:
                 raise WordError(
-                    f"letters {self.letters!r} are not freely reduced at position {i}"
+                    f"letters {letters!r} are not freely reduced at position {i}"
                 )
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
@@ -172,15 +172,23 @@ def canonical_cyclic(word: Word) -> Word:
     return Word(necklace(cyclically_reduce(word).letters))
 
 
-@dataclass(frozen=True)
-class ConjugacyClassList:
+class ConjugacyClassList(Record):
     """Canonical representatives of the nontrivial conjugacy classes with
     cyclic length <= max_length, in shortlex order."""
 
-    representatives: tuple[Word, ...]
-    max_length: int
-    rank: int
-    folded: bool = False
+    __slots__ = ("representatives", "max_length", "rank", "folded")
+
+    def __init__(
+        self,
+        representatives: tuple[Word, ...],
+        max_length: int,
+        rank: int,
+        folded: bool = False,
+    ) -> None:
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "max_length", max_length)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "folded", folded)
 
     def __len__(self) -> int:
         return len(self.representatives)

@@ -111,15 +111,18 @@ def run_module(*argv, timeout=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def _heavy_modules_after(*argv):
-    """Which of numpy and scipy a fresh interpreter holds after importing
-    kleinnet.cli and, when argv is given, running cli.main(argv)."""
+def _heavy_modules_after(*argv, imports=(), names=("numpy", "scipy")):
+    """Which of `names` a fresh interpreter holds after importing
+    kleinnet.cli, then the kleinnet modules in `imports`, and, when argv is
+    given, running cli.main(argv)."""
     code = (
-        "import sys, kleinnet.cli\n"
+        "import importlib, sys, kleinnet.cli\n"
+        f"for module in {list(imports)!r}:\n"
+        "    importlib.import_module('kleinnet.' + module)\n"
         f"argv = {list(argv)!r}\n"
         "if argv:\n"
         "    assert kleinnet.cli.main(argv) == 0\n"
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -161,6 +164,30 @@ def test_limitset_loads_no_numpy_ma():
     lines = proc.stdout.splitlines()
     assert any(line.startswith("box_dimension ") for line in lines)
     assert lines[-1] == "False"
+
+
+# dataclasses generates each record class's methods with exec and imports
+# inspect (8-12 ms cold); numpy imports inspect itself
+NO_DATACLASSES = {
+    "netgraph": ("dataclasses", "inspect"),
+    "sl2": ("dataclasses", "inspect"),
+    "dessin": ("dataclasses", "inspect"),
+    "degeneration": ("dataclasses", "inspect"),
+    "limitset": ("dataclasses",),
+    "qnet": ("dataclasses",),
+}
+
+
+@pytest.mark.parametrize("module", NO_DATACLASSES)
+def test_modules_load_no_dataclasses(module):
+    absent = NO_DATACLASSES[module]
+    assert _heavy_modules_after(imports=(module,), names=absent) == "[]"
+
+
+def test_degenerate_loads_json_only_for_the_report():
+    run = ("degenerate", "--t-values", "5,10", "--max-len", "4")
+    assert _heavy_modules_after(*run, names=("json",)) == "[]"
+    assert _heavy_modules_after(*run, "--report", names=("json",)) == "['json']"
 
 
 # -- graph -------------------------------------------------------------------------
