@@ -446,6 +446,18 @@ def test_capped_cloud_digests(cap, values_sha, charts_sha, truncated):
     assert _cloud_digest(cloud) == (values_sha, charts_sha, truncated)
 
 
+@pytest.mark.parametrize("max_depth", [2, 3, 4])
+def test_truncated_exactly_when_the_cap_binds(max_depth):
+    # at eps 1e-4 every node runs to the depth floor, where a level cut to
+    # the cap has no children left to show that it was cut
+    rep = from_traces(3, 3, 3)
+    full = len(enumerate_limit_set(rep, epsilon=1e-4, max_depth=max_depth))
+    assert full == 4 * 3 ** (max_depth - 1)
+    for cap in range(1, full + 2):
+        cloud = enumerate_limit_set(rep, epsilon=1e-4, max_depth=max_depth, cap=cap)
+        assert (len(cloud), cloud.truncated) == (min(cap, full), cap < full)
+
+
 def test_capped_mixed_chart_cloud_digest():
     # many levels are cut to the cap here, each in several level chunks
     cloud = enumerate_limit_set(MIXED_CHART, epsilon=5e-3, cap=20000)
