@@ -316,22 +316,33 @@ def _node_points(uv, eps2: float, at_floor: bool):
     return emit, (c / in_count[emit], chart[emit])
 
 
-def _expand(mats, last, cands, steps, eps2: float, at_floor: bool):
+def _expand(mats, last, cands, steps, eps2: float, at_floor: bool, room: int):
     """One chunk of a level: nodes with prefix matrices `mats` (as
     _normalized returns them) and last letters `last`.  cands and steps are
     the _multiplier tables of the candidates after each last letter and of
-    the letters' matrices.  Returns the points of the emitting nodes (None
-    if there are none) and the open nodes' children, each node's children
-    in letter order."""
+    the letters' matrices.  `room` is cap less the level's points and
+    children so far.  This chunk's points take from it too, and the next
+    level cuts the children past it, so only the first ceil(room / 3) open
+    nodes are expanded.
+
+    Returns the points of the emitting nodes (None if there are none), the
+    number of children all open nodes have, and the children made, each
+    node's in letter order (None when no room is left)."""
     uv = _product(mats[:, :, :, None, None], np.take(cands, last, axis=-1)[:, :, None])
     emit, points = _node_points(uv, eps2, at_floor)
     if points is not None:
+        room -= len(points[1])
         grow = ~emit
         mats, last = mats[..., grow], last[grow]
+    made = 3 * len(last)
+    if room <= 0:
+        return points, made, None
+    keep = -(-room // 3)
+    mats, last = mats[..., :keep], last[:keep]
     child_last = _NEXT[last].ravel()
     parents = mats.repeat(3, axis=-1)[:, :, None, None]
     children = _product(parents, np.take(steps, child_last, axis=-1)[:, :, :, :, None])
-    return points, (_normalized(children), child_last)
+    return points, made, (_normalized(children), child_last)
 
 
 def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
@@ -343,6 +354,7 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
     point, so before each level the frontier is cut to its first
     cap - emitted nodes: a run is truncated exactly when the whole traversal
     would emit more than cap points, and then it returns exactly cap points.
+    Children past that cut are counted but not computed.
     """
     eps2 = epsilon * epsilon
     # entries as (row, column, letter) and fixed points as (u or v, letter)
@@ -362,29 +374,32 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
     steps = _multiplier(ent.real, ent.imag)
     mats = _normalized(np.array([ent.real, ent.imag]).swapaxes(1, 2))
     last = np.arange(4)
+    # the frontier's width: at least len(last), more when _expand skipped
+    # children that this level's cut drops
+    width = 4
     points = []
     emitted = 0
     truncated = False
     for depth in range(1, max_depth + 1):
         room = cap - emitted
-        if len(last) > room:
+        if width > room:
             truncated = True
             mats, last = mats[..., :room], last[:room]
         children = []
-        n_children = 0
+        width = 0
         for s in range(0, len(last), _LEVEL_CHUNK):
-            pts, kids = _expand(
+            pts, made, kids = _expand(
                 mats[..., s:s + _LEVEL_CHUNK], last[s:s + _LEVEL_CHUNK],
-                cands, steps, eps2, depth >= max_depth,
+                cands, steps, eps2, depth >= max_depth, cap - emitted - width,
             )
             if pts is not None:
                 points.append(pts)
                 emitted += len(pts[1])
-            # children past cap - emitted would be cut before the next level
-            if n_children < cap - emitted:
+            # children past cap - emitted are cut before the next level
+            if kids is not None:
                 children.append(kids)
-                n_children += len(kids[1])
-        if n_children == 0:
+                width += made
+        if width == 0:
             break
         if len(children) == 1:
             mats, last = children[0]
