@@ -21,6 +21,9 @@ from .errors import QnetError
 from .sl2 import Matrix2C
 
 MAX_AREAS = 20
+# most gates random_circuit draws: the CLI holds each as an object and as a
+# line of circuit text before it runs them
+MAX_RANDOM_GATES = 1 << 16
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
 
@@ -366,6 +369,10 @@ def random_circuit(
         raise QnetError(f"area count must be in 1..{MAX_AREAS}")
     if n_gates < 0:
         raise QnetError("gate count must be nonnegative")
+    if n_gates > MAX_RANDOM_GATES:
+        raise QnetError(
+            f"random gate count must be at most {MAX_RANDOM_GATES}, got {n_gates}"
+        )
     gates: list[Gate] = []
     for _ in range(n_gates):
         if n_areas >= 2 and rng.random() < 0.5:

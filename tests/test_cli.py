@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kleinnet
-from kleinnet import limitset, sl2
+from kleinnet import limitset, qnet, sl2
 from kleinnet.cli import main
 
 NET_TEXT = """\
@@ -719,6 +719,13 @@ def test_qnet_rejects_negative_seed():
     )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_qnet_refuses_a_random_gate_count_over_the_budget():
+    n = qnet.MAX_RANDOM_GATES + 1
+    code, out, err = run_module("qnet", "--random-circuit", str(n), "--areas", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: random gate count must be at most {n - 1}, got {n}\n"
 
 
 def test_qnet_mode_and_zero_state_errors(capsys, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from kleinnet.errors import QnetError
 from kleinnet.qnet import (
     MAX_AREAS,
+    MAX_RANDOM_GATES,
     AreaState,
     CNOTGate,
     NotGate,
@@ -349,6 +350,22 @@ def test_random_circuit_validation():
         random_circuit(rng, 2, -1)
     gates = random_circuit(rng, 1, 20)
     assert all(isinstance(g, SU2Gate) for g in gates)
+
+
+def test_random_circuit_refuses_a_count_over_the_budget_before_drawing(monkeypatch):
+    def no_draw(rng):
+        raise AssertionError("a gate was drawn")
+
+    # on one area every gate is an SU(2) draw, so a draw would raise first
+    monkeypatch.setattr("kleinnet.qnet.random_su2", no_draw)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for n in (MAX_RANDOM_GATES + 1, 10**11):
+        with pytest.raises(QnetError, match=f"at most {MAX_RANDOM_GATES}, got {n}"):
+            random_circuit(rng, 1, n)
+    assert rng.bit_generator.state == state
+    with pytest.raises(AssertionError, match="drawn"):
+        random_circuit(rng, 1, MAX_RANDOM_GATES)
 
 
 def test_states_allclose_modes():
