@@ -11,6 +11,13 @@ import pytest
 
 from kleinnet.degeneration import LengthVector, RepFamily, TreeLimitReport
 from kleinnet.dessin import Dessin, SubgroupGraph, build_dessin
+from kleinnet.errors import (
+    DegenerationError,
+    DessinError,
+    QnetError,
+    RepresentationError,
+    WordError,
+)
 from kleinnet.limitset import LimitPointCloud
 from kleinnet.netgraph import LoopBasis, Network
 from kleinnet.qnet import AreaState, CNOTGate, NotGate, SU2Gate, TensorState
@@ -157,7 +164,12 @@ VALUE_RECORDS = [
         "SU2Gate(area=1, matrix=Matrix2C(a=0.7071067811865476j, b=0.7071067811865476j, "
         "c=0.7071067811865476j, d=(-0-0.7071067811865476j)))",
     ),
-    (CNOTGate, {"control": 1, "target": 2}, {"control": 2, "target": 1}, "CNOTGate(control=1, target=2)"),
+    (
+        CNOTGate,
+        {"control": 1, "target": 2},
+        {"control": 2, "target": 1},
+        "CNOTGate(control=1, target=2)",
+    ),
 ]
 
 
@@ -189,21 +201,21 @@ def test_value_records_keep_their_defaults():
 
 
 def test_value_records_keep_their_checks():
-    with pytest.raises(Exception, match="not freely reduced"):
+    with pytest.raises(WordError, match="not freely reduced"):
         Word((1, -1))
-    with pytest.raises(Exception, match="unknown isometry kind"):
+    with pytest.raises(RepresentationError, match="unknown isometry kind"):
         IsometryClass("rotation")
-    with pytest.raises(Exception, match="does not match"):
+    with pytest.raises(DegenerationError, match="does not match"):
         LengthVector(CLASSES, (1.0,))
-    with pytest.raises(Exception, match="not folded"):
+    with pytest.raises(DessinError, match="not folded"):
         SubgroupGraph(2, (0, 1, 1), (0, 0, 0))
-    with pytest.raises(Exception, match="positive integer"):
+    with pytest.raises(QnetError, match="positive integer"):
         NotGate(0)
-    with pytest.raises(Exception, match="not unitary"):
+    with pytest.raises(QnetError, match="not unitary"):
         SU2Gate(1, DIAG)
-    with pytest.raises(Exception, match="distinct"):
+    with pytest.raises(QnetError, match="distinct"):
         CNOTGate(2, 2)
-    with pytest.raises(Exception, match="area count"):
+    with pytest.raises(QnetError, match="area count"):
         TensorState(0, np.ones(1))
     assert build_dessin((0, 2, 1), (0, 1, 2)) == Dessin(**VALUE_RECORDS[9][1])
 
