@@ -374,8 +374,8 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
     steps = _multiplier(ent.real, ent.imag)
     mats = _normalized(np.array([ent.real, ent.imag]).swapaxes(1, 2))
     last = np.arange(4)
-    # the frontier's width: at least len(last), more when _expand skipped
-    # children that this level's cut drops
+    # the frontier's width, counting the children that _expand skipped
+    # because the next cut drops them; len(last) >= min(width, cap - emitted)
     width = 4
     points = []
     emitted = 0
