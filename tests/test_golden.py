@@ -1,5 +1,5 @@
-"""Golden sha256 digests of `kleinnet limitset` and `kleinnet degenerate`
-outputs.
+"""Golden sha256 digests of `kleinnet limitset`, `kleinnet degenerate` and
+`kleinnet qnet --random-circuit` outputs.
 
 The digests pin the exact bytes of the point-cloud CSV, the PPM image and
 stdout for a fixed set of inputs, so any change to the limit-set traversal
@@ -7,7 +7,8 @@ that moves a single float shows up here.  The mixed-chart group below is
 built so that depth-floor nodes whose candidates straddle the two charts
 occur at every depth from 1 to 4.  The degenerate digests pin the sweep CSV
 and the stdout of `--report` the same way, for the word evaluation,
-classification and report.
+classification and report.  The qnet digests pin the amplitudes CSV of
+seeded random circuits and the circuit text that `--emit` writes.
 """
 
 import hashlib
@@ -140,3 +141,45 @@ def test_degenerate_golden_outputs(capsys, tmp_path, t_values, max_len, out_sha,
     out = capsys.readouterr().out
     assert code == 0
     assert (_sha(out.encode()), _sha(csv.read_bytes())) == (out_sha, csv_sha)
+
+
+# (gates, areas, seed, stdout sha256, --emit file sha256 or None)
+QNET_RANDOM_GOLDEN = [
+    (
+        50, 5, 9,
+        "55a01d03ee7569839cde41630328d825227e6a74ddfd62848df4981a51df9eb6",
+        None,
+    ),
+    (
+        50, 5, 9,
+        "55a01d03ee7569839cde41630328d825227e6a74ddfd62848df4981a51df9eb6",
+        "09be5e39e191f1a79dad27ac2b2714f4d781d9e1c5bc022562c792ed651402a2",
+    ),
+    (
+        2000, 16, 3,
+        "dfa28bea0ff84680609241490290fb71cf7e78427ea539813a31a3e735a534f0",
+        None,
+    ),
+    (
+        4096, 2, 7,
+        "8d40daf3a93059aa434a0a41701a7fa3fe24dfeee79d28da885e8f6a6f95bf0c",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize("gates,areas,seed,out_sha,emit_sha", QNET_RANDOM_GOLDEN)
+def test_qnet_random_golden_outputs(capsys, tmp_path, gates, areas, seed, out_sha, emit_sha):
+    argv = [
+        "qnet", "--random-circuit", str(gates), "--areas", str(areas),
+        "--seed", str(seed),
+    ]
+    emit = tmp_path / "circuit.txt"
+    if emit_sha is not None:
+        argv += ["--emit", str(emit)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha(out.encode()) == out_sha
+    if emit_sha is not None:
+        assert _sha(emit.read_bytes()) == emit_sha

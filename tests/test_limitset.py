@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -131,6 +132,39 @@ def test_trace_triple_rejects_bad_relation():
     # off by 3e-8, far above the rounding error of the relation at (3, 3, 6)
     with pytest.raises(LimitSetError, match="xyz"):
         from_traces(3, 3, 6.00000001)
+
+
+def _from_traces_cases():
+    """Seeded real and complex (x, y) pairs with both roots of z (some
+    imaginary parts +0.0 or -0.0), and triples given whole."""
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(60):
+        x, y = rng.uniform(2.05, 8.0), rng.uniform(2.05, 8.0)
+        cases += [((x, y), False), ((x, y), True)]
+    for _ in range(60):
+        x = complex(rng.uniform(2.05, 8.0), rng.uniform(-1.0, 1.0))
+        y_re = rng.uniform(2.05, 8.0)
+        y = complex(y_re, rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0))))
+        cases += [((x, y), False), ((x, y), True)]
+    for z in (3, complex(3.0, -0.0), complex(3.0, 0.0), 6):
+        cases.append(((3, 3, z), False))
+    cases.append(((6, 3, 15), False))
+    return cases
+
+
+def test_from_traces_generator_digest():
+    # float.hex of every real and imaginary part of both generators: pins
+    # the bits of the solved root and of b's eigenvalue mu
+    lines = []
+    for args, other_root in _from_traces_cases():
+        rep = from_traces(*args, other_root=other_root)
+        parts = [p for m in rep.images for e in m.entries() for p in (e.real, e.imag)]
+        lines.append(" ".join(map(float.hex, parts)))
+    assert len(lines) == 245
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "e2ce63be1ea24d95709d3446ca5046824d1b3619003354013d847fea8866fdb1"
+    )
 
 
 # -- enumeration ---------------------------------------------------------------
