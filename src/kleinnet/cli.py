@@ -264,16 +264,16 @@ def _cmd_qnet(args: argparse.Namespace) -> int:
     if args.circuit is not None:
         with open(args.circuit, "r", encoding="utf-8") as fh:
             text = fh.read()
+        state = qnet.run_circuit_text(text)
     else:
         if args.seed < 0:
             raise KleinnetError(f"--seed must be nonnegative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         gates = qnet.random_circuit(rng, args.areas, args.random_circuit)
         states = [qnet.AreaState(1.0, 0.0)] * args.areas
-        text = qnet.format_circuit_text(states, gates)
         if args.emit is not None:
-            _write_text(args.emit, text)
-    state = qnet.run_circuit_text(text)
+            _write_text(args.emit, qnet.format_circuit_text(states, gates))
+        state = qnet.run_circuit(states, gates)
     csv_text = qnet.format_amplitudes_csv(state)
     if args.out is not None:
         _write_text(args.out, csv_text)

@@ -21,8 +21,8 @@ from .errors import QnetError
 from .sl2 import Matrix2C
 
 MAX_AREAS = 20
-# most gates random_circuit draws: the CLI holds each as an object and as a
-# line of circuit text before it runs them
+# most gates random_circuit draws: the CLI holds each as an object, plus a
+# line of circuit text only with --emit
 MAX_RANDOM_GATES = 1 << 16
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9

@@ -679,6 +679,30 @@ def test_qnet_random_emit_rerun(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_qnet_random_runs_the_drawn_gates(capsys, tmp_path, monkeypatch):
+    # the drawn gates run as they are: circuit text is written only for
+    # --emit, and never parsed back
+    def refuse(*args):
+        raise AssertionError("random circuit went through circuit text")
+
+    argv = ["qnet", "--random-circuit", "25", "--areas", "3", "--seed", "11"]
+    out1, out2 = tmp_path / "amps1.csv", tmp_path / "amps2.csv"
+    circ = tmp_path / "circ.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(qnet, "parse_circuit_text", refuse)
+        patch.setattr(qnet, "format_circuit_text", refuse)
+        assert run_cli(capsys, *argv, "--out", str(out1))[0] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(qnet, "parse_circuit_text", refuse)
+        code, _, _ = run_cli(capsys, *argv, "--emit", str(circ), "--out", str(out2))
+        assert code == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    out3 = tmp_path / "amps3.csv"
+    code, _, _ = run_cli(capsys, "qnet", "--circuit", str(circ), "--out", str(out3))
+    assert code == 0
+    assert out3.read_bytes() == out1.read_bytes()
+
+
 def test_qnet_seed_determinism(capsys, tmp_path):
     def run(tag):
         out = tmp_path / f"{tag}.csv"
