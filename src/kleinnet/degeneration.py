@@ -315,17 +315,8 @@ class TreeLimitReport(Record):
         # imported here: a sweep without --report loads no json
         import json
 
-        payload = {
-            "deltas": list(self.deltas),
-            "converged": self.converged,
-            "oracle_distance": self.oracle_distance,
-            "oracle_ok": self.oracle_ok,
-            "symmetry_residual": self.symmetry_residual,
-            "symmetry_ok": self.symmetry_ok,
-            "homogeneity_residual": self.homogeneity_residual,
-            "homogeneity_ok": self.homogeneity_ok,
-            "passed": self.passed,
-        }
+        payload = {name: getattr(self, name) for name in self.__slots__}
+        payload["passed"] = self.passed
         return json.dumps(payload, sort_keys=True, indent=2)
 
 

@@ -53,16 +53,19 @@ BOX_LEVELS = 7
 MAX_PIXELS = 1 << 26
 
 
+def _larger_eigenvalue(tr: complex) -> complex:
+    """The eigenvalue of larger modulus of a unimodular matrix of trace tr."""
+    sq = cmath.sqrt(tr * tr - 4.0)
+    mu = (tr + sq) / 2.0
+    alt = (tr - sq) / 2.0
+    return alt if abs(alt) > abs(mu) else mu
+
+
 def _attracting_eigvec(m: Matrix2C) -> tuple[complex, complex]:
     """Homogeneous attracting fixed point: the eigenvector of the eigenvalue
     of larger modulus, scaled so the larger component has modulus 1."""
     a, b, c, d = m.entries()
-    tr = a + d
-    sq = cmath.sqrt(tr * tr - 4.0)
-    mu = (tr + sq) / 2.0
-    alt = (tr - sq) / 2.0
-    if abs(alt) > abs(mu):
-        mu = alt
+    mu = _larger_eigenvalue(a + d)
     u1, v1 = b, mu - a
     u2, v2 = mu - d, c
     if abs(u1) + abs(v1) >= abs(u2) + abs(v2):
@@ -114,11 +117,8 @@ def from_traces(
         raise LimitSetError(
             f"trace triple violates x^2+y^2+z^2 = xyz by {residual:.3g}"
         )
-    sq = cmath.sqrt(z * z - 4.0)
-    mu = (-z + sq) / 2.0
-    alt = (-z - sq) / 2.0
-    if abs(alt) > abs(mu):
-        mu = alt
+    # tr(ab) = -(mu + 1/mu), so mu is an eigenvalue of a trace -z matrix
+    mu = _larger_eigenvalue(-z)
     a = Matrix2C(x, 1.0, -1.0, 0.0)
     b = Matrix2C(0.0, mu, -1.0 / mu, y)
     return make_rep([a, b])
