@@ -3,7 +3,8 @@
 
 The digests pin the exact bytes of the point-cloud CSV, the PPM image and
 stdout for a fixed set of inputs, so any change to the limit-set traversal
-that moves a single float shows up here.  The mixed-chart group below is
+that moves a single float shows up here.  The benchmark's 86,426-point cloud
+is pinned on its own, as the largest CSV the tests write.  The mixed-chart group below is
 built so that depth-floor nodes whose candidates straddle the two charts
 occur at every depth from 1 to 4.  The degenerate digests pin the sweep CSV
 and the stdout of `--report` the same way, for the word evaluation,
@@ -104,6 +105,18 @@ def test_limitset_golden_outputs(capsys, tmp_path, flags, csv_sha, ppm_sha, out_
     assert code == 0
     got = (_sha(csv.read_bytes()), _sha(ppm.read_bytes()), _sha(out.encode()))
     assert got == (csv_sha, ppm_sha, out_sha)
+
+
+# the cloud of the benchmark's limitset-fractal workload (86,426 points)
+FRACTAL_CSV_SHA = "567808b1c5180443c053b0d885054b2761a69ac66ee718b1d5e51f7dddafd4f7"
+
+
+def test_limitset_fractal_csv_golden(capsys, tmp_path):
+    csv = tmp_path / "fractal.csv"
+    code = main(["limitset", "--traces", "3+0.5i,3", "--eps", "5e-5", "--csv", str(csv)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha(csv.read_bytes()) == FRACTAL_CSV_SHA
 
 
 # (t values, max-len, stdout sha256, csv sha256), all with --report
