@@ -207,8 +207,7 @@ def _make_cloud(
 
 # letters 0=a, 1=a^-1, 2=b, 3=b^-1; after letter l come the letters h != l^1
 _NEXT = np.array([[h for h in range(4) if h != l ^ 1] for l in range(4)])
-# rows handled at once (invariance queries, CSV rows): bounds the
-# temporaries
+# rows handled at once (invariance queries): bounds the temporaries
 _CHUNK = 1 << 15
 # frontier nodes expanded at once: a level's stacked products hold up to
 # 96 floats per node, which this keeps within a few MB
@@ -892,19 +891,18 @@ def _image_lift(g, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _lift(new_vals, np.where(take0, 0, 1).astype(np.int8))
 
 
+def _cloud_csv(cloud: LimitPointCloud) -> bytes:
+    # imported here, so a call that writes no CSV does not build its tables
+    from ._csvfmt import csv_bytes
+
+    values = cloud.values
+    return csv_bytes("re,im,chart", [values.real, values.imag, cloud.charts])
+
+
 def format_cloud_csv(cloud: LimitPointCloud) -> str:
-    re, im, charts = cloud.values.real, cloud.values.imag, cloud.charts
-    parts = ["re,im,chart\n"]
-    for s in range(0, len(cloud), _CHUNK):
-        rows = zip(
-            re[s : s + _CHUNK].tolist(),
-            im[s : s + _CHUNK].tolist(),
-            charts[s : s + _CHUNK].tolist(),
-        )
-        parts.append("".join(map("%.9g,%.9g,%d\n".__mod__, rows)))
-    return "".join(parts)
+    return _cloud_csv(cloud).decode("ascii")
 
 
 def write_cloud_csv(path, cloud: LimitPointCloud) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_cloud_csv(cloud))
+    with open(path, "wb") as fh:
+        fh.write(_cloud_csv(cloud))

@@ -12,10 +12,11 @@ ignore it.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence, TextIO, Union
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
+from ._csvfmt import csv_bytes
 from ._record import Record
 from .errors import QnetError
 from .sl2 import Matrix2C
@@ -522,17 +523,10 @@ def run_circuit_text(text: str) -> TensorState:
     return run_circuit([normalize(s) for s in states], gates)
 
 
-def _csv_rows(state: TensorState) -> Iterator[str]:
-    amps = state.amplitudes
-    yield "basis_index,re,im"
-    yield from map(
-        "%d,%.9g,%.9g".__mod__,
-        zip(range(amps.size), amps.real.tolist(), amps.imag.tolist()),
-    )
-
-
 def format_amplitudes_csv(state: TensorState) -> str:
-    return "\n".join(_csv_rows(state)) + "\n"
+    amps = state.amplitudes
+    columns = [np.arange(amps.size), amps.real, amps.imag]
+    return csv_bytes("basis_index,re,im", columns).decode("ascii")
 
 
 def write_amplitudes_csv(fp: TextIO, state: TensorState) -> None:
