@@ -262,15 +262,19 @@ def _cmd_qnet(args: argparse.Namespace) -> int:
     if (args.circuit is None) == (args.random_circuit is None):
         raise KleinnetError("pass exactly one of --circuit or --random-circuit")
     if args.circuit is not None:
+        if (args.areas, args.seed, args.emit) != (None, None, None):
+            raise KleinnetError("--areas, --seed and --emit apply only to --random-circuit")
         with open(args.circuit, "r", encoding="utf-8") as fh:
             text = fh.read()
         state = qnet.run_circuit_text(text)
     else:
-        if args.seed < 0:
-            raise KleinnetError(f"--seed must be nonnegative, got {args.seed}")
-        rng = np.random.default_rng(args.seed)
-        gates = qnet.random_circuit(rng, args.areas, args.random_circuit)
-        states = [qnet.AreaState(1.0, 0.0)] * args.areas
+        areas = 2 if args.areas is None else args.areas
+        seed = 0 if args.seed is None else args.seed
+        if seed < 0:
+            raise KleinnetError(f"--seed must be nonnegative, got {seed}")
+        rng = np.random.default_rng(seed)
+        gates = qnet.random_circuit(rng, areas, args.random_circuit)
+        states = [qnet.AreaState(1.0, 0.0)] * areas
         if args.emit is not None:
             _write_text(args.emit, qnet.format_circuit_text(states, gates))
         state = qnet.run_circuit(states, gates)
@@ -339,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qnet", help="run an area circuit to amplitudes CSV")
     p.add_argument("--circuit", help="circuit file to run")
     p.add_argument("--random-circuit", type=int, metavar="N", help="generate N random gates instead")
-    p.add_argument("--areas", type=int, default=2, help="area count for --random-circuit")
-    p.add_argument("--seed", type=int, default=0, help="seed for --random-circuit")
+    p.add_argument("--areas", type=int, help="area count for --random-circuit (default 2)")
+    p.add_argument("--seed", type=int, help="seed for --random-circuit (default 0)")
     p.add_argument("--emit", help="also write the generated circuit text here")
     p.add_argument("--out", help="write the amplitudes CSV here instead of stdout")
     p.set_defaults(func=_cmd_qnet)

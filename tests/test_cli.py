@@ -144,13 +144,15 @@ def test_subcommands_import_only_what_they_use(net_file, rep_file):
     assert _heavy_modules_after(*limitset_run) == "['numpy']"
 
 
-def test_limitset_loads_no_numpy_ma():
+def test_limitset_loads_no_numpy_ma(tmp_path):
     # np.unique on int64 keys imports numpy.ma (about 13 ms cold); box
-    # counting and the invariance search count distinct keys without it.
-    # This run counts boxes and searches the coarse summary grid.
+    # counting, the invariance search and the CSV formatter group keys
+    # without it.  This run counts boxes, searches the coarse summary grid
+    # and writes the CSV.
+    csv = (tmp_path / "cloud.csv").as_posix()
     code = (
         "import sys, kleinnet.cli\n"
-        "argv = ['limitset', '--traces', '3,3,3', '--eps', '1e-3']\n"
+        f"argv = ['limitset', '--traces', '3,3,3', '--eps', '1e-3', '--csv', {csv!r}]\n"
         "assert kleinnet.cli.main(argv) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
@@ -163,6 +165,7 @@ def test_limitset_loads_no_numpy_ma():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("box_dimension ") for line in lines)
+    assert (tmp_path / "cloud.csv").stat().st_size > 0
     assert lines[-1] == "False"
 
 
@@ -759,3 +762,17 @@ def test_qnet_mode_and_zero_state_errors(capsys, tmp_path):
     path.write_text("init 1 0 0 0 0\nNOT 1\n")
     code, out, err = run_cli(capsys, "qnet", "--circuit", str(path))
     assert code == 1 and "unnormalizable" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--emit", "EMIT"], ["--areas", "3"], ["--seed", "4"]], ids=["emit", "areas", "seed"]
+)
+def test_qnet_circuit_refuses_random_circuit_flags(tmp_path, flags):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("init 1 1 0 0 0\nNOT 1\n")
+    emit = tmp_path / "out.txt"
+    flags = [str(emit) if f == "EMIT" else f for f in flags]
+    code, out, err = run_module("qnet", "--circuit", str(circuit), *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: --areas, --seed and --emit apply only to --random-circuit\n"
+    assert not emit.exists()
