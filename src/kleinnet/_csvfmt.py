@@ -73,8 +73,8 @@ def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     settled &= np.abs(y - np.floor(y) - 0.5) >= _TIE_WINDOW
     settled &= np.abs(y - _BOTTOM) >= _TIE_WINDOW
     settled |= zero
+    # a zero was scaled as 1.0, so its e is already 0
     m = np.where(settled & ~zero, np.rint(y), 0.0).astype(np.int32)
-    e[zero] = 0
     return m, e, settled
 
 

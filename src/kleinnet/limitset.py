@@ -892,7 +892,7 @@ def _image_lift(g, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _cloud_csv(cloud: LimitPointCloud) -> bytes:
-    # imported here, so a call that writes no CSV does not build its tables
+    # imported here, so only a call that formats builds the formatter's tables
     from ._csvfmt import csv_bytes
 
     values = cloud.values

@@ -16,7 +16,6 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from ._csvfmt import csv_bytes
 from ._record import Record
 from .errors import QnetError
 from .sl2 import Matrix2C
@@ -524,6 +523,9 @@ def run_circuit_text(text: str) -> TensorState:
 
 
 def format_amplitudes_csv(state: TensorState) -> str:
+    # imported here, so only a call that formats builds the formatter's tables
+    from ._csvfmt import csv_bytes
+
     amps = state.amplitudes
     columns = [np.arange(amps.size), amps.real, amps.imag]
     return csv_bytes("basis_index,re,im", columns).decode("ascii")
