@@ -511,6 +511,8 @@ INVARIANCE_GUARD = [
     (PERTURBED, {"epsilon": 2e-4}, "0.001329360471773329"),
     (MIXED_CHART, {"max_depth": 3}, "0.23398013211877935"),
     (from_traces(0, 0), {"cap": 20000}, "0.7999999999999999"),
+    (MIXED_CHART, {"epsilon": 5e-3, "cap": 20000}, "0.19439189257008074"),
+    (FUCHSIAN, {"epsilon": 1e-5, "cap": 100000}, "0.07392611075604565"),
 ]
 
 
