@@ -585,8 +585,6 @@ _COLUMNS = np.array(
 # query-to-point distances computed at once: bounds the temporaries even
 # where many points crowd a few cells
 _PAIRS = 1 << 16
-# most cells a query is compared with when no grid block settles it
-_SUMMARY_CELLS = 4096
 # relative slack on bounds built from computed cell indices and distances,
 # far above their rounding errors
 _SLACK = 2.0**-20
@@ -609,17 +607,50 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """Points bucketed into cubic cells of the given side, sorted by key;
-    columns are the points' coordinate arrays."""
+    """Points in cubic cells of one side: the sorted keys of the nonempty
+    cells, where each cell's points start (and, last, the point count), and
+    for each point its index into coords, the coordinate arrays sorted by
+    cell on the finest grid (None on that grid, where it is the identity)."""
 
-    def __init__(self, columns, side: float):
-        keys = _cell_keys(columns, side, 0.0)
-        order = np.argsort(keys, kind="stable")
+    def __init__(self, side: float, keys, starts, index, coords):
         self.side = side
-        self.keys = keys[order]
-        self.coords = [x[order] for x in columns]
+        self.keys = keys
+        self.starts = starts
+        self.index = index
+        self.coords = coords
         # a block holds every point within side/2 of its query
         self.exact_sq = (0.5 * side * (1.0 - _SLACK)) ** 2
+
+    @classmethod
+    def finest(cls, points: np.ndarray, side: float) -> "_Grid":
+        keys = _cell_keys(points.T, side, 0.0)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = _run_starts(keys)
+        coords = [x[order] for x in points.T]
+        return cls(side, keys[first], np.r_[first, len(keys)], None, coords)
+
+    def coarser(self) -> "_Grid":
+        """The grid of side 4 * side, made from this grid's cells: a cell of
+        side 4s is a block of 4x4x4 cells of side s."""
+        x, y, z = ((((self.keys >> b) & 0x1FFFFF) - 1) // 4 + 1 for b in (42, 21, 0))
+        keys = (x << 42) | (y << 21) | z
+        cells = np.argsort(keys, kind="stable")
+        keys = keys[cells]
+        counts = np.diff(self.starts)[cells]
+        starts = np.cumsum(counts) - counts
+        # the cells' runs of points, in the new order of the cells
+        at = np.arange(self.starts[-1]) + np.repeat(self.starts[cells] - starts, counts)
+        index = at.astype(np.int32) if self.index is None else self.index[at]
+        first = _run_starts(keys)
+        return _Grid(
+            4.0 * self.side, keys[first], np.r_[starts[first], self.starts[-1]],
+            index, self.coords,
+        )
+
+    def _finest(self, at: np.ndarray) -> np.ndarray:
+        """The positions in coords of the points at positions `at` here."""
+        return at if self.index is None else self.index[at]
 
     def block_nearest_sq(self, queries: np.ndarray) -> np.ndarray:
         """Squared distance from each query to the nearest point in the
@@ -631,8 +662,8 @@ class _Grid:
         first = _run_starts(base)
         # one row of needles per column of the block, each row sorted
         needles = base[first] + _COLUMNS[:, None]
-        run_start = np.searchsorted(self.keys, needles)
-        run_end = np.searchsorted(self.keys, needles + 2)
+        run_start = self.starts[np.searchsorted(self.keys, needles)]
+        run_end = self.starts[np.searchsorted(self.keys, needles + 2)]
         repeats = np.diff(np.r_[first, len(base)])
         best = np.empty(len(queries))
         best[order] = self.runs_nearest_sq(
@@ -649,14 +680,14 @@ class _Grid:
         keys = _cell_keys(queries.T, self.side, 0.0)
         at = np.searchsorted(self.keys, keys)
         hit = np.take(self.keys, at, mode="clip") == keys
-        at = at[hit]
+        first = self._finest(self.starts[at[hit]])
         found = queries[hit]
-        dx, dy, dz = (found[:, k] - np.take(self.coords[k], at) for k in range(3))
+        dx, dy, dz = (found[:, k] - self.coords[k][first] for k in range(3))
         return hit, dx * dx + dy * dy + dz * dz
 
     def runs_nearest_sq(self, queries, starts, counts) -> np.ndarray:
-        """Squared distance from query i to the nearest of the sorted points
-        in the runs starts[i, j] + range(counts[i, j]) (inf if none).  The
+        """Squared distance from query i to the nearest of the points at
+        positions starts[i, j] + range(counts[i, j]) (inf if none).  The
         distance is summed dx*dx + dy*dy + dz*dz, left to right."""
         per_query = counts.sum(axis=1)
         ends = np.cumsum(per_query)
@@ -666,8 +697,9 @@ class _Grid:
             done = ends[i - 1] if i else 0
             j = max(i + 1, int(np.searchsorted(ends, done + _PAIRS, "right")))
             c = counts[i:j].ravel()
-            # point index of every (query, candidate) pair, grouped by query
+            # position of every (query, candidate) pair, grouped by query
             point = np.arange(c.sum()) + np.repeat(starts[i:j].ravel() - (np.cumsum(c) - c), c)
+            point = self._finest(point)
             dx, dy, dz = (
                 queries[i:j, k].repeat(per_query[i:j]) - self.coords[k][point]
                 for k in range(3)
@@ -683,86 +715,35 @@ class _Grid:
 
 class _Nearest:
     """Exact nearest-neighbour squared distances to points on the radius-1/2
-    sphere.
+    sphere, from grids of side h * 4^k for k = 0, 1, ..., each made from the
+    one below it on first use.
 
-    A query is settled by the block around it on a grid of side h, else on
-    a grid of side 4h, whenever the block holds a point within side/2.  The
-    rest are compared with whole cells of a coarse grid, the finest of side
-    h * 4^k with at most _SUMMARY_CELLS nonempty cells: a cell can hold the
-    nearest point only if its first point is no farther than the nearest
-    first point plus the cell's radius about its first point, and that grid
-    is built on first use.  The distance from a query to any one point bounds
-    its nearest distance from above, and max_squared prunes with that
-    bound."""
+    The 2x2x2 block of cells centred on a query holds every point within
+    side/2 of it, so a query whose block holds such a point is settled
+    exactly, and it is nearer than every query its block leaves unsettled.
+    The distance from a query to any one point bounds its nearest distance
+    from above, and the largest distance is a max of minima, so a query
+    whose bound is no more than the largest distance found is not searched
+    further."""
 
     def __init__(self, points: np.ndarray, h: float):
-        self.h = h if h >= _MIN_CELL else _MIN_CELL
-        self.grids = [_Grid(points.T, self.h), _Grid(points.T, 4.0 * self.h)]
-        self.summary = None
+        self.grids = [_Grid.finest(points, h if h >= _MIN_CELL else _MIN_CELL)]
 
-    def _summary(self):
-        """The coarse grid with each cell's first index, point count, first
-        point (one row per cell) and radius about that point."""
-        if self.summary is None:
-            cells = self.grids[0].keys
-            cells = cells[_run_starts(cells)]
-            k = 0
-            while len(cells) > _SUMMARY_CELLS:
-                # a cell of side 4s is a block of 4x4x4 cells of side s
-                x, y, z = ((((cells >> b) & 0x1FFFFF) - 1) // 4 + 1 for b in (42, 21, 0))
-                cells = np.sort((x << 42) | (y << 21) | z)
-                cells = cells[_run_starts(cells)]
-                k += 1
-            if k < len(self.grids):
-                grid = self.grids[k]
-            else:
-                grid = _Grid(self.grids[1].coords, self.h * 4.0**k)
-            first = _run_starts(grid.keys)
-            counts = np.diff(np.r_[first, len(grid.keys)])
-            reps = np.column_stack([c[first] for c in grid.coords])
-            off2 = np.zeros(len(grid.keys))
-            for c, r in zip(grid.coords, reps.T):
-                off = c - r.repeat(counts)
-                off *= off
-                off2 += off
-            radius = np.sqrt(np.maximum.reduceat(off2, first))
-            self.summary = (grid, first, counts, reps, radius)
-        return self.summary
-
-    def squared(self, queries: np.ndarray, level: int = 0) -> np.ndarray:
-        """Squared distance from each query to its nearest point; start at
-        level 1 for queries known to have no point within h/2."""
-        best = np.empty(len(queries))
-        todo = np.arange(len(queries))
-        for level in range(level, 2):
-            grid = self.grids[level]
-            d2 = grid.block_nearest_sq(queries[todo])
-            done = d2 <= grid.exact_sq
-            best[todo[done]] = d2[done]
-            todo = todo[~done]
-        if todo.size:
-            grid, first, counts, reps, radius = self._summary()
-            step = max(1, _PAIRS // len(first))
-            for s in range(0, todo.size, step):
-                rows = todo[s:s + step]
-                q = queries[rows]
-                d = np.sqrt(sum((q[:, None, i] - reps[None, :, i]) ** 2 for i in range(3)))
-                near = d <= (d.min(axis=1, keepdims=True) + radius) * (1.0 + _SLACK)
-                best[rows] = grid.runs_nearest_sq(
-                    q, np.broadcast_to(first, near.shape), np.where(near, counts, 0)
-                )
-        return best
+    def grid(self, level: int) -> _Grid:
+        if level == len(self.grids):
+            self.grids.append(self.grids[-1].coarser())
+        return self.grids[level]
 
     def own_cell_sq(self, queries: np.ndarray) -> np.ndarray:
         """An upper bound on each query's squared nearest-point distance:
         the squared distance to the first point of its own cell on the grid
         of side h, else on the grid of side 4h, and inf where both cells
         are empty."""
-        hit, d2 = self.grids[0].own_cell_sq(queries)
+        hit, d2 = self.grid(0).own_cell_sq(queries)
         bound = np.full(len(queries), np.inf)
         bound[hit] = d2
         rows = np.flatnonzero(~hit)
-        hit, d2 = self.grids[1].own_cell_sq(queries[rows])
+        hit, d2 = self.grid(1).own_cell_sq(queries[rows])
         bound[rows[hit]] = d2
         return bound
 
@@ -771,13 +752,13 @@ class _Nearest:
         in `batches`, which is iterated a second time when the bound below
         needs it: a list, or an object whose iterator recomputes them.
 
-        The largest distance is a max of minima, and a query whose own cell
-        holds a point at squared distance u cannot raise it once u is no
-        more than the largest distance found.  So only the "open" queries,
-        whose own cells on the grids of side h and 4h are both empty, are
-        searched exactly on the first pass, _CHUNK or more at a time.  A
-        second pass searches the other queries whose bound u exceeds the
-        largest distance found so far; it runs only when one does."""
+        A query whose own cell holds a point at squared distance u cannot
+        raise the largest distance once u is no more than the largest
+        distance found.  So only the "open" queries, whose own cells on the
+        grids of side h and 4h are both empty, are searched on the first
+        pass, _CHUNK or more at a time.  A second pass searches the other
+        queries whose bound u exceeds the largest distance found so far; it
+        runs only when one does."""
         best = 0.0
         largest_bound = 0.0
         held: list[np.ndarray] = []
@@ -789,46 +770,37 @@ class _Nearest:
             held.append(queries[~closed])
             n_held += len(held[-1])
             if n_held >= _CHUNK:
-                best = self._exact_max_squared(np.concatenate(held), best)
+                best = self._search(np.concatenate(held), best)
                 held, n_held = [], 0
         if n_held:
-            best = self._exact_max_squared(np.concatenate(held), best)
+            best = self._search(np.concatenate(held), best)
         if largest_bound > best:
             for queries in batches:
                 u = self.own_cell_sq(queries)
-                best = self._exact_max_squared(queries[(u > best) & (u < np.inf)], best)
+                best = self._search(queries[(u > best) & (u < np.inf)], best)
         return best
 
-    def _exact_max_squared(self, queries: np.ndarray, best: float) -> float:
+    def _search(self, queries: np.ndarray, best: float, level: int = 0) -> float:
         """The larger of best and the queries' largest squared
-        nearest-point distance."""
-        if not len(queries):
-            return best
-        grid = self.grids[0]
-        d2 = grid.block_nearest_sq(queries)
-        near = d2 <= grid.exact_sq
-        best = float(np.max(d2, where=near, initial=best))
-        return self._far_max_squared(queries[~near], best)
+        nearest-point distance, searched from the grid of side h * 4^level.
 
-    def _far_max_squared(self, far: np.ndarray, best: float) -> float:
-        side = 1.0
-        while far.size:
-            if side < self.h:
-                return max(best, float(self.squared(far, 1).max()))
-            keys = _cell_keys(far.T, side, 0.0)
-            order = np.argsort(keys, kind="stable")
-            far, keys = far[order], keys[order]
-            first = _run_starts(keys)
-            cell = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(far)]))
-            reps = far[first]
-            r2 = self.squared(reps, 1)
-            best = max(best, float(r2.max()))
-            off = far - reps[cell]
-            radius = np.maximum.reduceat(np.sqrt((off * off).sum(axis=1)), first)
-            keep = ((np.sqrt(r2) + radius) * (1.0 + _SLACK) > math.sqrt(best))[cell]
-            keep[first] = False
-            far = far[keep]
-            side /= 4.0
+        A query its block leaves unsettled waits with a bound: the nearest
+        point of its block, else the first point of its own cell on the next
+        grid.  One with neither goes on to the next grid at once, so the
+        farthest queries raise best before the waiting ones are weighed."""
+        while len(queries):
+            grid = self.grid(level)
+            d2 = grid.block_nearest_sq(queries)
+            settled = d2 <= grid.exact_sq
+            best = float(np.max(d2, where=settled, initial=best))
+            queries, bound = queries[~settled], d2[~settled]
+            level += 1
+            empty = np.flatnonzero(bound == np.inf)
+            if empty.size:
+                hit, d2 = self.grid(level).own_cell_sq(queries[empty])
+                bound[empty[hit]] = d2
+                best = self._search(queries[empty[~hit]], best, level)
+            queries = queries[(bound > best) & (bound < np.inf)]
         return best
 
 
@@ -838,10 +810,11 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     group.
 
     The nearest cloud point of every image is found exactly where it can
-    matter, by uniform grids on the sphere lift whose finest cells have side
-    2 * cloud.epsilon, so the value is the one a KD-tree query gives, to the
-    last bit.  Images whose own grid cell holds a cloud point no farther than
-    the largest distance found are not searched (see _Nearest.max_squared).
+    matter, by uniform grids on the sphere lift with cells of side
+    2 * cloud.epsilon times 1, 4, 16, ..., so the value is the one a
+    KD-tree query gives, to the last bit.  An image is searched on the next
+    grid only while the distance to some cloud point, which bounds its
+    nearest distance, exceeds the largest distance found (see _Nearest).
     The images are computed _CHUNK cloud points at a time, so the
     temporaries do not grow with the cloud.  Repeated points are searched
     once."""

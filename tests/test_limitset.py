@@ -692,7 +692,7 @@ def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
         queries = queries[rng.permutation(len(queries))[:150]]
     expected = _brute_nearest_sq(points, queries)
     nearest = _Nearest(points, 2.0 * eps)
-    assert np.array_equal(nearest.squared(queries), expected)
+    assert [nearest.max_squared([q[None]]) for q in queries] == list(expected)
     halves = [queries[: len(queries) // 2], queries[len(queries) // 2:]]
     assert _Nearest(points, 2.0 * eps).max_squared(halves) == expected.max()
 
