@@ -1,7 +1,10 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from kleinnet.sl2 import (
     random_loxodromic,
     random_sl2,
 )
+from test_cli import _env_with_src
+from test_qnet import _plain_cpu_env
 
 FUCHSIAN = from_traces(3, 3, 3)
 # complex perturbation of the (3,3,3) triple, z re-solved from the relation;
@@ -520,6 +525,36 @@ INVARIANCE_GUARD = [
 def test_invariance_matches_recorded_values(spec, kwargs, expected):
     cloud = enumerate_limit_set(spec, **kwargs)
     assert repr(cloud_group_invariance(cloud, spec)) == expected
+
+
+# Prints the repr of the invariance of every INVARIANCE_GUARD case; the tests
+# directory is the first argument.
+_GUARD_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from kleinnet.limitset import cloud_group_invariance, enumerate_limit_set
+from test_limitset import INVARIANCE_GUARD
+for spec, kwargs, _ in INVARIANCE_GUARD:
+    print(repr(cloud_group_invariance(enumerate_limit_set(spec, **kwargs), spec)))
+"""
+
+
+def _guard_reprs(env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD_SCRIPT, str(Path(__file__).parent)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_invariance_does_not_depend_on_cpu_kernels():
+    default = _guard_reprs(_env_with_src())
+    assert len(default) == len(INVARIANCE_GUARD)
+    assert _guard_reprs(_plain_cpu_env()) == default
 
 
 # -- circle fit and box dimension ----------------------------------------------
