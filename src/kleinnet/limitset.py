@@ -853,10 +853,14 @@ class _Images:
 
 def _image_lift(g, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sphere lift of the images of the homogeneous points (u, v) under the
-    matrix with entries g."""
+    matrix with entries g.  The products are spelled out on real and
+    imaginary parts as CPython forms them, since numpy's SIMD loops for
+    complex products may fuse a multiply and an add."""
     a, b, c, d = g
-    nu = a * u + b * v
-    nv = c * u + d * v
+    nu, nv = np.empty_like(u), np.empty_like(u)
+    for out, p, q in ((nu, a, b), (nv, c, d)):
+        out.real = (p.real * u.real - p.imag * u.imag) + (q.real * v.real - q.imag * v.imag)
+        out.imag = (p.real * u.imag + p.imag * u.real) + (q.real * v.imag + q.imag * v.real)
     take0 = np.abs(nu) <= np.abs(nv)
     # nv (resp. nu) is nonzero wherever take0 (resp. not): the images are
     # genuine sphere points
