@@ -192,18 +192,12 @@ def _limitset_rep(args: argparse.Namespace) -> sl2.Representation:
 
 
 def _cmd_limitset(args: argparse.Namespace) -> int:
-    from . import limitset, sl2
+    from . import limitset
 
     rep = _limitset_rep(args)
     window = limitset.check_window(_parse_floats_csv(args.window, "window"))
     if args.out is not None:
         limitset.check_image_size(args.width, args.height)
-    for i, g in enumerate(rep.images, start=1):
-        if sl2.classify(g).kind == "elliptic":
-            raise KleinnetError(
-                f"generator {i} is elliptic: the limit-set search needs "
-                "loxodromic or parabolic generators"
-            )
     # flags left unset fall back to enumerate_limit_set's own defaults
     options = {"epsilon": args.eps, "max_depth": args.depth, "cap": args.cap}
     cloud = limitset.enumerate_limit_set(

@@ -418,20 +418,29 @@ def enumerate_limit_set(
 ) -> LimitPointCloud:
     """Sample the limit set by the pruned traversal of nonbacktracking words.
 
-    The group must be non-elementary: two generators, neither +/-identity,
-    with tr[a,b] != 2, which holds exactly when they share no fixed point.
+    The generators must be loxodromic or parabolic: elliptic ones are
+    refused, since a branch of finite order never prunes.  The group must be
+    non-elementary: two generators, neither +/-identity, with tr[a,b] != 2,
+    which holds exactly when they share no fixed point.
 
     A run is truncated when the whole traversal would emit more than `cap`
     points; it then keeps exactly `cap` points, taken level by level from
     the first open nodes in word order (so the shortest words come first),
     and sets `truncated`.
     """
+    kinds = [classify(g).kind for g in rep.images]
+    for i, kind in enumerate(kinds, start=1):
+        if kind == "elliptic":
+            raise LimitSetError(
+                f"generator {i} is elliptic: the limit-set search needs "
+                "loxodromic or parabolic generators"
+            )
     if rep.rank not in (1, 2):
         raise LimitSetError(
             f"the limit-set search takes one or two generators, not {rep.rank}"
         )
-    for i, g in enumerate(rep.images, start=1):
-        if classify(g).kind == "identity":
+    for i, kind in enumerate(kinds, start=1):
+        if kind == "identity":
             raise LimitSetError(f"every point is fixed: generator {i} is +/-identity")
     if rep.rank == 1:
         raise ElementaryGroupError("elementary: limit set has <= 2 points")

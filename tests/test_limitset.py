@@ -175,6 +175,27 @@ def test_from_traces_generator_digest():
 # -- enumeration ---------------------------------------------------------------
 
 
+def test_elliptic_generators_are_refused_first():
+    # refused before the rank and identity checks, with the CLI's message
+    elliptic = Matrix2C(0.0, 1.0, -1.0, 0.0)
+    loxodromic = Matrix2C.diagonal(2.0, 0.5)
+    reps = [
+        (from_traces(1.3, 3), 1),
+        (from_traces(0, 0), 1),
+        (make_rep([loxodromic, elliptic]), 2),
+        (make_rep([elliptic]), 1),
+        (make_rep([loxodromic, loxodromic, elliptic]), 3),
+        (make_rep([Matrix2C.identity(), elliptic]), 2),
+    ]
+    for rep, i in reps:
+        with pytest.raises(LimitSetError) as info:
+            enumerate_limit_set(rep)
+        assert str(info.value) == (
+            f"generator {i} is elliptic: the limit-set search needs "
+            "loxodromic or parabolic generators"
+        )
+
+
 def test_single_generator_is_elementary():
     rep = make_rep([Matrix2C.diagonal(math.e, 1.0 / math.e)])
     with pytest.raises(ElementaryGroupError, match="elementary"):
@@ -507,17 +528,27 @@ def test_capped_mixed_chart_cloud_digest():
     )
 
 
-# (representation, enumeration arguments, repr of the invariance), recorded with a
-# scipy cKDTree nearest-neighbour query (the PERTURBED values on images whose
-# complex products are spelled out, as _image_lift forms them); from_traces(0, 0)
-# is a finite group whose capped cloud holds 4 distinct points, each repeated
-# thousands of times
+# from_traces(0, 0) is a finite group, so enumerate_limit_set refuses its
+# elliptic generators; this is the cloud the traversal gives it at cap 20000:
+# 4 distinct points, each repeated about 5,000 times
+FINITE_GROUP_CLOUD = LimitPointCloud(
+    np.repeat([-1 / 3, -1j / 3, 1j / 3, 1 / 3], [5000, 5001, 4999, 5000]),
+    np.zeros(20000, np.int8),
+    1e-3,
+    30,
+    truncated=True,
+)
+
+# (representation, enumeration arguments or the cloud itself, repr of the
+# invariance), recorded with a scipy cKDTree nearest-neighbour query (the
+# PERTURBED values on images whose complex products are spelled out, as
+# _image_lift forms them)
 INVARIANCE_GUARD = [
     (FUCHSIAN, {"epsilon": 1e-3}, "0.0045580501105617665"),
     (PERTURBED, {"epsilon": 1e-3}, "0.004878685370349052"),
     (PERTURBED, {"epsilon": 2e-4}, "0.0013293604717729904"),
     (MIXED_CHART, {"max_depth": 3}, "0.23398013211877935"),
-    (from_traces(0, 0), {"cap": 20000}, "0.7999999999999999"),
+    (from_traces(0, 0), FINITE_GROUP_CLOUD, "0.7999999999999999"),
     (MIXED_CHART, {"epsilon": 5e-3, "cap": 20000}, "0.19439189257008074"),
     (FUCHSIAN, {"epsilon": 1e-5, "cap": 100000}, "0.07392611075604565"),
 ]
@@ -525,8 +556,13 @@ INVARIANCE_GUARD = [
 
 @pytest.mark.parametrize("spec,kwargs,expected", INVARIANCE_GUARD)
 def test_invariance_matches_recorded_values(spec, kwargs, expected):
-    cloud = enumerate_limit_set(spec, **kwargs)
-    assert repr(cloud_group_invariance(cloud, spec)) == expected
+    assert repr(cloud_group_invariance(_guard_cloud(spec, kwargs), spec)) == expected
+
+
+def _guard_cloud(spec, kwargs):
+    if isinstance(kwargs, LimitPointCloud):
+        return kwargs
+    return enumerate_limit_set(spec, **kwargs)
 
 
 # Prints the repr of the invariance of every INVARIANCE_GUARD case; the tests
@@ -534,10 +570,10 @@ def test_invariance_matches_recorded_values(spec, kwargs, expected):
 _GUARD_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from kleinnet.limitset import cloud_group_invariance, enumerate_limit_set
-from test_limitset import INVARIANCE_GUARD
+from kleinnet.limitset import cloud_group_invariance
+from test_limitset import INVARIANCE_GUARD, _guard_cloud
 for spec, kwargs, _ in INVARIANCE_GUARD:
-    print(repr(cloud_group_invariance(enumerate_limit_set(spec, **kwargs), spec)))
+    print(repr(cloud_group_invariance(_guard_cloud(spec, kwargs), spec)))
 """
 
 
