@@ -14,6 +14,8 @@ Text format, one directive per line (`#` starts a comment):
 
 from __future__ import annotations
 
+from collections import deque
+
 from ._record import Record
 from .errors import GraphError
 from .words import Word, reduce_word
@@ -175,9 +177,9 @@ def loop_basis(net: Network) -> LoopBasis:
             continue
         components += 1
         visited.add(root)
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for eid, w in incident[u]:
                 if w not in visited:
                     visited.add(w)
