@@ -86,6 +86,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "kleinnet", "character", "--rep", str(path), "--words", "a"],
         capture_output=True,
         text=True,
+        env=_env_with_src(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["word,re,im", "a,3,0"]
