@@ -429,19 +429,18 @@ def enumerate_limit_set(
     and sets `truncated`.
     """
     kinds = [classify(g).kind for g in rep.images]
-    for i, kind in enumerate(kinds, start=1):
-        if kind == "elliptic":
-            raise LimitSetError(
-                f"generator {i} is elliptic: the limit-set search needs "
-                "loxodromic or parabolic generators"
-            )
+    if "elliptic" in kinds:
+        raise LimitSetError(
+            f"generator {kinds.index('elliptic') + 1} is elliptic: the limit-set "
+            "search needs loxodromic or parabolic generators"
+        )
     if rep.rank not in (1, 2):
         raise LimitSetError(
             f"the limit-set search takes one or two generators, not {rep.rank}"
         )
-    for i, kind in enumerate(kinds, start=1):
-        if kind == "identity":
-            raise LimitSetError(f"every point is fixed: generator {i} is +/-identity")
+    if "identity" in kinds:
+        i = kinds.index("identity") + 1
+        raise LimitSetError(f"every point is fixed: generator {i} is +/-identity")
     if rep.rank == 1:
         raise ElementaryGroupError("elementary: limit set has <= 2 points")
     a, b = rep.images
@@ -627,17 +626,6 @@ class _Grid:
         self.starts = starts
         self.index = index
         self.coords = coords
-        # a block holds every point within side/2 of its query
-        self.exact_sq = (0.5 * side * (1.0 - _SLACK)) ** 2
-
-    @classmethod
-    def finest(cls, points: np.ndarray, side: float) -> "_Grid":
-        keys = _cell_keys(points.T, side, 0.0)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = _run_starts(keys)
-        coords = [x[order] for x in points.T]
-        return cls(side, keys[first], np.r_[first, len(keys)], None, coords)
 
     def coarser(self) -> "_Grid":
         """The grid of side 4 * side, made from this grid's cells: a cell of
@@ -652,10 +640,8 @@ class _Grid:
         at = np.arange(self.starts[-1]) + np.repeat(self.starts[cells] - starts, counts)
         index = at.astype(np.int32) if self.index is None else self.index[at]
         first = _run_starts(keys)
-        return _Grid(
-            4.0 * self.side, keys[first], np.r_[starts[first], self.starts[-1]],
-            index, self.coords,
-        )
+        starts = np.r_[starts[first], self.starts[-1]]
+        return _Grid(4.0 * self.side, keys[first], starts, index, self.coords)
 
     def _finest(self, at: np.ndarray) -> np.ndarray:
         """The positions in coords of the points at positions `at` here."""
@@ -736,7 +722,13 @@ class _Nearest:
     further."""
 
     def __init__(self, points: np.ndarray, h: float):
-        self.grids = [_Grid.finest(points, h if h >= _MIN_CELL else _MIN_CELL)]
+        side = h if h >= _MIN_CELL else _MIN_CELL
+        keys = _cell_keys(points.T, side, 0.0)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = _run_starts(keys)
+        coords = [x[order] for x in points.T]
+        self.grids = [_Grid(side, keys[first], np.r_[first, len(keys)], None, coords)]
 
     def grid(self, level: int) -> _Grid:
         if level == len(self.grids):
@@ -800,7 +792,8 @@ class _Nearest:
         while len(queries):
             grid = self.grid(level)
             d2 = grid.block_nearest_sq(queries)
-            settled = d2 <= grid.exact_sq
+            # a block holds every point within side/2 of its query
+            settled = d2 <= (0.5 * grid.side * (1.0 - _SLACK)) ** 2
             best = float(np.max(d2, where=settled, initial=best))
             queries, bound = queries[~settled], d2[~settled]
             level += 1
