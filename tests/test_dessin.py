@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from kleinnet.dessin import (
     word_permutation,
 )
 from kleinnet.errors import DessinError, InfiniteIndexError
-from kleinnet.words import Word, random_word
+from kleinnet.words import Word, random_word, reduce_word
 
 W = Word.from_text
 
@@ -175,6 +177,76 @@ def test_random_fold_outputs_are_folded_and_stable():
             build_dessin(sa, sb)  # complete folded graphs are transitive
 
 
+# sha256 of the reprs, one a line, of the folds of 2,000 seeded random
+# generator sets (1-6 words of 0-12 letters each)
+FOLD_GUARD_SHA = "8bbe08e56f8a0c775b29e98edb1a6f4c76c412ca1f317d00b7b9d5a92cf8b667"
+
+
+def test_fold_outputs_match_recorded_digest():
+    rng = np.random.default_rng(16)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        gens = [
+            random_word(rng, 2, int(rng.integers(0, 13)))
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+        digest.update(repr(fold_subgroup(gens)).encode() + b"\n")
+    assert digest.hexdigest() == FOLD_GUARD_SHA
+
+
+def _random_transitive_pair(rng, n):
+    while True:
+        p = (0,) + tuple(int(x) + 1 for x in rng.permutation(n))
+        q = (0,) + tuple(int(x) + 1 for x in rng.permutation(n))
+        if _is_transitive(p, q):
+            return p, q
+
+
+def _schreier(sa, sb):
+    """Schreier generators of the stabiliser of dart 1 under right
+    multiplication by sa and sb, from a BFS tree of coset representatives
+    (neighbor order a, A, b, B), and the darts in BFS order."""
+    act = {1: sa, -1: _invert(sa), 2: sb, -2: _invert(sb)}
+    rep = {1: ()}
+    order = [1]
+    for x in order:
+        for letter in (1, -1, 2, -2):
+            y = act[letter][x]
+            if y not in rep:
+                rep[y] = rep[x] + (letter,)
+                order.append(y)
+    gens = []
+    for x in order:
+        for letter in (1, 2):
+            back = tuple(-l for l in reversed(rep[act[letter][x]]))
+            w = reduce_word(rep[x] + (letter,) + back)
+            if w:
+                gens.append(w)
+    return gens, order
+
+
+def _invert(p):
+    inv = [0] * len(p)
+    for i in range(1, len(p)):
+        inv[p[i]] = i
+    return tuple(inv)
+
+
+def test_schreier_generators_fold_back_to_their_pair():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        n = int(rng.integers(1, 61))
+        sa, sb = _random_transitive_pair(rng, n)
+        gens, order = _schreier(sa, sb)
+        g = fold_subgroup(gens)
+        assert g.complete and g.n_vertices == n
+        number = {x: i + 1 for i, x in enumerate(order)}
+        renumbered = tuple(
+            (0,) + tuple(number[s[x]] for x in order) for s in (sa, sb)
+        )
+        assert coset_permutations(g) == renumbered
+
+
 # -- dessins ---------------------------------------------------------------------
 
 
@@ -258,12 +330,7 @@ def test_export_is_deterministic():
 
 
 def test_dot_edge_count_matches_darts():
-    rng = np.random.default_rng(55)
-    while True:
-        p = (0,) + tuple(int(x) + 1 for x in rng.permutation(6))
-        q = (0,) + tuple(int(x) + 1 for x in rng.permutation(6))
-        if _is_transitive(p, q):
-            break
+    p, q = _random_transitive_pair(np.random.default_rng(55), 6)
     d = build_dessin(p, q)
     dot = format_dessin_dot(d)
     assert dot.count(" -- ") == d.n_darts

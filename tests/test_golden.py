@@ -1,5 +1,5 @@
-"""Golden sha256 digests of `kleinnet limitset`, `kleinnet degenerate` and
-`kleinnet qnet --random-circuit` outputs.
+"""Golden sha256 digests of `kleinnet limitset`, `kleinnet degenerate`,
+`kleinnet qnet --random-circuit` and `kleinnet dessin` outputs.
 
 The digests pin the exact bytes of the point-cloud CSV, the PPM image and
 stdout for a fixed set of inputs, so any change to the limit-set traversal
@@ -9,7 +9,9 @@ built so that depth-floor nodes whose candidates straddle the two charts
 occur at every depth from 1 to 4.  The degenerate digests pin the sweep CSV
 and the stdout of `--report` the same way, for the word evaluation,
 classification and report.  The qnet digests pin the amplitudes CSV of
-seeded random circuits and the circuit text that `--emit` writes.
+seeded random circuits and the circuit text that `--emit` writes.  The
+dessin digests pin stdout and the `--dot` file of folded subgroups, up to
+index 20.
 """
 
 import hashlib
@@ -196,3 +198,36 @@ def test_qnet_random_golden_outputs(capsys, tmp_path, gates, areas, seed, out_sh
     assert _sha(out.encode()) == out_sha
     if emit_sha is not None:
         assert _sha(emit.read_bytes()) == emit_sha
+
+
+# (subgroup generators, stdout sha256, --dot file sha256)
+DESSIN_GOLDEN = [
+    (
+        "aa,b,abA",
+        "60da4e06f7d8f7ae074f85540e5898aa73c72c219866433512c1dc883c1d2b80",
+        "eaab5557753cb197f15849f9456e4e944eda536bdec16ee00a146b819967c99d",
+    ),
+    (
+        "aaa,b,abA,aabAA",
+        "532dff76da1ea5280ecd96cb4dbe06de6f347ee57a304133cac68be55fdbea8e",
+        "f93b9c7096e5480ff4cf494c834dd1453cef42f7ab28ca7cfad7283c425d626e",
+    ),
+    # the Schreier generators of an index-20 subgroup: the stabiliser of
+    # dart 1 under a seeded transitive pair of permutations of 20 darts
+    (
+        "bbAB,aaba,abbaB,AAbAAA,AbabA,AbbAA,baaaB,bAbAb,Babab,BAbb,aaaaBa,"
+        "aaabaa,abaaBA,ababAbA,aBaaab,aBabABA,aBBaaa,bababbA,babbbbA,BaaaBAB,"
+        "BaabAAb",
+        "89bee4801da4a3fe069ce152a8e8a0d5969cf136b4d81bea2bdc938dcc3b7dd3",
+        "980bc3e2fd6f79559e2c559b8aab6013689342f660f72cbbecd355f090f48cdb",
+    ),
+]
+
+
+@pytest.mark.parametrize("subgroup,out_sha,dot_sha", DESSIN_GOLDEN)
+def test_dessin_golden_outputs(capsys, tmp_path, subgroup, out_sha, dot_sha):
+    dot = tmp_path / "dessin.dot"
+    code = main(["dessin", "--subgroup", subgroup, "--dot", str(dot)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (_sha(out.encode()), _sha(dot.read_bytes())) == (out_sha, dot_sha)
