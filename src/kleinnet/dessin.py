@@ -123,96 +123,71 @@ class SubgroupGraph(Record):
         return 0 not in self.out_a[1:] and 0 not in self.out_b[1:]
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def fold_subgroup(generators: Sequence[Word]) -> SubgroupGraph:
     """Stallings graph of the subgroup generated by the given words: wedge of
-    word loops at the base, folded to a fixpoint, vertices renumbered by BFS
+    word loops at the base, folded in one pass, vertices renumbered by BFS
     (neighbor order: out-a, in-a, out-b, in-b)."""
     for w in generators:
         if w.max_index() > 2:
             raise DessinError(
                 f"word {w.text()!r} uses a generator beyond rank 2"
             )
-    # wedge of loops, base vertex 0
-    edges: set[tuple[int, int, int]] = set()
-    n = 1
+    # out[v] maps a signed letter to a vertex: an edge labelled l from x to y
+    # is l at x and -l at y.  Wedge of loops, base vertex 0, edges pending.
+    out: list[dict[int, int]] = [{}]
+    pending: list[tuple[int, int, int]] = []
     for w in generators:
-        prev = 0
-        letters = w.letters
-        for i, letter in enumerate(letters):
-            nxt = 0 if i == len(letters) - 1 else n
-            if nxt != 0:
-                n += 1
-            if letter > 0:
-                edges.add((prev, nxt, letter))
-            else:
-                edges.add((nxt, prev, -letter))
-            prev = nxt
+        tail = 0
+        for i, letter in enumerate(w.letters):
+            head = 0 if i == len(w.letters) - 1 else len(out)
+            if head:
+                out.append({})
+            pending.append((tail, letter, head))
+            tail = head
+    parent = list(range(len(out)))
 
-    parent = list(range(n))
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    while True:
-        canon = {
-            (_find(parent, t), _find(parent, h), l) for (t, h, l) in edges
-        }
-        merged = False
-        out_seen: dict[tuple[int, int], int] = {}
-        in_seen: dict[tuple[int, int], int] = {}
-        for t, h, l in sorted(canon):
-            prior = out_seen.setdefault((t, l), h)
-            if prior != h:
-                union(prior, h)
-                merged = True
-            prior = in_seen.setdefault((h, l), t)
-            if prior != t:
-                union(prior, t)
-                merged = True
-        if not merged:
-            edges = canon
-            break
-
-    out: dict[int, dict[int, int]] = {}
-    for t, h, l in edges:
-        out.setdefault(t, {})[l] = h
-    inc: dict[int, dict[int, int]] = {}
-    for t, h, l in edges:
-        inc.setdefault(h, {})[l] = t
+    while pending:
+        x, l, y = pending.pop()
+        x, y = find(x), find(y)
+        ahead, behind = out[x].get(l), out[y].get(-l)
+        if ahead is not None and find(ahead) != y:
+            keep, gone = find(ahead), y
+        elif behind is not None and find(behind) != x:
+            keep, gone = find(behind), x
+        else:
+            out[x][l], out[y][-l] = y, x
+            continue
+        # x already leaves by l to another vertex (or another vertex enters
+        # y by l): fold the two together, the edge with them, and put the
+        # edges of the one with the smaller map back on pending
+        if len(out[keep]) < len(out[gone]):
+            keep, gone = gone, keep
+        parent[gone] = keep
+        pending.extend((keep, m, v) for m, v in out[gone].items())
+        out[gone] = {}
 
     # BFS renumbering from the base class
-    number: dict[int, int] = {}
-    root = _find(parent, 0)
-    number[root] = 1
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for nb in (
-            out.get(v, {}).get(1),
-            inc.get(v, {}).get(1),
-            out.get(v, {}).get(2),
-            inc.get(v, {}).get(2),
-        ):
-            if nb is not None and nb not in number:
-                number[nb] = len(number) + 1
-                queue.append(nb)
-
-    size = len(number)
-    out_a = [0] * (size + 1)
-    out_b = [0] * (size + 1)
-    for t, h, l in edges:
-        target = out_a if l == 1 else out_b
-        target[number[t]] = number[h]
-    return SubgroupGraph(size, tuple(out_a), tuple(out_b))
+    root = find(0)
+    number = {root: 1}
+    queue = [root]
+    for v in queue:
+        for l in (1, -1, 2, -2):
+            if l in out[v]:
+                nb = find(out[v][l])
+                if nb not in number:
+                    number[nb] = len(number) + 1
+                    queue.append(nb)
+    out_a, out_b = (
+        (0,) + tuple(number[find(out[v][l])] if l in out[v] else 0 for v in queue)
+        for l in (1, 2)
+    )
+    return SubgroupGraph(len(queue), out_a, out_b)
 
 
 def coset_permutations(graph: SubgroupGraph) -> tuple[Perm, Perm]:

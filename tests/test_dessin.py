@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -168,13 +169,23 @@ def test_random_fold_outputs_are_folded_and_stable():
             random_word(rng, 2, int(rng.integers(1, 7)))
             for _ in range(int(rng.integers(1, 5)))
         ]
-        g = fold_subgroup(gens)  # __post_init__ enforces foldedness
+        g = fold_subgroup(gens)  # SubgroupGraph.__init__ enforces foldedness
         assert g == fold_subgroup(gens)
         if g.complete:
             sa, sb = coset_permutations(g)
             for w in gens:
                 assert word_permutation(sa, sb, w)[1] == 1
             build_dessin(sa, sb)  # complete folded graphs are transitive
+
+
+def test_fold_of_long_words_is_fast():
+    # a^3000 and a^3001 fold into one loop a letter at a time; a fold that
+    # re-reads every edge per round of merges takes quadratic time here
+    gens = [Word((1,) * 3000), Word((1,) * 3001), W("b")]
+    start = time.perf_counter()
+    g = fold_subgroup(gens)
+    assert time.perf_counter() - start < 1.0
+    assert g == SubgroupGraph(1, (0, 1), (0, 1))
 
 
 # sha256 of the reprs, one a line, of the folds of 2,000 seeded random
