@@ -584,6 +584,10 @@ def render(
 # floor((x + 1) / side) + 1; with |x| <= 1/2 and cells no smaller than
 # _MIN_CELL it stays below 2^21, so three indices pack into one int64 key.
 _MIN_CELL = 2.0**-20
+# the lift has diameter 1, so the block of a cell of side 2 holds every point
+# and every query settles there: a larger finest side would find the same
+# distances, and its squared half-side may overflow
+_MAX_CELL = 2.0
 # key offsets of the four z-columns of a 2x2x2 block of cells; the two
 # cells of a column have consecutive keys, so their points are one run of
 # the sorted keys
@@ -710,8 +714,9 @@ class _Grid:
 
 class _Nearest:
     """Exact nearest-neighbour squared distances to points on the radius-1/2
-    sphere, from grids of side h * 4^k for k = 0, 1, ..., each made from the
-    one below it on first use.
+    sphere, from grids of side s * 4^k for k = 0, 1, ..., each made from the
+    one below it on first use, where s is h kept within _MIN_CELL and
+    _MAX_CELL.
 
     The 2x2x2 block of cells centred on a query holds every point within
     side/2 of it, so a query whose block holds such a point is settled
@@ -722,7 +727,7 @@ class _Nearest:
     further."""
 
     def __init__(self, points: np.ndarray, h: float):
-        side = h if h >= _MIN_CELL else _MIN_CELL
+        side = min(h if h >= _MIN_CELL else _MIN_CELL, _MAX_CELL)
         keys = _cell_keys(points.T, side, 0.0)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]

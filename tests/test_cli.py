@@ -580,6 +580,14 @@ def test_limitset_large_markov_traces_run(capsys, x):
     assert out.startswith("points ")
 
 
+# A finest cell wider than the cloud searches as a cell of side 2 does.
+@pytest.mark.parametrize("eps", ["1e200", "1e300", "inf"])
+def test_limitset_huge_eps_runs_as_eps_two(eps):
+    code, out, err = run_module("limitset", "--traces", "3,3,3", "--eps", eps, timeout=30)
+    assert code == 0 and "Traceback" not in err
+    assert out == run_module("limitset", "--traces", "3,3,3", "--eps", "2", timeout=30)[1]
+
+
 # The window is checked before the search, whether or not an image is drawn
 # (an uncaught exception would fail the test in-process).
 @pytest.mark.parametrize(
