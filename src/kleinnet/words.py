@@ -137,12 +137,10 @@ def reduce_word(letters: Sequence[int], rank: int | None = None) -> Word:
 
 def cyclically_reduce(word: Word) -> Word:
     letters = word.letters
-    if len(letters) < 2 or letters[0] != -letters[-1]:
-        return word
-    ls = list(letters)
-    while len(ls) >= 2 and ls[0] == -ls[-1]:
-        ls = ls[1:-1]
-    return Word(tuple(ls))
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i, j = i + 1, j - 1
+    return Word(letters[i:j + 1]) if i else word
 
 
 def necklace(letters: tuple[int, ...]) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +111,23 @@ def test_necklace_is_the_least_rotation():
         want = _least_rotation_by_brute_force(core)
         assert words.necklace(core) == want
         assert canonical_cyclic(w).letters == want
+
+
+def test_cyclically_reduce_strips_conjugating_letters():
+    assert cyclically_reduce(Word.from_text("abbaBA")).text() == "ba"
+    assert cyclically_reduce(Word.from_text("abA")).text() == "b"
+    w = Word.from_text("abAB")
+    assert cyclically_reduce(w) is w
+
+
+def test_cyclically_reduce_of_a_long_conjugate_is_fast():
+    # trimming by re-slicing once per cancelled pair is quadratic here
+    k = 40_000
+    w = Word((1,) * k + (2,) + (-1,) * k)
+    start = time.perf_counter()
+    core = cyclically_reduce(w)
+    assert time.perf_counter() - start < 1.0
+    assert core == Word((2,))
 
 
 def test_rank1_class_list_is_shortlex():
