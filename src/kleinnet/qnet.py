@@ -190,8 +190,8 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # The state is one (2, 2^n) float64 array, row 0 the real parts and row 1 the
 # imaginary parts, and each gate updates it in place.  Complex products are
 # spelled out on the rows, re = p*u - q*v and im = p*v + q*u, as in
-# limitset._mul: float multiply and add never fuse, so no BLAS or SIMD complex
-# kernel decides the bits, and the amplitudes do not depend on the CPU.
+# limitset._image_lift: float multiply and add never fuse, so no BLAS or SIMD
+# complex kernel decides the bits, and the amplitudes do not depend on the CPU.
 #
 # numpy runs a ufunc or a copy fast only along a long inner axis, and a ufunc
 # only when its operands can be walked as one run.  So a gate gathers its

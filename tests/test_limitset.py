@@ -744,7 +744,8 @@ def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
     if layout == "uniform":
         points, queries = _on_sphere(rng, 200), _on_sphere(rng, 100)
     elif layout == "many":
-        # more than 4096 cells at small epsilon: the coarse cells are merged
+        # many small cells at small epsilon: a query climbs several grids
+        # before its block holds a point
         points, queries = _on_sphere(rng, 6000), _on_sphere(rng, 40)
     elif layout == "duplicates":
         points = _on_sphere(rng, 3)[rng.integers(0, 3, 400)]
