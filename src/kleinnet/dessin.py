@@ -163,9 +163,9 @@ def fold_subgroup(generators: Sequence[Word]) -> SubgroupGraph:
         else:
             out[x][l], out[y][-l] = y, x
             continue
-        # x already leaves by l to another vertex (or another vertex enters
-        # y by l): fold the two together, the edge with them, and put the
-        # edges of the one with the smaller map back on pending
+        # x already leaves by l to another vertex, or another vertex enters y
+        # by l: merging those two folds this edge onto that one.  The vertex
+        # with the smaller map is merged away, its edges back on pending.
         if len(out[keep]) < len(out[gone]):
             keep, gone = gone, keep
         parent[gone] = keep
