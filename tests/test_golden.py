@@ -1,5 +1,6 @@
 """Golden sha256 digests of `kleinnet limitset`, `kleinnet degenerate`,
-`kleinnet qnet --random-circuit` and `kleinnet dessin` outputs.
+`kleinnet qnet --random-circuit`, `kleinnet dessin`, `kleinnet character` and
+`kleinnet graph` outputs.
 
 The digests pin the exact bytes of the point-cloud CSV, the PPM image and
 stdout for a fixed set of inputs, so any change to the limit-set traversal
@@ -11,7 +12,9 @@ and the stdout of `--report` the same way, for the word evaluation,
 classification and report.  The qnet digests pin the amplitudes CSV of
 seeded random circuits and the circuit text that `--emit` writes.  The
 dessin digests pin stdout and the `--dot` file of folded subgroups, up to
-index 20.
+index 20.  The character digests pin the printed characters, isometry
+classes, theta values, trace coordinates, class lists and the re-saved rep
+file; the graph digests pin the loop basis and the words of closed walks.
 """
 
 import hashlib
@@ -231,3 +234,105 @@ def test_dessin_golden_outputs(capsys, tmp_path, subgroup, out_sha, dot_sha):
     out = capsys.readouterr().out
     assert code == 0
     assert (_sha(out.encode()), _sha(dot.read_bytes())) == (out_sha, dot_sha)
+
+
+# rank 3: an elliptic rotation by 1 radian, a real loxodromic and a complex
+# parabolic
+CHARACTER_REP3 = """\
+a 0.5403023058681398,0.0 -0.8414709848078965,0.0 0.8414709848078965,0.0 0.5403023058681398,0.0
+b 2.0,0.0 1.0,0.0 1.0,0.0 1.0,0.0
+c 1.0,0.0 0.5,0.5 0.0,0.0 1.0,0.0
+"""
+
+CHARACTER_REPS = {"MIXED": MIXED_CHART_REP, "REP3": CHARACTER_REP3}
+
+# one words file per rep, with a comment and a blank line
+CHARACTER_WORDS = {
+    "MIXED": "# rank 2\n1\na\nB\nab\naB\nabAB\n\nAAbbbaBaBBB\nabababababab\n"
+    "aaaaaaaaaaaaaaaaaaaabAbAbAbAbAbAbAbAbAbAbA\n",
+    "REP3": "# rank 3\n1\na\naaaaaa\nb\nc\nC\nccccc\nabc\nCBA\nabcABC\n\n"
+    "acacacBcbAbCbcAAcabbbBBcbcbC\nbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbcA\n",
+}
+
+# (rep, flags, stdout sha256); WORDS stands for the rep's words file
+CHARACTER_GOLDEN = [
+    ("MIXED", ["--words-file", "WORDS", "--classify", "--theta"], "74c1570892086eb53bd17816a483df5632da52415a1af9901c3bcaf18795c2c6"),
+    ("REP3", ["--words-file", "WORDS", "--classify", "--theta"], "15521ae987a3c4135d951925392b26e9937fba15abae646567412760a1d60820"),
+    ("REP3", ["--words", "a,bc,cA,abcabc", "--theta"], "50bffd662fd06eab17e8d7b5806c50643233efba8e51342cebdcb8a291e6e7fd"),
+    ("MIXED", ["--moduli"], "15cd3614b1a1c01d0bd42fce64e3cc5c02b8b9a909718eab2e9a6f7ab388272d"),
+    ("MIXED", ["--list-classes", "--max-len", "4"], "d415842ea277e318e3702890c435cde7560993bbfeb65e4edd6c890bc5295f95"),
+    ("REP3", ["--list-classes", "--max-len", "4"], "14320263945ef12ba9faf19dc09fa53209e3d287856bba4b6a7445fbb49d3128"),
+]
+
+
+def _character_argv(tmp_path, rep, flags):
+    rep_path, words_path = tmp_path / "rep.txt", tmp_path / "words.txt"
+    rep_path.write_text(CHARACTER_REPS[rep])
+    words_path.write_text(CHARACTER_WORDS[rep])
+    argv = ["character", "--rep", str(rep_path)]
+    return argv + [str(words_path) if f == "WORDS" else f for f in flags]
+
+
+@pytest.mark.parametrize("rep,flags,out_sha", CHARACTER_GOLDEN)
+def test_character_golden_outputs(capsys, tmp_path, rep, flags, out_sha):
+    code = main(_character_argv(tmp_path, rep, flags))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha(out.encode()) == out_sha
+
+
+# (rep, stdout sha256, --echo-rep file sha256)
+CHARACTER_ECHO_GOLDEN = [
+    ("MIXED", "4fa4fdd8c09d9db6fd166b2fe038307fa8339b707b6acbde6597687839acbc96", "296033fbeea29927dd6f79941af3532630511db60d0b271da6e289eab840bdbc"),
+    ("REP3", "8206c55609a022c731902c494a2eed85f6cfd655c6708b5fde2782a3b7dc0ede", "9c4909f9cf4a9843b7a01ed7bbd2a63ed30eb48457e95c34181658f7c12f2576"),
+]
+
+
+@pytest.mark.parametrize("rep,out_sha,echo_sha", CHARACTER_ECHO_GOLDEN)
+def test_character_echo_rep_golden(capsys, tmp_path, rep, out_sha, echo_sha):
+    echo = tmp_path / "echo.txt"
+    argv = _character_argv(tmp_path, rep, ["--words", "ab", "--echo-rep", str(echo)])
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (_sha(out.encode()), _sha(echo.read_bytes())) == (out_sha, echo_sha)
+
+
+# two components, a self-loop, parallel edges and two areas
+GRAPH_NET = """\
+v 1
+v 2
+v 3
+v 4
+v 5
+v 6
+e 1 1 2
+e 2 2 3
+e 3 3 1
+e 4 1 3
+e 5 3 3
+e 6 2 3
+e 7 4 5
+e 8 5 6
+e 9 6 4
+e 10 5 4
+area left 1 2 3
+area right 4 5 6
+"""
+
+# (extra flags, stdout sha256)
+GRAPH_GOLDEN = [
+    ([], "221bd2ffa7a44c122d43bea3c02750c1407351d7a8d8b9d6840dfff06913a1f8"),
+    (["--walk", "1,2,5,3,4,-6,-1,4,-5,-4,1,6,-4"], "ee2f542c921bf8b5cf655c59ce7da6fced1485cade1c3bfbf68a8d651d79d93a"),
+    (["--walk", "7,8,9,-10,-7"], "6fa0766c1cc010aaa7dc2779d0cedf61932cf8de7d76ba309267c0d77edcafd0"),
+]
+
+
+@pytest.mark.parametrize("flags,out_sha", GRAPH_GOLDEN)
+def test_graph_golden_outputs(capsys, tmp_path, flags, out_sha):
+    net = tmp_path / "net.txt"
+    net.write_text(GRAPH_NET)
+    code = main(["graph", "--file", str(net)] + flags)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha(out.encode()) == out_sha

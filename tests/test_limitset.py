@@ -595,6 +595,37 @@ def test_invariance_does_not_depend_on_cpu_kernels():
     assert _guard_reprs(_plain_cpu_env()) == default
 
 
+# limitset inputs whose stdout, CSV and PPM must not depend on the CPU
+# kernels; each runs at the default eps in about 0.2 s
+CPU_KERNEL_TRACES = ["3,3,3", "2.2,2.5", "3,3+1i"]
+
+
+def _limitset_digests(env, tmp_path):
+    ppm, csv = tmp_path / "lim.ppm", tmp_path / "lim.csv"
+    digests = []
+    for traces in CPU_KERNEL_TRACES:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "kleinnet", "limitset", "--traces", traces,
+                "--out", str(ppm), "--csv", str(csv),
+            ],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (proc.stdout, csv.read_bytes(), ppm.read_bytes())
+        ))
+    return digests
+
+
+def test_limitset_bytes_do_not_depend_on_cpu_kernels(tmp_path):
+    default = _limitset_digests(_env_with_src(), tmp_path)
+    assert _limitset_digests(_plain_cpu_env(), tmp_path) == default
+
+
 # -- circle fit and box dimension ----------------------------------------------
 
 
