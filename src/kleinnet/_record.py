@@ -7,12 +7,44 @@ from __future__ import annotations
 
 class Record:
     """Base of the frozen records.  A subclass lists its fields in
-    `__slots__`, in order, and sets each in its `__init__` with
-    `object.__setattr__`.  Records print as `Name(field=value, ...)`,
-    compare and hash by their field tuple within one class, refuse
-    assignment, and copy and pickle by calling the class with the fields."""
+    `__slots__`, in order, and optionally their defaults in `_defaults`;
+    that is the only place its fields are declared.  The constructor takes
+    the fields positionally or by keyword, like a function whose parameters
+    are the slots.  A subclass that checks or coerces its input keeps its
+    own `__init__` and ends it with `super().__init__(...)`.  Records print
+    as `Name(field=value, ...)`, compare and hash by their field tuple
+    within one class, refuse assignment, and copy and pickle by calling the
+    class with the fields."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if not kwargs and len(args) == len(names):
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)
+            return
+        cls = type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls}() takes {len(names)} arguments but {len(args)} were given"
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{cls}() missing required argument {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            # a keyword left over repeats a positional field or names no field
+            name = next(iter(kwargs))
+            what = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls}() got {what} argument {name!r}")
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -17,11 +17,12 @@ a necklace w by w repeated, so it makes no `Word` per lookup.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ._record import Record
 from .errors import DegenerationError, RepresentationError
-from .sl2 import Matrix2C, Representation, classify_entries, make_rep
+from .sl2 import Entries, Matrix2C, Representation, make_rep
+from .sl2 import classify_entries, mul_entries
 from .words import ConjugacyClassList, cyclically_reduce, necklace
 
 __all__ = [
@@ -61,9 +62,7 @@ class LengthVector(Record):
             raise DegenerationError("length vector does not match its class list")
         if any(v < 0.0 for v in values):
             raise DegenerationError("translation lengths are nonnegative")
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "scale", scale)
+        super().__init__(classes, values, scale)
 
     def sup(self) -> float:
         return max(self.values) if self.values else 0.0
@@ -91,29 +90,26 @@ def _trie_walk(classes: ConjugacyClassList) -> list[tuple[int, int]]:
 
 def _class_matrices(
     rep: Representation, classes: ConjugacyClassList, walk: list[tuple[int, int]]
-) -> Iterator[tuple[int, tuple[complex, complex, complex, complex]]]:
+) -> Iterator[tuple[int, Entries]]:
     """(class index, entries a, b, c, d of its image) for every class, in
     the order of `walk`, the class list's `_trie_walk`.  M(w l) = M(w) @ g_l
     is taken once per distinct prefix, from the identity, with
-    `Matrix2C.__matmul__`'s formula on the same operands, so each matrix is
-    bit for bit `evaluate(rep, w)`.  Only the products along the current
-    word are held."""
-    gens: dict[int, tuple[complex, complex, complex, complex]] = {}
+    `sl2.mul_entries` on the operands `sl2.evaluate` gives it, so each
+    matrix is bit for bit `evaluate(rep, w)`.  Only the products along the
+    current word are held."""
+    gens: dict[int, Entries] = {}
     for k, (g, h) in enumerate(zip(rep.images, rep.inverses), start=1):
         gens[k] = (g.a, g.b, g.c, g.d)
         gens[-k] = (h.a, h.b, h.c, h.d)
-    path = [(1.0, 0.0, 0.0, 1.0)]
+    path: list[Entries] = [(1.0, 0.0, 0.0, 1.0)]
     try:
         for i, shared in walk:
             del path[shared + 1:]
-            a, b, c, d = path[-1]
+            m = path[-1]
             for letter in classes[i].letters[shared:]:
-                ga, gb, gc, gd = gens[letter]
-                a, b, c, d = (
-                    a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
-                )
-                path.append((a, b, c, d))
-            yield i, (a, b, c, d)
+                m = mul_entries(m, gens[letter])
+                path.append(m)
+            yield i, m
     except KeyError:
         w = next(w for w in classes if w.max_index() > rep.rank)
         raise RepresentationError(
@@ -161,16 +157,10 @@ def sup_delta(u: LengthVector, v: LengthVector) -> float:
 
 
 class RepFamily(Record):
-    """A rule t -> Representation for positive t, validated at each sample."""
+    """A rule t -> Representation for positive t, validated at each sample:
+    `builder(t)` returns the `rank` generator matrices of the family `name`."""
 
     __slots__ = ("name", "rank", "builder")
-
-    def __init__(
-        self, name: str, rank: int, builder: Callable[[float], Sequence[Matrix2C]]
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "builder", builder)
 
     def build(self, t: float) -> Representation:
         if not math.isfinite(t):
@@ -271,7 +261,9 @@ def _class_index(classes: ConjugacyClassList) -> dict[tuple[int, ...], int]:
 class TreeLimitReport(Record):
     """Convergence evidence for one sweep: Cauchy deltas, distance of the
     final vector to the cyclic-length oracle, and the two length-function
-    axioms checked on the final vector."""
+    axioms checked on the final vector.  `deltas` holds the sup-norm
+    distance between consecutive vectors; each float has a bool beside it
+    that says whether it is within its tolerance."""
 
     __slots__ = (
         "deltas",
@@ -283,26 +275,6 @@ class TreeLimitReport(Record):
         "homogeneity_residual",
         "homogeneity_ok",
     )
-
-    def __init__(
-        self,
-        deltas: tuple[float, ...],
-        converged: bool,
-        oracle_distance: float,
-        oracle_ok: bool,
-        symmetry_residual: float,
-        symmetry_ok: bool,
-        homogeneity_residual: float,
-        homogeneity_ok: bool,
-    ) -> None:
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "converged", converged)
-        object.__setattr__(self, "oracle_distance", oracle_distance)
-        object.__setattr__(self, "oracle_ok", oracle_ok)
-        object.__setattr__(self, "symmetry_residual", symmetry_residual)
-        object.__setattr__(self, "symmetry_ok", symmetry_ok)
-        object.__setattr__(self, "homogeneity_residual", homogeneity_residual)
-        object.__setattr__(self, "homogeneity_ok", homogeneity_ok)
 
     @property
     def passed(self) -> bool:

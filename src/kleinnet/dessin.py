@@ -113,9 +113,7 @@ class SubgroupGraph(Record):
                 raise DessinError(f"out_{name} points outside the graph")
             if len(set(heads)) != len(heads):
                 raise DessinError(f"graph is not folded along {name}")
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "out_a", out_a)
-        object.__setattr__(self, "out_b", out_b)
+        super().__init__(n_vertices, out_a, out_b)
 
     @property
     def complete(self) -> bool:
@@ -218,28 +216,14 @@ def word_permutation(sigma_a: Perm, sigma_b: Perm, word: Word) -> Perm:
 
 
 class Dessin(Record):
-    """Bipartite map: black vertices are cycles of sigma0, white vertices
-    cycles of sigma1, faces cycles of sigma0 then sigma1."""
+    """Bipartite map on the darts 1..n_darts: black vertices are cycles of
+    sigma0, white vertices cycles of sigma1, faces cycles of sigma0 then
+    sigma1.  The permutations are `Perm` tuples, and each `*_cycles` field
+    is a tuple of cycles, each a tuple of darts."""
 
     __slots__ = (
         "n_darts", "sigma0", "sigma1", "black_cycles", "white_cycles", "face_cycles"
     )
-
-    def __init__(
-        self,
-        n_darts: int,
-        sigma0: Perm,
-        sigma1: Perm,
-        black_cycles: tuple[tuple[int, ...], ...],
-        white_cycles: tuple[tuple[int, ...], ...],
-        face_cycles: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "n_darts", n_darts)
-        object.__setattr__(self, "sigma0", sigma0)
-        object.__setattr__(self, "sigma1", sigma1)
-        object.__setattr__(self, "black_cycles", black_cycles)
-        object.__setattr__(self, "white_cycles", white_cycles)
-        object.__setattr__(self, "face_cycles", face_cycles)
 
     @property
     def n_vertices(self) -> int:

@@ -125,26 +125,17 @@ def from_traces(
 
 class LimitPointCloud(Record):
     """Sampled limit set: chart coordinates, chart flags, and the sampling
-    parameters.  Points are sorted by (re, im, chart) so output is
-    independent of traversal scheduling.  Clouds compare by identity."""
+    parameters.  `values` is a complex128 array of chart coordinates and
+    `charts` an int8 array beside it (0: z, 1: 1/z); `epsilon` and
+    `max_depth` are the resolution and word-length cap of the traversal, and
+    `truncated` says that the point cap stopped it.  Points are sorted by
+    (re, im, chart) so output is independent of traversal scheduling.
+    Clouds compare by identity."""
 
     __slots__ = ("values", "charts", "epsilon", "max_depth", "truncated")
+    _defaults = {"truncated": False}
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        values: np.ndarray,
-        charts: np.ndarray,
-        epsilon: float,
-        max_depth: int,
-        truncated: bool = False,
-    ) -> None:
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "charts", charts)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "max_depth", max_depth)
-        object.__setattr__(self, "truncated", truncated)
 
     def __len__(self) -> int:
         return int(self.values.shape[0])

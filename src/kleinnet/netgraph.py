@@ -32,17 +32,10 @@ __all__ = [
 
 
 class Network(Record):
-    __slots__ = ("vertices", "edges", "areas")
+    """A finite network: `vertices`, a tuple of vertex ids; `edges`, a tuple
+    of (edge id, tail, head); and `areas`, a tuple of (name, vertex ids)."""
 
-    def __init__(
-        self,
-        vertices: tuple[int, ...],
-        edges: tuple[tuple[int, int, int], ...],  # (edge id, tail, head)
-        areas: tuple[tuple[str, tuple[int, ...]], ...],
-    ) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "areas", areas)
+    __slots__ = ("vertices", "edges", "areas")
 
     def edge_by_id(self) -> dict[int, tuple[int, int]]:
         return {eid: (t, h) for eid, t, h in self.edges}
@@ -59,16 +52,10 @@ class Network(Record):
 class LoopBasis(Record):
     """Spanning forest plus the non-tree edges, one free generator each.
     Generator i (1-based) is the non-tree edge generators[i-1], oriented
-    tail -> head as stored in the network."""
+    tail -> head as stored in the network.  `spanning_tree` is the frozenset
+    of tree edge ids and `n_components` the number of trees in the forest."""
 
     __slots__ = ("spanning_tree", "generators", "n_components")
-
-    def __init__(
-        self, spanning_tree: frozenset[int], generators: tuple[int, ...], n_components: int
-    ) -> None:
-        object.__setattr__(self, "spanning_tree", spanning_tree)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "n_components", n_components)
 
     @property
     def rank(self) -> int:

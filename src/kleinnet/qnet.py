@@ -34,8 +34,7 @@ class AreaState(Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a: complex, b: complex) -> None:
-        object.__setattr__(self, "a", complex(a))
-        object.__setattr__(self, "b", complex(b))
+        super().__init__(complex(a), complex(b))
 
     @property
     def norm(self) -> float:
@@ -71,7 +70,7 @@ class NotGate(Record):
 
     def __init__(self, area: int) -> None:
         _check_area_field(area)
-        object.__setattr__(self, "area", area)
+        super().__init__(area)
 
 
 class SU2Gate(Record):
@@ -87,8 +86,7 @@ class SU2Gate(Record):
             raise QnetError("SU2 gate matrix is not unitary")
         if not abs(m.det - 1.0) <= UNITARY_TOL:
             raise QnetError("SU2 gate matrix does not have unit determinant")
-        object.__setattr__(self, "area", area)
-        object.__setattr__(self, "matrix", matrix)
+        super().__init__(area, matrix)
 
 
 class CNOTGate(Record):
@@ -99,8 +97,7 @@ class CNOTGate(Record):
         _check_area_field(target)
         if control == target:
             raise QnetError("CNOT control and target must be distinct areas")
-        object.__setattr__(self, "control", control)
-        object.__setattr__(self, "target", target)
+        super().__init__(control, target)
 
 
 Gate = Union[NotGate, SU2Gate, CNOTGate]
@@ -136,8 +133,7 @@ class TensorState(Record):
             )
         amps = amps.copy()
         amps.setflags(write=False)
-        object.__setattr__(self, "n_areas", n_areas)
-        object.__setattr__(self, "amplitudes", amps)
+        super().__init__(n_areas, amps)
 
     @property
     def norm(self) -> float:

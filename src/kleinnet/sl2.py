@@ -23,6 +23,7 @@ __all__ = [
     "IsometryClass",
     "ModuliPoint",
     "make_rep",
+    "mul_entries",
     "evaluate",
     "character",
     "classify",
@@ -39,20 +40,26 @@ __all__ = [
     "save_rep",
 ]
 
+# the entries a, b, c, d of a 2x2 matrix, row-major
+Entries = tuple[complex, complex, complex, complex]
+
 UNIMODULAR_TOL = 1e-9
 CLASSIFY_TOL = 1e-9
 
 
+def mul_entries(m: Entries, g: Entries) -> Entries:
+    """The entries of the product of two 2x2 matrices given by their
+    entries a, b, c, d: the one product formula of the package."""
+    a, b, c, d = m
+    ga, gb, gc, gd = g
+    return (a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd)
+
+
 class Matrix2C(Record):
-    """A 2x2 complex matrix, row-major entries a b / c d."""
+    """A 2x2 complex matrix, row-major entries a b / c d (complex numbers or
+    floats)."""
 
     __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "Matrix2C":
@@ -76,12 +83,9 @@ class Matrix2C(Record):
     def __matmul__(self, other: "Matrix2C") -> "Matrix2C":
         if not isinstance(other, Matrix2C):
             return NotImplemented
-        return Matrix2C(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Matrix2C(*mul_entries(
+            (self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)
+        ))
 
     def inverse(self) -> "Matrix2C":
         """Inverse assuming det = 1 (the adjugate)."""
@@ -129,16 +133,11 @@ def _dist_to_plus_minus_identity(m: Matrix2C) -> float:
 
 
 class Representation(Record):
-    """A representation of a free group: the unimodular images of its
-    generators, with their inverses precomputed."""
+    """A representation of a free group: `images`, the tuple of unimodular
+    `Matrix2C` images of its generators, and `inverses`, their inverses
+    precomputed in the same order."""
 
     __slots__ = ("images", "inverses")
-
-    def __init__(
-        self, images: tuple[Matrix2C, ...], inverses: tuple[Matrix2C, ...]
-    ) -> None:
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "inverses", inverses)
 
     @property
     def rank(self) -> int:
@@ -157,15 +156,17 @@ def make_rep(matrices: Sequence[Matrix2C]) -> Representation:
 
 
 def evaluate(rep: Representation, word: Word) -> Matrix2C:
-    m = Matrix2C.identity()
+    """The word's image, multiplied letter by letter from the identity."""
+    m: Entries = (1.0, 0.0, 0.0, 1.0)
     for letter in word.letters:
         k = abs(letter)
         if k > rep.rank:
             raise RepresentationError(
                 f"word {word.text()!r} uses generator {k} beyond rank {rep.rank}"
             )
-        m = m @ (rep.images[k - 1] if letter > 0 else rep.inverses[k - 1])
-    return m
+        g = rep.images[k - 1] if letter > 0 else rep.inverses[k - 1]
+        m = mul_entries(m, (g.a, g.b, g.c, g.d))
+    return Matrix2C(*m)
 
 
 def character(rep: Representation, word: Word) -> complex:
@@ -188,8 +189,7 @@ class IsometryClass(Record):
             raise RepresentationError(f"unknown isometry kind {kind!r}")
         if kind != "loxodromic" and translation_length != 0.0:
             raise RepresentationError("only loxodromics translate")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "translation_length", translation_length)
+        super().__init__(kind, translation_length)
 
 
 def _length_from_trace(tr: complex) -> float:
@@ -259,13 +259,10 @@ def morgan_shalen_vector(
 
 class ModuliPoint(Record):
     """Trace coordinates of a representation: the characters of a fixed tuple
-    of coordinate words (for rank 2: a, b, ab, which determine the character)."""
+    of coordinate words (for rank 2: a, b, ab, which determine the character).
+    `traces[i]` is the complex character of `words[i]`."""
 
     __slots__ = ("words", "traces")
-
-    def __init__(self, words: tuple[Word, ...], traces: tuple[complex, ...]) -> None:
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "traces", traces)
 
     def agrees(self, other: "ModuliPoint", tol: float = 1e-8) -> bool:
         if self.words != other.words:

@@ -68,7 +68,7 @@ class Word(Record):
                 raise WordError(
                     f"letters {letters!r} are not freely reduced at position {i}"
                 )
-        object.__setattr__(self, "letters", letters)
+        super().__init__(letters)
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
@@ -115,13 +115,10 @@ class Word(Record):
         return Word(tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word(())
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        # free reduction is confluent, so reducing the n copies at once gives
+        # the word that n - 1 products give
+        base = self if n >= 0 else self.inverse()
+        return Word(_reduce(base.letters * abs(n)))
 
     def max_index(self) -> int:
         return max((abs(l) for l in self.letters), default=0)
@@ -172,21 +169,12 @@ def canonical_cyclic(word: Word) -> Word:
 
 class ConjugacyClassList(Record):
     """Canonical representatives of the nontrivial conjugacy classes with
-    cyclic length <= max_length, in shortlex order."""
+    cyclic length <= max_length, in shortlex order: `representatives` is a
+    tuple of `Word`s in the free group of the given `rank`, and `folded`
+    says that each class was merged with its inverse class."""
 
     __slots__ = ("representatives", "max_length", "rank", "folded")
-
-    def __init__(
-        self,
-        representatives: tuple[Word, ...],
-        max_length: int,
-        rank: int,
-        folded: bool = False,
-    ) -> None:
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "max_length", max_length)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "folded", folded)
+    _defaults = {"folded": False}
 
     def __len__(self) -> int:
         return len(self.representatives)

@@ -200,6 +200,31 @@ def test_value_records_keep_their_defaults():
     assert LengthVector(CLASSES, (1.0, 0.5)) == LengthVector(CLASSES, (1.0, 0.5), 1.0)
 
 
+@pytest.mark.parametrize("cls,fields,other,text", VALUE_RECORDS, ids=_ids(VALUE_RECORDS))
+def test_value_record_misbinding_raises_type_error(cls, fields, other, text):
+    values = list(fields.values())
+    first = next(iter(fields))
+    with pytest.raises(TypeError, match="were given"):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'no_such_field'"):
+        cls(**fields, no_such_field=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(values[0], **fields)
+    if cls is not Word:  # a Word's only field defaults to the empty word
+        with pytest.raises(TypeError, match=f"missing .*'{first}'"):
+            cls(**{k: v for k, v in fields.items() if k != first})
+
+
+def test_record_binds_positional_keyword_and_default_fields():
+    assert ConjugacyClassList((A, B), 1, rank=2) == CLASSES
+    assert Matrix2C(1.0, 0.5j, d=1.0, c=0.0) == SHEAR
+    cloud = _cloud()
+    by_keyword = LimitPointCloud(cloud.values, cloud.charts, epsilon=0.001, max_depth=30)
+    assert by_keyword.truncated is False and by_keyword.max_depth == 30
+    with pytest.raises(TypeError):
+        LimitPointCloud(cloud.values, cloud.charts, 0.001)
+
+
 def test_value_records_keep_their_checks():
     with pytest.raises(WordError, match="not freely reduced"):
         Word((1, -1))

@@ -278,6 +278,36 @@ def test_power_notation():
     assert (w ** 0).letters == ()
 
 
+def _power_by_products(w, n):
+    base = w if n >= 0 else w.inverse()
+    out = Word(())
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+def test_power_is_repeated_product():
+    rng = np.random.default_rng(17)
+    # words whose ends cancel reduce between the copies
+    samples = [Word.from_text(t) for t in ("abA", "aBBA", "abcBA", "a", "1")]
+    samples += [
+        random_word(rng, int(rng.integers(1, 4)), int(rng.integers(0, 9)))
+        for _ in range(300)
+    ]
+    for w in samples:
+        for n in range(-5, 6):
+            assert w ** n == _power_by_products(w, n)
+    assert (Word.from_text("abA") ** 3).text() == "abbbA"
+
+
+def test_large_power_is_fast():
+    # one product per copy re-reduces the whole power so far: quadratic
+    start = time.perf_counter()
+    w = Word.from_text("ab") ** 100_000
+    assert time.perf_counter() - start < 1.0
+    assert w.letters == (1, 2) * 100_000
+
+
 def test_class_list_container_api():
     classes = enumerate_classes(2, 1)
     assert isinstance(classes, ConjugacyClassList)
