@@ -13,7 +13,6 @@ only for its own imports (numpy is needed by limitset and qnet alone).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -143,8 +142,7 @@ def _cmd_character(args: argparse.Namespace) -> int:
             iso = sl2.classify(m)
             cells.append(",%s,%.9g" % (iso.kind, iso.translation_length))
         if args.theta:
-            # morgan_shalen_vector's coordinate, from the character in hand
-            cells.append(",%.9g" % math.log(abs(chi) + 2.0))
+            cells.append(",%.9g" % sl2.morgan_shalen_coordinate(chi))
         rows.append("".join(cells))
     print("\n".join(rows))
     return 0
@@ -213,7 +211,10 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
         limitset.write_cloud_csv(args.csv, cloud)
 
     radius = max(abs(w) for w in window)
-    lines = [f"points {len(cloud)}", f"truncated {int(cloud.truncated)}"]
+    lines = [
+        f"points {len(cloud)}",
+        f"truncated {int(cloud.truncated)}",
+    ]
     in_window = cloud.plane_values(radius)
     if len(in_window) >= 10:
         lines.append(

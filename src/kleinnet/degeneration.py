@@ -262,8 +262,8 @@ class TreeLimitReport(Record):
     """Convergence evidence for one sweep: Cauchy deltas, distance of the
     final vector to the cyclic-length oracle, and the two length-function
     axioms checked on the final vector.  `deltas` holds the sup-norm
-    distance between consecutive vectors; each float has a bool beside it
-    that says whether it is within its tolerance."""
+    distances between consecutive vectors; `converged` and each `*_ok` flag
+    say whether the value before it is within its tolerance."""
 
     __slots__ = (
         "deltas",

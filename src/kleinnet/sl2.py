@@ -29,6 +29,7 @@ __all__ = [
     "classify",
     "classify_entries",
     "translation_length_arccosh",
+    "morgan_shalen_coordinate",
     "morgan_shalen_vector",
     "moduli_point",
     "conjugate_rep",
@@ -249,12 +250,17 @@ def classify_entries(
     return "loxodromic", length
 
 
+def morgan_shalen_coordinate(chi: complex) -> float:
+    """log(|chi| + 2) for the character chi of a class."""
+    return math.log(abs(chi) + 2.0)
+
+
 def morgan_shalen_vector(
     rep: Representation, classes: ConjugacyClassList | Iterable[Word]
 ) -> list[float]:
-    """log(|character| + 2) per class: the coordinates whose projectivization
-    compactifies the character variety."""
-    return [math.log(abs(character(rep, w)) + 2.0) for w in classes]
+    """`morgan_shalen_coordinate` per class: the coordinates whose
+    projectivization compactifies the character variety."""
+    return [morgan_shalen_coordinate(character(rep, w)) for w in classes]
 
 
 class ModuliPoint(Record):
