@@ -21,14 +21,10 @@ class Record:
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__
-        if not kwargs and len(args) == len(names):
-            for name, value in zip(names, args):
-                object.__setattr__(self, name, value)
-            return
-        cls = type(self).__qualname__
         if len(args) > len(names):
             raise TypeError(
-                f"{cls}() takes {len(names)} arguments but {len(args)} were given"
+                f"{type(self).__qualname__}() takes {len(names)} arguments"
+                f" but {len(args)} were given"
             )
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
@@ -38,13 +34,15 @@ class Record:
             elif name in self._defaults:
                 value = self._defaults[name]
             else:
-                raise TypeError(f"{cls}() missing required argument {name!r}")
+                raise TypeError(
+                    f"{type(self).__qualname__}() missing required argument {name!r}"
+                )
             object.__setattr__(self, name, value)
         if kwargs:
             # a keyword left over repeats a positional field or names no field
             name = next(iter(kwargs))
             what = "multiple values for" if name in names else "an unexpected keyword"
-            raise TypeError(f"{cls}() got {what} argument {name!r}")
+            raise TypeError(f"{type(self).__qualname__}() got {what} argument {name!r}")
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
