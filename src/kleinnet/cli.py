@@ -215,12 +215,11 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
         f"points {len(cloud)}",
         f"truncated {int(cloud.truncated)}",
     ]
-    in_window = cloud.plane_values(radius)
-    if len(in_window) >= 10:
+    if len(cloud.plane_values(radius)) >= limitset.MIN_CIRCLE_POINTS:
         lines.append(
             "circle_deviation %.9g" % limitset.circle_deviation(cloud, radius)
         )
-    if len(cloud.plane_values(limitset.WINDOW_RADIUS)) >= 1000:
+    if len(cloud.plane_values(limitset.WINDOW_RADIUS)) >= limitset.MIN_BOX_POINTS:
         lines.append("box_dimension %.9g" % limitset.box_dimension(cloud))
     lines.append("invariance %.9g" % limitset.cloud_group_invariance(cloud, rep))
     print("\n".join(lines))

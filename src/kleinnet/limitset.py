@@ -49,6 +49,10 @@ MARKOV_ULPS = 32
 COMMUTATOR_TOL = 1e-14
 WINDOW_RADIUS = 4.0
 BOX_LEVELS = 7
+# the fewest points within the window's radius that circle_deviation fits,
+# and within WINDOW_RADIUS that box_dimension counts
+MIN_CIRCLE_POINTS = 10
+MIN_BOX_POINTS = 1000
 # the largest image render draws: 8192 x 8192, 192 MiB of pixels
 MAX_PIXELS = 1 << 26
 
@@ -141,21 +145,14 @@ class LimitPointCloud(Record):
         return int(self.values.shape[0])
 
     def plane_values(self, radius: float = WINDOW_RADIUS) -> np.ndarray:
-        """Plane coordinates of the points with |z| <= radius (points at or
-        near infinity fall outside every finite window)."""
-        vals = self.values
-        charts = self.charts
-        out = np.empty_like(vals)
-        mask0 = charts == 0
-        out[mask0] = vals[mask0]
-        w = vals[~mask0]
-        plane = np.full(w.shape, np.inf + 0j)
-        nz = w != 0
-        plane[nz] = 1.0 / w[nz]
-        out[~mask0] = plane
-        mag = np.abs(out)
-        keep = np.isfinite(mag) & (mag <= radius)
-        return out[keep]
+        """Plane coordinates of the points with |z| <= radius.  A chart-1
+        zero (infinity) or a chart-1 value whose inverse overflows has no
+        finite modulus, so it falls outside every window, also an infinite
+        one."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z = np.where(self.charts == 0, self.values, 1.0 / self.values)
+            mag = np.abs(z)
+        return z[np.isfinite(mag) & (mag <= radius)]
 
 
 def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
@@ -210,34 +207,6 @@ _QUOTIENT_ZEROS = np.array([0.0, -0.0])[:, None, None, None]
 _CONJUGATE = np.array([1.0, -1.0])[:, None, None]
 
 
-def _count_table(k: int) -> np.ndarray:
-    """For a node with c0 of its k candidates in chart 0 and c1 in chart 1,
-    column c0 * (k + 1) + c1 holds: whether it takes chart 0 (all fit it,
-    else not all fit chart 1 and a majority fits it), whether all fit one
-    chart, how many fit the chart it takes, and that chart."""
-    table = np.zeros((4, (k + 1) ** 2), dtype=np.int64)
-    for c0 in range(k + 1):
-        for c1 in range(k + 1):
-            use0 = c0 == k or (c1 != k and 2 * c0 >= k)
-            table[:, c0 * (k + 1) + c1] = (
-                use0, c0 == k or c1 == k, c0 if use0 else c1, 0 if use0 else 1
-            )
-    return table
-
-
-# per candidate count k: the weights of a node's chart-fit flags that make
-# its column of _count_table, that table, and the candidate index pairs
-# i < j (all i, then all j) over which the diameter is taken
-_CANDIDATES = {
-    k: (
-        np.repeat([k + 1, 1], k),
-        _count_table(k),
-        np.concatenate(np.triu_indices(k, 1)),
-    )
-    for k in (3, 4)
-}
-
-
 def _multiplier(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Products with w = re + i*im as sums of real products: m*w has re
     part m.re*re + m.im*(-im) and im part m.re*im + m.im*re, so the table
@@ -279,17 +248,22 @@ def _node_points(uv, eps2: float, at_floor: bool):
     when no node emits).
     """
     k = uv.shape[2]
-    weights, table, pairs = _CANDIDATES[k]
     sq = uv * uv
     norm = sq[:, 0] + sq[:, 1]
     # fits[0]: |u| <= 2|v|, the candidate fits chart 0; fits[1]: chart 1
     fits = norm <= 4.0 * norm[::-1]
-    use0, uniform, in_count, chart = table[:, np.dot(weights, fits.reshape(2 * k, -1))]
+    c0, c1 = fits.sum(axis=1)
+    # chart 0 when all candidates fit it, else when not all fit chart 1
+    # and at least half fit chart 0
+    use0 = (c0 == k) | ((c1 != k) & (2 * c0 >= k))
+    uniform = (c0 == k) | (c1 == k)
     in_chart = np.where(use0, fits[0], fits[1])
     # the candidates as p/q in the chosen chart
     p, q = np.where(use0, uv, uv[::-1])
     d = np.where(use0, norm[1], norm[0])
     z = (p * q[0] + p[::-1] * (q[1] * _CONJUGATE)) / d
+    # the candidate pairs i < j (all i, then all j) span the diameter
+    pairs = np.concatenate(np.triu_indices(k, 1))
     ends = np.take(z, pairs, axis=1).reshape(2, 2, -1, len(use0))
     dz = ends[:, 0] - ends[:, 1]
     dz = dz * dz
@@ -303,7 +277,8 @@ def _node_points(uv, eps2: float, at_floor: bool):
     c = 0.0 + z[:, 0]
     for i in range(1, k):
         c = c + z[:, i]
-    return emit, (c / in_count[emit], chart[emit])
+    use0 = use0[emit]
+    return emit, (c / np.where(use0, c0[emit], c1[emit]), np.where(use0, 0, 1))
 
 
 def _expand(mats, last, cands, steps, eps2: float, at_floor: bool, room: int):
@@ -468,11 +443,11 @@ def circle_deviation(
     """Relative misfit of the best circle (or line, the infinite-radius case)
     through the cloud: max radial deviation over the radius, or max line
     offset over the cloud diameter."""
-    if len(cloud) < 10:
-        raise LimitSetError("circle fit needs at least 10 points")
     z = cloud.plane_values(window_radius)
-    if z.shape[0] < 10:
-        raise LimitSetError("circle fit needs at least 10 points in the window")
+    if len(z) < MIN_CIRCLE_POINTS:
+        raise LimitSetError(
+            f"circle fit needs at least {MIN_CIRCLE_POINTS} points in the window"
+        )
     x, y = z.real, z.imag
     centered = np.column_stack([x - x.mean(), y - y.mean()])
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
@@ -499,11 +474,11 @@ def box_dimension(cloud: LimitPointCloud) -> float:
     """Box-counting slope over dyadic scales delta_0 / 2^k, k < BOX_LEVELS,
     with delta_0 a quarter of the bounding-box size, on the points within
     WINDOW_RADIUS."""
-    if len(cloud) < 1000:
-        raise LimitSetError("box counting needs at least 1000 points")
     z = cloud.plane_values(WINDOW_RADIUS)
-    if z.shape[0] < 1000:
-        raise LimitSetError("box counting needs at least 1000 points in the window")
+    if len(z) < MIN_BOX_POINTS:
+        raise LimitSetError(
+            f"box counting needs at least {MIN_BOX_POINTS} points in the window"
+        )
     x, y = z.real, z.imag
     xmin, ymin = x.min(), y.min()
     size = max(float(x.max() - xmin), float(y.max() - ymin))
@@ -524,7 +499,9 @@ def box_dimension(cloud: LimitPointCloud) -> float:
 
 def check_window(window) -> tuple[float, float, float, float]:
     """The window (re_min, re_max, im_min, im_max) as floats, once it is
-    checked to be a finite nonempty rectangle."""
+    checked to be a finite nonempty rectangle whose width and height are
+    finite too (bounds near +/-1e308 can be finite while their difference
+    overflows)."""
     bounds = tuple(float(v) for v in window)
     if len(bounds) != 4:
         raise LimitSetError("window needs re_min,re_max,im_min,im_max")
@@ -533,6 +510,8 @@ def check_window(window) -> tuple[float, float, float, float]:
     re_min, re_max, im_min, im_max = bounds
     if not (re_min < re_max and im_min < im_max):
         raise LimitSetError("window must be a nonempty rectangle")
+    if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
+        raise LimitSetError("window width and height must be finite")
     return bounds
 
 
@@ -558,14 +537,13 @@ def render(
     check_image_size(width, height)
     re_min, re_max, im_min, im_max = check_window(window)
     img = np.full((height, width, 3), 255, dtype=np.uint8)
-    z = cloud.plane_values(radius=math.inf) if len(cloud) else np.empty(0, complex)
-    if z.size:
-        fx = (z.real - re_min) / (re_max - re_min)
-        fy = (im_max - z.imag) / (im_max - im_min)
-        keep = (fx >= 0.0) & (fx <= 1.0) & (fy >= 0.0) & (fy <= 1.0)
-        px = np.minimum((fx[keep] * width).astype(np.int64), width - 1)
-        py = np.minimum((fy[keep] * height).astype(np.int64), height - 1)
-        img[py, px] = 0
+    z = cloud.plane_values(radius=math.inf)
+    fx = (z.real - re_min) / (re_max - re_min)
+    fy = (im_max - z.imag) / (im_max - im_min)
+    keep = (fx >= 0.0) & (fx <= 1.0) & (fy >= 0.0) & (fy <= 1.0)
+    px = np.minimum((fx[keep] * width).astype(np.int64), width - 1)
+    py = np.minimum((fy[keep] * height).astype(np.int64), height - 1)
+    img[py, px] = 0
     header = b"P6\n%d %d\n255\n" % (width, height)
     return header + img.tobytes()
 
@@ -609,18 +587,14 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-class _Grid:
-    """Points in cubic cells of one side: the sorted keys of the nonempty
-    cells, where each cell's points start (and, last, the point count), and
-    for each point its index into coords, the coordinate arrays sorted by
-    cell on the finest grid (None on that grid, where it is the identity)."""
+class _Grid(Record):
+    """Points in cubic cells of one side: the cell side, the sorted keys of
+    the nonempty cells, where each cell's points start (and, last, the
+    point count), and for each point its index into coords, the coordinate
+    arrays sorted by cell on the finest grid (None on that grid, where it
+    is the identity)."""
 
-    def __init__(self, side: float, keys, starts, index, coords):
-        self.side = side
-        self.keys = keys
-        self.starts = starts
-        self.index = index
-        self.coords = coords
+    __slots__ = ("side", "keys", "starts", "index", "coords")
 
     def coarser(self) -> "_Grid":
         """The grid of side 4 * side, made from this grid's cells: a cell of
@@ -826,19 +800,18 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     if not keep.all():
         vals, charts = vals[keep], charts[keep]
     nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
-    images = _Images(rep.images + rep.inverses, vals, charts)
+    images = _Images([g.entries() for g in rep.images + rep.inverses], vals, charts)
     return math.sqrt(nearest.max_squared(images))
 
 
-class _Images:
-    """Sphere lifts of the images of the points under each matrix.  Every
-    iteration computes them afresh, _CHUNK points at a time, and yields the
-    images of those points under all the matrices as one array."""
+class _Images(Record):
+    """Sphere lifts of the images of the chart values `vals` (with their
+    `charts`) under each matrix, given by its (a, b, c, d) `entries`.
+    Every iteration computes them afresh, _CHUNK points at a time, and
+    yields the images of those points under all the matrices as one
+    array."""
 
-    def __init__(self, mats, vals: np.ndarray, charts: np.ndarray):
-        self.entries = [g.entries() for g in mats]
-        self.vals = vals
-        self.charts = charts
+    __slots__ = ("entries", "vals", "charts")
 
     def __iter__(self):
         for s in range(0, len(self.vals), _CHUNK):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import QnetError
-from .sl2 import Matrix2C
+from .sl2 import Matrix2C, mul_entries
 
 MAX_AREAS = 20
 # most gates random_circuit draws: the CLI holds each as an object, plus a
@@ -78,13 +78,14 @@ class SU2Gate(Record):
 
     def __init__(self, area: int, matrix: Matrix2C) -> None:
         _check_area_field(area)
-        m = matrix
-        adjoint = Matrix2C(
-            m.a.conjugate(), m.c.conjugate(), m.b.conjugate(), m.d.conjugate()
-        )
-        if not (m @ adjoint).max_abs_diff(Matrix2C.identity()) <= UNITARY_TOL:
+        a, b, c, d = matrix.entries()
+        adjoint = (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
+        p, q, r, s = mul_entries((a, b, c, d), adjoint)
+        # compared one by one against the identity, since max would keep an
+        # earlier number over a later NaN
+        if not all(x <= UNITARY_TOL for x in (abs(p - 1.0), abs(q), abs(r), abs(s - 1.0))):
             raise QnetError("SU2 gate matrix is not unitary")
-        if not abs(m.det - 1.0) <= UNITARY_TOL:
+        if not abs(matrix.det - 1.0) <= UNITARY_TOL:
             raise QnetError("SU2 gate matrix does not have unit determinant")
         super().__init__(area, matrix)
 

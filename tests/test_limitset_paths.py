@@ -7,7 +7,8 @@ on every assignment of candidates to "fits chart 0 only", "fits chart 1
 only" and "fits both", for 3 and 4 candidates.  `plane_values` projects a
 cloud to the plane and keeps the points within a radius; its bytes are
 pinned by digest on a computed cloud and on a handmade one with points at
-or past infinity.
+or past infinity.  `check_window` decides whether a window can be drawn:
+its bounds and also its width and height must be finite.
 """
 
 import hashlib
@@ -18,12 +19,15 @@ import random
 import numpy as np
 import pytest
 
+from kleinnet.errors import LimitSetError
 from kleinnet.limitset import (
     LimitPointCloud,
     _node_points,
+    check_window,
     enumerate_limit_set,
     from_traces,
 )
+from test_cli import run_module
 
 # the classes a candidate may fall in: fits chart 0 only, chart 1 only, both
 ONLY0, ONLY1, BOTH = range(3)
@@ -153,3 +157,26 @@ def test_plane_values_drop_points_at_and_past_infinity(radius):
     z = cloud.plane_values(radius)
     assert z.tolist() == HANDMADE_KEPT[radius]
     assert _digest(z) == HANDMADE_DIGESTS[radius]
+
+
+# -- windows ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "window", [(-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -1e308, 1e308)], ids=["re", "im"]
+)
+def test_window_with_an_overflowing_span_is_refused(window):
+    with pytest.raises(LimitSetError, match="width and height must be finite"):
+        check_window(window)
+    # half those bounds span 1e308, which does not overflow
+    assert check_window([w / 2.0 for w in window]) == tuple(w / 2.0 for w in window)
+
+
+def test_limitset_refuses_an_overflowing_window_span(tmp_path):
+    out_path = tmp_path / "X.ppm"
+    code, out, err = run_module(
+        "limitset", "--traces", "3,3", "--window=-1e308,1e308,-1,1", "--out", str(out_path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: window") and "Traceback" not in err
+    assert not out_path.exists()
