@@ -13,11 +13,12 @@ only for its own imports (numpy is needed by limitset and qnet alone).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import words
-from .errors import KleinnetError
+from .errors import KleinnetError, SparseWindowError
 
 if TYPE_CHECKING:
     from . import limitset, sl2
@@ -215,11 +216,12 @@ def _cmd_limitset(args: argparse.Namespace) -> int:
         f"points {len(cloud)}",
         f"truncated {int(cloud.truncated)}",
     ]
-    if len(cloud.plane_values(radius)) >= limitset.MIN_CIRCLE_POINTS:
+    # a statistic with too few points in its window prints no line
+    with contextlib.suppress(SparseWindowError):
         lines.append(
             "circle_deviation %.9g" % limitset.circle_deviation(cloud, radius)
         )
-    if len(cloud.plane_values(limitset.WINDOW_RADIUS)) >= limitset.MIN_BOX_POINTS:
+    with contextlib.suppress(SparseWindowError):
         lines.append("box_dimension %.9g" % limitset.box_dimension(cloud))
     lines.append("invariance %.9g" % limitset.cloud_group_invariance(cloud, rep))
     print("\n".join(lines))

@@ -34,6 +34,10 @@ class ElementaryGroupError(LimitSetError):
     """The group is elementary; the limit set has at most two points."""
 
 
+class SparseWindowError(LimitSetError):
+    """Too few cloud points lie in a statistic's window to compute it."""
+
+
 class DessinError(KleinnetError):
     """Malformed subgroup/permutation data."""
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import ElementaryGroupError, LimitSetError
+from .errors import ElementaryGroupError, LimitSetError, SparseWindowError
 from .sl2 import Matrix2C, Representation, classify, make_rep
 
 __all__ = [
@@ -205,6 +205,9 @@ _QUOTIENT_ZEROS = np.array([0.0, -0.0])[:, None, None, None]
 # p/q has numerator p * conj(q): (p.re, p.im) * q.re + (p.im, p.re) * (q.im,
 # -q.im), whose second factor this makes from q.im
 _CONJUGATE = np.array([1.0, -1.0])[:, None, None]
+# per candidate count k: the candidate index pairs i < j (all i, then all
+# j) over which a node's diameter is taken
+_DIAMETER_ENDS = {k: np.concatenate(np.triu_indices(k, 1)) for k in (3, 4)}
 
 
 def _multiplier(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -252,19 +255,17 @@ def _node_points(uv, eps2: float, at_floor: bool):
     norm = sq[:, 0] + sq[:, 1]
     # fits[0]: |u| <= 2|v|, the candidate fits chart 0; fits[1]: chart 1
     fits = norm <= 4.0 * norm[::-1]
-    c0, c1 = fits.sum(axis=1)
+    counts = fits.sum(axis=1)
+    all0, all1 = counts == k
+    uniform = all0 | all1
     # chart 0 when all candidates fit it, else when not all fit chart 1
     # and at least half fit chart 0
-    use0 = (c0 == k) | ((c1 != k) & (2 * c0 >= k))
-    uniform = (c0 == k) | (c1 == k)
-    in_chart = np.where(use0, fits[0], fits[1])
+    use0 = np.where(uniform, all0, counts[0] >= k / 2)
     # the candidates as p/q in the chosen chart
     p, q = np.where(use0, uv, uv[::-1])
     d = np.where(use0, norm[1], norm[0])
     z = (p * q[0] + p[::-1] * (q[1] * _CONJUGATE)) / d
-    # the candidate pairs i < j (all i, then all j) span the diameter
-    pairs = np.concatenate(np.triu_indices(k, 1))
-    ends = np.take(z, pairs, axis=1).reshape(2, 2, -1, len(use0))
+    ends = np.take(z, _DIAMETER_ENDS[k], axis=1).reshape(2, 2, -1, len(use0))
     dz = ends[:, 0] - ends[:, 1]
     dz = dz * dz
     diam2 = np.fmax.reduce(dz[0] + dz[1], axis=0, initial=0.0)
@@ -273,12 +274,13 @@ def _node_points(uv, eps2: float, at_floor: bool):
         emit[:] = True
     if not emit.any():
         return emit, None
+    in_chart = np.where(use0, fits[0], fits[1])
     z = np.where(in_chart, z, 0.0)[..., emit]
     c = 0.0 + z[:, 0]
     for i in range(1, k):
         c = c + z[:, i]
     use0 = use0[emit]
-    return emit, (c / np.where(use0, c0[emit], c1[emit]), np.where(use0, 0, 1))
+    return emit, (c / np.where(use0, *counts[:, emit]), np.where(use0, 0, 1))
 
 
 def _expand(mats, last, cands, steps, eps2: float, at_floor: bool, room: int):
@@ -445,7 +447,7 @@ def circle_deviation(
     offset over the cloud diameter."""
     z = cloud.plane_values(window_radius)
     if len(z) < MIN_CIRCLE_POINTS:
-        raise LimitSetError(
+        raise SparseWindowError(
             f"circle fit needs at least {MIN_CIRCLE_POINTS} points in the window"
         )
     x, y = z.real, z.imag
@@ -476,7 +478,7 @@ def box_dimension(cloud: LimitPointCloud) -> float:
     WINDOW_RADIUS."""
     z = cloud.plane_values(WINDOW_RADIUS)
     if len(z) < MIN_BOX_POINTS:
-        raise LimitSetError(
+        raise SparseWindowError(
             f"box counting needs at least {MIN_BOX_POINTS} points in the window"
         )
     x, y = z.real, z.imag
@@ -592,7 +594,9 @@ class _Grid(Record):
     the nonempty cells, where each cell's points start (and, last, the
     point count), and for each point its index into coords, the coordinate
     arrays sorted by cell on the finest grid (None on that grid, where it
-    is the identity)."""
+    is the identity).  Record gives it only its constructor and its refusal
+    of assignment: a grid holds arrays, so it is never compared, hashed or
+    pickled."""
 
     __slots__ = ("side", "keys", "starts", "index", "coords")
 
@@ -809,7 +813,8 @@ class _Images(Record):
     `charts`) under each matrix, given by its (a, b, c, d) `entries`.
     Every iteration computes them afresh, _CHUNK points at a time, and
     yields the images of those points under all the matrices as one
-    array."""
+    array.  Like _Grid, it takes from Record only the constructor and the
+    refusal of assignment, and is never compared, hashed or pickled."""
 
     __slots__ = ("entries", "vals", "charts")
 

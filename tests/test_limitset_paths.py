@@ -9,6 +9,9 @@ cloud to the plane and keeps the points within a radius; its bytes are
 pinned by digest on a computed cloud and on a handmade one with points at
 or past infinity.  `check_window` decides whether a window can be drawn:
 its bounds and also its width and height must be finite.
+`circle_deviation` and `box_dimension` decide whether enough points lie in
+their windows, and raise `SparseWindowError` when too few do, which the
+CLI takes as "print no line".
 """
 
 import hashlib
@@ -19,11 +22,16 @@ import random
 import numpy as np
 import pytest
 
-from kleinnet.errors import LimitSetError
+from kleinnet.errors import LimitSetError, SparseWindowError
 from kleinnet.limitset import (
+    MIN_BOX_POINTS,
+    MIN_CIRCLE_POINTS,
+    WINDOW_RADIUS,
     LimitPointCloud,
     _node_points,
+    box_dimension,
     check_window,
+    circle_deviation,
     enumerate_limit_set,
     from_traces,
 )
@@ -157,6 +165,27 @@ def test_plane_values_drop_points_at_and_past_infinity(radius):
     z = cloud.plane_values(radius)
     assert z.tolist() == HANDMADE_KEPT[radius]
     assert _digest(z) == HANDMADE_DIGESTS[radius]
+
+
+def _ring(n_in: int, n_out: int) -> LimitPointCloud:
+    """n_in points on the circle |z| = 2, inside WINDOW_RADIUS, and n_out
+    on |z| = 8, outside it."""
+    assert 2.0 < WINDOW_RADIUS < 8.0
+    turns = [np.exp(2j * np.pi * np.arange(n) / n) for n in (n_in, n_out)]
+    values = np.concatenate([2.0 * turns[0], 8.0 * turns[1]])
+    return LimitPointCloud(values, np.zeros(len(values), np.int8), 1e-3, 30)
+
+
+def test_statistics_count_only_the_points_in_their_window():
+    # the points past the window do not make up for the missing ones
+    with pytest.raises(SparseWindowError, match="points in the window"):
+        circle_deviation(_ring(MIN_CIRCLE_POINTS - 1, 5000), WINDOW_RADIUS)
+    with pytest.raises(SparseWindowError, match="points in the window"):
+        box_dimension(_ring(MIN_BOX_POINTS - 1, 5000))
+    assert circle_deviation(_ring(MIN_CIRCLE_POINTS, 5000), WINDOW_RADIUS) <= 1e-12
+    assert box_dimension(_ring(MIN_BOX_POINTS, 5000)) > 0.0
+    # an infinite radius takes every point
+    assert circle_deviation(_ring(MIN_CIRCLE_POINTS - 1, 1), math.inf) > 0.1
 
 
 # -- windows ---------------------------------------------------------------------
