@@ -1,0 +1,180 @@
+"""Byte guards for the qnet gate kernel on circuits with NOT gates.
+
+The qnet goldens in test_golden.py and the digest script in test_qnet.py run
+circuits from `random_circuit`, which draws no NOT gate.  The cases here pin
+the sha256 of `run_circuit(...).amplitudes.tobytes()` for seeded circuits
+that mix NOT, CNOT and SU(2) gates, and check NOT/CNOT-only circuits against
+a plain-Python permutation of the basis indices.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kleinnet.qnet import (
+    AreaState,
+    CNOTGate,
+    NotGate,
+    SU2Gate,
+    apply_gate,
+    normalize,
+    random_su2,
+    run_circuit,
+    tensor,
+)
+
+
+def _digest(state):
+    return hashlib.sha256(state.amplitudes.tobytes()).hexdigest()
+
+
+def _initial(rng, n):
+    return [
+        normalize(AreaState(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))))
+        for _ in range(n)
+    ]
+
+
+def _area(rng, n):
+    return int(rng.integers(n)) + 1
+
+
+def _mixed(rng, n, n_gates, p_not, p_cnot):
+    """Seeded gates: NOT with probability p_not, CNOT with p_cnot (NOT on
+    one area), SU(2) otherwise."""
+    gates = []
+    for _ in range(n_gates):
+        r = rng.random()
+        if r < p_not or (r < p_not + p_cnot and n == 1):
+            gates.append(NotGate(_area(rng, n)))
+        elif r < p_not + p_cnot:
+            control, target = rng.choice(n, size=2, replace=False)
+            gates.append(CNOTGate(int(control) + 1, int(target) + 1))
+        else:
+            gates.append(SU2Gate(_area(rng, n), random_su2(rng)))
+    return gates
+
+
+def _not_heavy(n):
+    rng = np.random.default_rng(100 + n)
+    return _initial(rng, n), _mixed(rng, n, 60, 0.4, 0.3)
+
+
+def _not_before_su2():
+    # a NOT right before an SU(2) gate on the same area, on every area and
+    # after a CNOT that moves the SU(2) gate's area
+    rng = np.random.default_rng(7)
+    initial = _initial(rng, 3)
+    gates = []
+    for k in (2, 1, 3, 2):
+        gates += [NotGate(k), SU2Gate(k, random_su2(rng))]
+    gates += [CNOTGate(1, 3), NotGate(3), SU2Gate(3, random_su2(rng))]
+    gates += [NotGate(1), NotGate(1), SU2Gate(1, random_su2(rng))]
+    return initial, gates
+
+
+def _cnot_cancels():
+    rng = np.random.default_rng(8)
+    initial = _initial(rng, 3)
+    gates = [CNOTGate(1, 2), CNOTGate(1, 2), SU2Gate(1, random_su2(rng))]
+    gates += [SU2Gate(2, random_su2(rng))]
+    return initial, gates
+
+
+def _permutations_only(n):
+    rng = np.random.default_rng(200 + n)
+    return _initial(rng, n), _mixed(rng, n, 40, 0.5, 0.5)
+
+
+CASES = {
+    **{f"not-heavy-{n}": (_not_heavy, (n,)) for n in range(1, 9)},
+    "not-before-su2": (_not_before_su2, ()),
+    "cnot-cancels": (_cnot_cancels, ()),
+    **{f"permutations-only-{n}": (_permutations_only, (n,)) for n in range(1, 7)},
+}
+
+DIGESTS = {
+    "not-heavy-1": "233c780a38fa3b16aab2b5a2b150265d8afa40e555f5a444476955e7cf311558",
+    "not-heavy-2": "21445e08867a3b1c6d2b46e928dcabaa8d395a1866735a4c021ea10f477616a0",
+    "not-heavy-3": "a6ca9680573ed2d66ffc2e4315d55c3f21e1ce1d2fa92e6fc6b7ff1cb6e643a1",
+    "not-heavy-4": "18eb2472638c9cd883e26b264bc446b2390e967e575cde9b782a8ca853705211",
+    "not-heavy-5": "d685190369fa87103cb58058565f1c256cb6c57bf698fa74e41ade423032fcfd",
+    "not-heavy-6": "4de269736919d074ac60abc61522546dbe0bb36bcc37c8d3dcbabb0f29cb3231",
+    "not-heavy-7": "1988d77ce7d8a0b18ec4dd9ef1898f0e47fc7a4751d1302c2dc74ccc5f691306",
+    "not-heavy-8": "952b1ea5a1519dcc0a4d5f198f6bda75272caa6aefd51fbc09442c87e712aa6d",
+    "not-before-su2": "a6196fe9d86a7abb264c43dc4bc41563b0e3d6fd1143ac1a838adef83493a897",
+    "cnot-cancels": "486721d0fc1de04d0fca2cad28815fd3b4d6f66d2fc5546f2da8c4540bb53d35",
+    "permutations-only-1": "06e3f9ee70272cc121d72900d80c7045801734a84f99a7cea0ad9af7b49f552d",
+    "permutations-only-2": "e682a6ce020e0bd4566cdcfab2506d70bfee81e24ede0a2b594496b3ec404d32",
+    "permutations-only-3": "8db078d92fc15fae730231082f401ecbf19928caa0ef801140097af8ab2f3b5f",
+    "permutations-only-4": "dcf6c0885a82494e6a393183fe4fc89d151b07ed8c2d2c6af01c98a94e2bd5c6",
+    "permutations-only-5": "225904d6adcab35d7223a2168f3c1307f55fa2a56054c77c6d58284225204666",
+    "permutations-only-6": "cc420d07b30a9d5c22590dac9a7f7ef4453c3860697162706aac74625f41d0b0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_circuit_bytes(name):
+    make, args = CASES[name]
+    initial, gates = make(*args)
+    assert _digest(run_circuit(initial, gates)) == DIGESTS[name]
+
+
+def _apply_gate_states():
+    rng = np.random.default_rng(9)
+    state = tensor(_initial(rng, 4))
+    gates = {
+        "NOT": NotGate(3),
+        "CNOT": CNOTGate(4, 2),
+        "SU2": SU2Gate(1, random_su2(rng)),
+    }
+    return {kind: apply_gate(state, gate) for kind, gate in gates.items()}
+
+
+APPLY_GATE_DIGESTS = {
+    "NOT": "a35b978cfab4db7e46bd66f1a2db8c1864ce94bef02811210d47252e586b37c9",
+    "CNOT": "c1eeb68849494d16956a2339fca8b74b11524af8a87bc21e1058ed2e49d13e3e",
+    "SU2": "747be030cbdd1fd9e73864ad912d2f3ab8a0a9be5d3751351482109dcd3087f9",
+}
+
+
+def test_apply_gate_bytes():
+    states = _apply_gate_states()
+    assert {kind: _digest(s) for kind, s in states.items()} == APPLY_GATE_DIGESTS
+
+
+def _permuted_index(i, n, gates):
+    """Where the amplitude at basis index i ends after `gates`, by its bits."""
+    bits = [(i >> (n - k)) & 1 for k in range(1, n + 1)]
+    for g in gates:
+        if isinstance(g, NotGate):
+            bits[g.area - 1] ^= 1
+        elif bits[g.control - 1]:
+            bits[g.target - 1] ^= 1
+    return int("".join(map(str, bits)), 2)
+
+
+@st.composite
+def _permutation_circuits(draw):
+    n = draw(st.integers(1, 6))
+    area = st.integers(1, n)
+    not_gate = area.map(NotGate)
+    gate = not_gate
+    if n >= 2:
+        cnot = st.tuples(area, area).filter(lambda p: p[0] != p[1])
+        gate = st.one_of(not_gate, cnot.map(lambda p: CNOTGate(*p)))
+    return n, draw(st.lists(gate, max_size=30)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permutation_circuits())
+def test_permutation_circuits_move_amplitudes_by_index_bits(case):
+    n, gates, seed = case
+    initial = _initial(np.random.default_rng(seed), n)
+    start = tensor(initial).amplitudes
+    expected = np.empty_like(start)
+    for i in range(start.size):
+        expected[_permuted_index(i, n, gates)] = start[i]
+    assert np.array_equal(run_circuit(initial, gates).amplitudes, expected)
