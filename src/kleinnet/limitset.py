@@ -39,6 +39,9 @@ __all__ = [
 DEFAULT_EPSILON = 1e-3
 DEFAULT_MAX_DEPTH = 30
 DEFAULT_CAP = 1_000_000
+# largest point cap: a run peaks at about 170-230 bytes per point, so a run
+# at this cap may take up to about 1 GB
+MAX_CAP = 4_000_000
 MARKOV_TOL = 1e-8
 # rounding allowance of the trace relation, in units of the largest rounding
 # error of one of its terms
@@ -429,6 +432,8 @@ def enumerate_limit_set(
         raise LimitSetError("max_depth must be at least 1")
     if cap < 1:
         raise LimitSetError("point cap must be at least 1")
+    if cap > MAX_CAP:
+        raise LimitSetError(f"point cap must be at most {MAX_CAP}, got {cap}")
 
     mats = (a, rep.inverses[0], b, rep.inverses[1])
     gens = [m.entries() for m in mats]

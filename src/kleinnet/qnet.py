@@ -24,6 +24,9 @@ MAX_AREAS = 20
 # most gates random_circuit draws: the CLI holds each as an object, plus a
 # line of circuit text only with --emit
 MAX_RANDOM_GATES = 1 << 16
+# most gates x 2^areas one run may apply: about 5 s of SU2 gates at 5 ns per
+# amplitude (16 areas take 0.3 ms per gate), and 16x qnet-wide's 2,000 x 2^16
+MAX_GATE_WORK = 1 << 30
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
 
@@ -141,10 +144,22 @@ class TensorState(Record):
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _product_rows(states: Sequence[AreaState]) -> np.ndarray:
-    """Kronecker product of raw area amplitudes as (2, 2^n) float rows."""
+def _check_work(n_areas: int, n_gates: int) -> None:
+    work = n_gates << n_areas
+    if work > MAX_GATE_WORK:
+        raise QnetError(
+            f"{n_gates} gates on {n_areas} areas exceed the work budget: "
+            f"gates x 2^areas is {work}, at most {MAX_GATE_WORK}"
+        )
+
+
+def _product_rows(states: Sequence[AreaState], n_gates: int = 0) -> np.ndarray:
+    """Kronecker product of raw area amplitudes as (2, 2^n) float rows, for a
+    run of `n_gates` gates: refused before it is made when the areas or the
+    run's work are over budget."""
     if not 1 <= len(states) <= MAX_AREAS:
         raise QnetError(f"need between 1 and {MAX_AREAS} area states")
+    _check_work(len(states), n_gates)
     rows = np.array([[1.0], [0.0]])
     for s in states:
         p, q = rows
@@ -185,16 +200,28 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # -- gate kernel -------------------------------------------------------------------
 #
 # The state is one (2, 2^n) float64 array, row 0 the real parts and row 1 the
-# imaginary parts, and each gate updates it in place.  Complex products are
-# spelled out on the rows, re = p*u - q*v and im = p*v + q*u, as in
-# limitset._image_lift: float multiply and add never fuse, so no BLAS or SIMD
-# complex kernel decides the bits, and the amplitudes do not depend on the CPU.
+# imaginary parts.  Complex products are spelled out on the rows, re = p*u -
+# q*v and im = p*v + q*u, as in limitset._image_lift: float multiply and add
+# never fuse, so no BLAS or SIMD complex kernel decides the bits, and the
+# amplitudes do not depend on the CPU.
+#
+# NOT and CNOT move no amplitude.  The array phi holds the state psi
+# relabelled, phi[G(i)] = psi[i], where G(i) = B.i ^ d is affine over GF(2)
+# on the amplitude index: B is one column bitmask per area and d one bitmask.
+# NOT(k) is d ^= col[k] and CNOT(c, t) is col[c] ^= col[t] (Aaronson and
+# Gottesman, Phys. Rev. A 70, 052328, 2004).  An SU2 gate on area k runs on
+# phi in place when G leaves bit k alone (col[k] is k's own bit and no other
+# column holds it); if d flips bit k it takes the matrix with rows and
+# columns swapped, which gives each pair the same products, added in the
+# other order.  Otherwise, and once at the end, phi is gathered through G
+# into a second array and G starts again from the identity.
 #
 # numpy runs a ufunc or a copy fast only along a long inner axis, and a ufunc
-# only when its operands can be walked as one run.  So a gate gathers its
-# strided views into contiguous scratch, does its arithmetic on flat rows, and
-# writes back through a ufunc whose inputs are contiguous: numpy then keeps the
-# axis order it is given, where np.copyto would re-sort by the destination.
+# only when its operands can be walked as one run.  So an SU2 gate gathers
+# its strided views into contiguous scratch, does its arithmetic on flat
+# rows, and writes back through a ufunc whose inputs are contiguous: numpy
+# then keeps the axis order it is given, where np.copyto would re-sort by the
+# destination.
 
 # amplitude pairs per SU2 block, so that a block's scratch stays in cache
 _BLOCK = 8192
@@ -203,29 +230,14 @@ _BLOCK = 8192
 _MIN_RUN = 8
 
 
-def _pairs(psi: np.ndarray, n: int, target: int, control: int = 0) -> np.ndarray:
-    """View of the amplitude pairs that differ in the bit of `target` (and,
-    given a `control`, have its bit set): target bit first, rows second.
-    When its innermost axis is short, the last long one is moved there."""
-    if not control:
-        v = psi.reshape(2, 1 << (target - 1), 2, 1 << (n - target))
-        v = v.transpose(2, 0, 1, 3)
-    else:
-        first, second = sorted((control, target))
-        v = psi.reshape(
-            2, 1 << (first - 1), 2, 1 << (second - first - 1), 2, 1 << (n - second)
-        )
-        if control < target:
-            v = v[:, :, 1].transpose(3, 0, 1, 2, 4)
-        else:
-            v = v[:, :, :, :, 1].transpose(2, 0, 1, 3, 4)
-    if v.shape[-1] < _MIN_RUN:
-        rest = list(range(2, v.ndim))
-        long = [ax for ax in rest if v.shape[ax] >= _MIN_RUN]
-        inner = long[-1] if long else max(rest, key=lambda ax: v.shape[ax])
-        rest.remove(inner)
-        v = v.transpose(0, 1, *rest, inner)
-    return v
+def _pairs(psi: np.ndarray, n: int, target: int) -> np.ndarray:
+    """View of the amplitude pairs that differ in the bit of `target`:
+    target bit first, rows second.  When its inner axis is short, the
+    longer of the last two is moved there."""
+    v = psi.reshape(2, 1 << (target - 1), 2, 1 << (n - target))
+    if v.shape[3] < min(v.shape[1], _MIN_RUN):
+        return v.transpose(2, 0, 3, 1)
+    return v.transpose(2, 0, 1, 3)
 
 
 def _blocks(pairs: np.ndarray) -> list[np.ndarray]:
@@ -242,25 +254,18 @@ def _blocks(pairs: np.ndarray) -> list[np.ndarray]:
 
 
 class _Scratch:
-    """Preallocated flat buffers for the gates on one (2, n_amps) state: `x`
-    holds a whole state (NOT swaps every pair) or one SU2 block, and `u`, `w`
-    and `t` the rows of one block."""
+    """Preallocated buffers for the gates on one (2, n_amps) state: `x`
+    holds one SU2 block, `u`, `w` and `t` the rows of one block, and `y` and
+    `index` a gathered state and the index it is gathered through."""
 
     def __init__(self, n_amps: int) -> None:
         rows = 2 * min(n_amps // 2, _BLOCK)
-        self.x = np.empty(2 * n_amps)
+        self.x = np.empty(2 * rows)
         self.u = np.empty(rows)
         self.w = np.empty(rows)
         self.t = np.empty(rows)
-
-    def like(self, view: np.ndarray) -> np.ndarray:
-        return self.x[: view.size].reshape(view.shape)
-
-
-def _swap(pairs: np.ndarray, scratch: _Scratch) -> None:
-    old = scratch.like(pairs)
-    np.copyto(old, pairs)
-    np.positive(old[::-1], out=pairs)
+        self.y = np.empty((2, n_amps))
+        self.index = np.empty(n_amps, dtype=np.intp)
 
 
 def _cmul(out: np.ndarray, tmp: np.ndarray, z: complex, rows: np.ndarray) -> None:
@@ -271,14 +276,15 @@ def _cmul(out: np.ndarray, tmp: np.ndarray, z: complex, rows: np.ndarray) -> Non
     np.add(out[1], tmp[0], out=out[1])
 
 
-def _apply_su2(pairs: np.ndarray, m: Matrix2C, scratch: _Scratch) -> None:
+def _apply_su2(pairs: np.ndarray, entries: tuple, scratch: _Scratch) -> None:
+    """Apply the matrix with row-major `entries` (a, b, c, d) to `pairs`."""
     blocks = _blocks(pairs)
-    old = scratch.like(blocks[0])
+    old = scratch.x[: blocks[0].size].reshape(blocks[0].shape)
     h = old.size // 4
     lo, hi = old.reshape(2, 2, h)
     u, w, t = (arr[: 2 * h].reshape(2, h) for arr in (scratch.u, scratch.w, scratch.t))
     u_out, w_out = u.reshape(old.shape[1:]), w.reshape(old.shape[1:])
-    a, b, c, d = m.entries()
+    a, b, c, d = entries
     for block in blocks:
         np.copyto(old, block)
         for out, z, y in ((block[0], a, b), (block[1], c, d)):
@@ -287,35 +293,64 @@ def _apply_su2(pairs: np.ndarray, m: Matrix2C, scratch: _Scratch) -> None:
             np.add(u_out, w_out, out=out)
 
 
+def _gather(phi: np.ndarray, cols: list[int], flip: int, scratch: _Scratch) -> np.ndarray:
+    """The rows psi with psi[:, i] = phi[:, G(i)], G(i) = B.i ^ flip, where
+    B has column cols[k - 1] for area k.  psi is scratch.y, and phi becomes
+    scratch.y for the next gather."""
+    index, psi = scratch.index, scratch.y
+    # doubling from the least significant area: index[:m] covers the last
+    # log2(m) areas
+    index[0] = flip
+    m = 1
+    for col in reversed(cols):
+        np.bitwise_xor(index[:m], col, out=index[m : 2 * m])
+        m *= 2
+    for row in range(2):
+        np.take(phi[row], index, out=psi[row], mode="clip")
+    scratch.y = phi
+    return psi
+
+
 def _check_area(area: int, n: int, role: str) -> int:
     if not 1 <= area <= n:
         raise QnetError(f"{role} area {area} out of range for {n} areas")
     return area
 
 
-def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> None:
-    """Apply `gates` to `psi` in place.  `psi` must be C-contiguous: the gate
-    views are reshapes of it, and a reshape of any other layout is a copy."""
+def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
+    """Apply `gates` to the C-contiguous rows `psi` and return the final
+    rows, which may be `psi` itself or a new array; `psi` is overwritten."""
     scratch = _Scratch(psi.shape[1])
+    own = [1 << (n - k) for k in range(1, n + 1)]
+    cols, flip = own[:], 0
     for gate in gates:
         if isinstance(gate, SU2Gate):
-            pairs = _pairs(psi, n, _check_area(gate.area, n, "target"))
-            _apply_su2(pairs, gate.matrix, scratch)
+            k = _check_area(gate.area, n, "target")
+            bit = own[k - 1]
+            # G moves bit k unless col[k] is bit k and no other column holds it
+            if cols[k - 1] != bit or sum(col & bit for col in cols) != bit:
+                psi = _gather(psi, cols, flip, scratch)
+                cols, flip = own[:], 0
+            a, b, c, d = gate.matrix.entries()
+            entries = (d, c, b, a) if flip & bit else (a, b, c, d)
+            _apply_su2(_pairs(psi, n, k), entries, scratch)
         elif isinstance(gate, CNOTGate):
             control = _check_area(gate.control, n, "control")
             target = _check_area(gate.target, n, "target")
-            _swap(_pairs(psi, n, target, control), scratch)
+            cols[control - 1] ^= cols[target - 1]
         elif isinstance(gate, NotGate):
-            _swap(_pairs(psi, n, _check_area(gate.area, n, "target")), scratch)
+            flip ^= cols[_check_area(gate.area, n, "target") - 1]
         else:
             raise QnetError(f"unknown gate {gate!r}")
+    if flip or cols != own:
+        psi = _gather(psi, cols, flip, scratch)
+    return psi
 
 
 def apply_gate(state: TensorState, gate: Gate) -> TensorState:
     amps = state.amplitudes
     psi = np.stack([amps.real, amps.imag])
-    _apply_gates(psi, state.n_areas, [gate])
-    return TensorState(state.n_areas, _to_complex(psi))
+    return TensorState(state.n_areas, _to_complex(_apply_gates(psi, state.n_areas, [gate])))
 
 
 def run_circuit(
@@ -323,8 +358,7 @@ def run_circuit(
     circuit: Sequence[Gate],
 ) -> TensorState:
     _check_normalized(initial)
-    psi = _product_rows(initial)
-    _apply_gates(psi, len(initial), circuit)
+    psi = _apply_gates(_product_rows(initial, len(circuit)), len(initial), circuit)
     return TensorState(len(initial), _to_complex(psi))
 
 
@@ -370,6 +404,7 @@ def random_circuit(
         raise QnetError(
             f"random gate count must be at most {MAX_RANDOM_GATES}, got {n_gates}"
         )
+    _check_work(n_areas, n_gates)
     gates: list[Gate] = []
     for _ in range(n_gates):
         if n_areas >= 2 and rng.random() < 0.5:

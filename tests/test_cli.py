@@ -481,6 +481,15 @@ def test_limitset_refuses_an_image_over_the_pixel_budget(tmp_path):
     assert not out_path.exists()
 
 
+def test_limitset_refuses_a_cap_over_the_budget():
+    # 10^8 points would take about 20 GB
+    code, out, err = run_module(
+        "limitset", "--traces", "3,3,3", "--eps", "1e-9", "--cap", "100000000"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: point cap must be at most {limitset.MAX_CAP}, got 100000000\n"
+
+
 def test_limitset_defaults_come_from_the_library(capsys):
     implicit = run_cli(capsys, "limitset", "--traces", "3,3,3")
     explicit = run_cli(
@@ -762,6 +771,29 @@ def test_qnet_refuses_a_random_gate_count_over_the_budget():
     code, out, err = run_module("qnet", "--random-circuit", str(n), "--areas", "2")
     assert (code, out) == (1, "")
     assert err == f"error: random gate count must be at most {n - 1}, got {n}\n"
+
+
+def test_qnet_refuses_a_random_circuit_over_the_work_budget():
+    # within MAX_RANDOM_GATES and MAX_AREAS, but about 6 minutes of gates
+    code, out, err = run_module("qnet", "--random-circuit", "65536", "--areas", "20")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 65536 gates on 20 areas exceed the work budget: "
+        f"gates x 2^areas is {65536 << 20}, at most {qnet.MAX_GATE_WORK}\n"
+    )
+
+
+def test_qnet_refuses_a_circuit_file_over_the_work_budget(tmp_path):
+    n_gates = (qnet.MAX_GATE_WORK >> qnet.MAX_AREAS) + 1
+    lines = [f"init {k} 1 0 0 0" for k in range(1, qnet.MAX_AREAS + 1)]
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("\n".join(lines + ["NOT 1"] * n_gates) + "\n")
+    out_path = tmp_path / "amps.csv"
+    code, out, err = run_module("qnet", "--circuit", str(circuit), "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {n_gates} gates on {qnet.MAX_AREAS} areas exceed the work budget")
+    assert "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_qnet_mode_and_zero_state_errors(capsys, tmp_path):

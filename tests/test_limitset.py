@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from kleinnet.errors import ElementaryGroupError, LimitSetError, RepresentationError
 from kleinnet.limitset import (
+    DEFAULT_CAP,
+    MAX_CAP,
     LimitPointCloud,
     box_dimension,
     circle_deviation,
@@ -294,6 +296,19 @@ def test_cap_truncates():
     cloud = enumerate_limit_set(FUCHSIAN, epsilon=1e-3, cap=100)
     assert len(cloud) == 100
     assert cloud.truncated
+
+
+def test_cap_over_the_budget_is_refused_before_the_search(monkeypatch):
+    assert MAX_CAP >= DEFAULT_CAP
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("kleinnet.limitset._traverse", no_search)
+    with pytest.raises(LimitSetError, match=f"at most {MAX_CAP}, got {MAX_CAP + 1}"):
+        enumerate_limit_set(FUCHSIAN, cap=MAX_CAP + 1)
+    with pytest.raises(AssertionError, match="search ran"):
+        enumerate_limit_set(FUCHSIAN, cap=MAX_CAP)
 
 
 def _quot(z, s):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from kleinnet.errors import QnetError
 from kleinnet.qnet import (
     MAX_AREAS,
+    MAX_GATE_WORK,
     MAX_RANDOM_GATES,
     AreaState,
     CNOTGate,
@@ -366,6 +367,26 @@ def test_random_circuit_refuses_a_count_over_the_budget_before_drawing(monkeypat
     assert rng.bit_generator.state == state
     with pytest.raises(AssertionError, match="drawn"):
         random_circuit(rng, 1, MAX_RANDOM_GATES)
+
+
+def test_work_budget_is_checked_before_the_run_or_the_draw(monkeypatch):
+    n_gates = MAX_GATE_WORK >> MAX_AREAS
+    # a NOT pair on area 1 cancels, so the run at the budget gathers nothing
+    out = run_circuit([UP] * MAX_AREAS, [NotGate(1)] * n_gates)
+    assert out.amplitudes[0] == 1.0
+    message = f"{n_gates + 1} gates on {MAX_AREAS} areas exceed the work budget"
+    with pytest.raises(QnetError, match=message):
+        run_circuit([UP] * MAX_AREAS, [NotGate(1)] * (n_gates + 1))
+
+    def no_draw(rng):
+        raise AssertionError("a gate was drawn")
+
+    monkeypatch.setattr("kleinnet.qnet.random_su2", no_draw)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(QnetError, match="work budget"):
+        random_circuit(rng, MAX_AREAS, n_gates + 1)
+    assert rng.bit_generator.state == state
 
 
 def test_states_allclose_modes():
