@@ -24,8 +24,9 @@ MAX_AREAS = 20
 # most gates random_circuit draws: the CLI holds each as an object, plus a
 # line of circuit text only with --emit
 MAX_RANDOM_GATES = 1 << 16
-# most gates x 2^areas one run may apply: about 5 s of SU2 gates at 5 ns per
-# amplitude (16 areas take 0.3 ms per gate), and 16x qnet-wide's 2,000 x 2^16
+# most gates x 2^areas one run may apply: about 6 s of SU2 gates at 5.5 ns per
+# amplitude (20 areas take 5.7 ms per gate on a 2-vCPU host), and 8x
+# qnet-wide's 2,000 x 2^16
 MAX_GATE_WORK = 1 << 30
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
@@ -225,8 +226,8 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 
 # amplitude pairs per SU2 block, so that a block's scratch stays in cache
 _BLOCK = 8192
-# a view whose innermost axis is shorter than this is walked along its last
-# axis that is not
+# a pair view whose inner axis is shorter than this is walked along its outer
+# axis when that one is longer
 _MIN_RUN = 8
 
 
