@@ -698,7 +698,8 @@ class _Nearest:
     The distance from a query to any one point bounds its nearest distance
     from above, and the largest distance is a max of minima, so a query
     whose bound is no more than the largest distance found is not searched
-    further."""
+    further.  The largest distance found only grows, so batches of queries
+    may be folded through max_squared in any order and split."""
 
     def __init__(self, points: np.ndarray, h: float):
         side = min(h if h >= _MIN_CELL else _MIN_CELL, _MAX_CELL)
@@ -714,51 +715,23 @@ class _Nearest:
             self.grids.append(self.grids[-1].coarser())
         return self.grids[level]
 
-    def own_cell_sq(self, queries: np.ndarray) -> np.ndarray:
-        """An upper bound on each query's squared nearest-point distance:
-        the squared distance to the first point of its own cell on the grid
-        of side h, else on the grid of side 4h, and inf where both cells
-        are empty."""
+    def max_squared(self, queries: np.ndarray, best: float) -> float:
+        """The larger of best and the queries' largest squared nearest-point
+        distance.
+
+        Each query is bounded by the squared distance to the first point of
+        its own cell on the grid of side h, else on the grid of side 4h.
+        The "open" queries, whose own cells are both empty, are searched
+        first; then those whose bound exceeds the largest distance found so
+        far, since no other query can raise it."""
         hit, d2 = self.grid(0).own_cell_sq(queries)
         bound = np.full(len(queries), np.inf)
         bound[hit] = d2
         rows = np.flatnonzero(~hit)
         hit, d2 = self.grid(1).own_cell_sq(queries[rows])
         bound[rows[hit]] = d2
-        return bound
-
-    def max_squared(self, batches) -> float:
-        """The largest squared nearest-point distance over the query arrays
-        in `batches`, which is iterated a second time when the bound below
-        needs it: a list, or an object whose iterator recomputes them.
-
-        A query whose own cell holds a point at squared distance u cannot
-        raise the largest distance once u is no more than the largest
-        distance found.  So only the "open" queries, whose own cells on the
-        grids of side h and 4h are both empty, are searched on the first
-        pass, _CHUNK or more at a time.  A second pass searches the other
-        queries whose bound u exceeds the largest distance found so far; it
-        runs only when one does."""
-        best = 0.0
-        largest_bound = 0.0
-        held: list[np.ndarray] = []
-        n_held = 0
-        for queries in batches:
-            u = self.own_cell_sq(queries)
-            closed = u < np.inf
-            largest_bound = float(np.max(u, where=closed, initial=largest_bound))
-            held.append(queries[~closed])
-            n_held += len(held[-1])
-            if n_held >= _CHUNK:
-                best = self._search(np.concatenate(held), best)
-                held, n_held = [], 0
-        if n_held:
-            best = self._search(np.concatenate(held), best)
-        if largest_bound > best:
-            for queries in batches:
-                u = self.own_cell_sq(queries)
-                best = self._search(queries[(u > best) & (u < np.inf)], best)
-        return best
+        best = self._search(queries[rows[~hit]], best)
+        return self._search(queries[(bound > best) & (bound < np.inf)], best)
 
     def _search(self, queries: np.ndarray, best: float, level: int = 0) -> float:
         """The larger of best and the queries' largest squared
@@ -793,12 +766,13 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     The nearest cloud point of every image is found exactly where it can
     matter, by uniform grids on the sphere lift with cells of side
     2 * cloud.epsilon times 1, 4, 16, ..., so the value is the one a
-    KD-tree query gives, to the last bit.  An image is searched on the next
-    grid only while the distance to some cloud point, which bounds its
-    nearest distance, exceeds the largest distance found (see _Nearest).
-    The images are computed _CHUNK cloud points at a time, so the
-    temporaries do not grow with the cloud.  Repeated points are searched
-    once."""
+    KD-tree query gives, to the last bit.  The images under every generator
+    and inverse are made once, _CHUNK cloud points at a time, so the
+    temporaries do not grow with the cloud.  Each batch is folded into the
+    largest distance found (see _Nearest.max_squared): its images whose own
+    cells on the two finest grids are empty are searched first, then those
+    whose distance to the first point of their own cell exceeds the largest
+    distance found.  Repeated points are searched once."""
     if len(cloud) == 0:
         raise LimitSetError("empty cloud")
     vals = cloud.values
@@ -809,27 +783,16 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     if not keep.all():
         vals, charts = vals[keep], charts[keep]
     nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
-    images = _Images([g.entries() for g in rep.images + rep.inverses], vals, charts)
-    return math.sqrt(nearest.max_squared(images))
-
-
-class _Images(Record):
-    """Sphere lifts of the images of the chart values `vals` (with their
-    `charts`) under each matrix, given by its (a, b, c, d) `entries`.
-    Every iteration computes them afresh, _CHUNK points at a time, and
-    yields the images of those points under all the matrices as one
-    array.  Like _Grid, it takes from Record only the constructor and the
-    refusal of assignment, and is never compared, hashed or pickled."""
-
-    __slots__ = ("entries", "vals", "charts")
-
-    def __iter__(self):
-        for s in range(0, len(self.vals), _CHUNK):
-            vals = self.vals[s:s + _CHUNK]
-            chart0 = self.charts[s:s + _CHUNK] == 0
-            u = np.where(chart0, vals, np.ones_like(vals))
-            v = np.where(chart0, np.ones_like(vals), vals)
-            yield np.concatenate([_image_lift(g, u, v) for g in self.entries])
+    entries = [g.entries() for g in rep.images + rep.inverses]
+    best = 0.0
+    for s in range(0, len(vals), _CHUNK):
+        chunk = vals[s:s + _CHUNK]
+        chart0 = charts[s:s + _CHUNK] == 0
+        u = np.where(chart0, chunk, 1.0)
+        v = np.where(chart0, 1.0, chunk)
+        images = np.concatenate([_image_lift(g, u, v) for g in entries])
+        best = nearest.max_squared(images, best)
+    return math.sqrt(best)
 
 
 def _image_lift(g, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kleinnet import limitset
 from kleinnet.errors import ElementaryGroupError, LimitSetError, RepresentationError
 from kleinnet.limitset import (
     DEFAULT_CAP,
@@ -812,33 +813,54 @@ def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
         queries = queries[rng.permutation(len(queries))[:150]]
     expected = _brute_nearest_sq(points, queries)
     nearest = _Nearest(points, 2.0 * eps)
-    assert [nearest.max_squared([q[None]]) for q in queries] == list(expected)
+    assert [nearest.max_squared(q[None], 0.0) for q in queries] == list(expected)
     halves = [queries[: len(queries) // 2], queries[len(queries) // 2:]]
-    assert _Nearest(points, 2.0 * eps).max_squared(halves) == expected.max()
+    assert _max_over(_Nearest(points, 2.0 * eps), halves) == expected.max()
+
+
+def _max_over(nearest, batches):
+    """Fold the running best through max_squared, one batch at a time."""
+    best = 0.0
+    for queries in batches:
+        best = nearest.max_squared(queries, best)
+    return best
 
 
 def _split(queries, parts):
     return [queries[i::parts] for i in range(parts)]
 
 
+def _own_cell_bound(nearest, queries):
+    """The bound max_squared puts on each query: the squared distance to
+    the first point of its own cell on the grid of side h, else on the grid
+    of side 4h, and inf where both cells are empty."""
+    hit, d2 = nearest.grid(0).own_cell_sq(queries)
+    bound = np.full(len(queries), np.inf)
+    bound[hit] = d2
+    rows = np.flatnonzero(~hit)
+    hit, d2 = nearest.grid(1).own_cell_sq(queries[rows])
+    bound[rows[hit]] = d2
+    return bound
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_max_squared_bound_pass_when_every_query_shares_a_cell(seed):
     # every query is a cloud point moved by at most 1e-4 and shares its own
-    # cell with a point, so none is searched on the first pass; the first
-    # point of a cell of side 1/16 is mostly farther than the nearest point,
-    # so the bounds exceed the true max and the second pass decides
+    # cell with a point, so none is open; the first point of a cell of side
+    # 1/16 is mostly farther than the nearest point, so the bounds exceed
+    # the true max and the search of the bounded queries decides
     rng = np.random.default_rng(seed)
     h = 1.0 / 16
     points = _on_sphere(rng, 3000)
     moved = points[:1500] + rng.uniform(-1e-4, 1e-4, (1500, 3))
     moved = 0.5 * moved / np.linalg.norm(moved, axis=1, keepdims=True)
-    bound = _Nearest(points, h).own_cell_sq(moved)
+    bound = _own_cell_bound(_Nearest(points, h), moved)
     queries = moved[np.isfinite(bound)]
     bound = bound[np.isfinite(bound)]
     assert len(queries) >= 1400
     expected = _brute_nearest_sq(points, queries)
     assert 0.0 < expected.max() < bound.max()
-    assert _Nearest(points, h).max_squared(_split(queries, 3)) == expected.max()
+    assert _max_over(_Nearest(points, h), _split(queries, 3)) == expected.max()
 
 
 def test_max_squared_when_a_bounded_query_holds_the_max():
@@ -853,14 +875,19 @@ def test_max_squared_when_a_bounded_query_holds_the_max():
     points = np.concatenate([wall, lone])
     queries = np.concatenate([wall + [0.002, 0.0, 0.0], lone + [0.01, 0.0, 0.0], wall[:3]])
     nearest = _Nearest(points, h)
-    bound = nearest.own_cell_sq(queries)
+    bound = _own_cell_bound(nearest, queries)
     assert np.isinf(bound[: len(wall)]).all()
     assert np.isfinite(bound[len(wall):]).all()
     expected = _brute_nearest_sq(points, queries)
     assert expected.argmax() == len(wall)
     assert expected.max() > expected[: len(wall)].max() > 0.0
     for parts in (1, 2, 5):
-        assert _Nearest(points, h).max_squared(_split(queries, parts)) == expected.max()
+        assert _max_over(_Nearest(points, h), _split(queries, parts)) == expected.max()
+    # the bounded queries, the max among them, in the first batch, and every
+    # open query in the last
+    bounded = np.isfinite(bound)
+    batches = [queries[bounded], queries[~bounded]]
+    assert _max_over(_Nearest(points, h), batches) == expected.max()
 
 
 def test_invariance_memory_is_bounded():
@@ -874,6 +901,40 @@ def test_invariance_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 55e6
+
+
+@pytest.mark.parametrize("traces", [(3, 3, 3), (2.2, 2.5)])
+def test_invariance_lifts_each_image_once(monkeypatch, traces):
+    rep = from_traces(*traces)
+    cloud = enumerate_limit_set(rep, epsilon=1e-3)
+    lifts = []
+    image_lift = limitset._image_lift
+
+    def counted(*args):
+        lifts.append(args)
+        return image_lift(*args)
+
+    monkeypatch.setattr(limitset, "_image_lift", counted)
+    cloud_group_invariance(cloud, rep)
+    # two generators and their inverses, once per _CHUNK cloud points
+    assert len(lifts) == 4 * math.ceil(len(cloud) / limitset._CHUNK)
+
+
+# (representation, enumeration arguments, repr of the invariance)
+SPLIT_CASES = [
+    (FUCHSIAN, {"epsilon": 1e-3}, "0.0045580501105617665"),
+    (from_traces(2.2, 2.5), {"epsilon": 1e-3}, "0.006376945881962469"),
+    (FUCHSIAN, {"epsilon": 1e-5, "cap": 20000}, "0.3234748284323663"),
+]
+
+
+@pytest.mark.parametrize("spec,kwargs,expected", SPLIT_CASES)
+def test_invariance_does_not_depend_on_the_batch_split(monkeypatch, spec, kwargs, expected):
+    cloud = enumerate_limit_set(spec, **kwargs)
+    assert repr(cloud_group_invariance(cloud, spec)) == expected
+    for chunk in (7, 500):
+        monkeypatch.setattr(limitset, "_CHUNK", chunk)
+        assert repr(cloud_group_invariance(cloud, spec)) == expected
 
 
 def test_invariance_rejects_empty_cloud():
