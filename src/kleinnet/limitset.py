@@ -159,17 +159,18 @@ class LimitPointCloud(Record):
 
 
 def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
-    """Radius-1/2 sphere lift of chart coordinates, one row per point; the
-    chordal metric is the Euclidean distance between lifts."""
+    """Radius-1/2 sphere lift of chart coordinates, one row per axis and one
+    column per point; the chordal metric is the Euclidean distance between
+    lifts."""
     re = values.real
     im = values.imag
     n2 = re * re + im * im
     den = 1.0 + n2
     chart0 = charts == 0
-    lift = np.empty((len(values), 3))
-    lift[:, 0] = re / den
-    lift[:, 1] = np.where(chart0, 1.0, -1.0) * im / den
-    lift[:, 2] = np.where(chart0, n2 - 1.0, 1.0 - n2) / (2.0 * den)
+    lift = np.empty((3, len(values)))
+    lift[0] = re / den
+    lift[1] = np.where(chart0, 1.0, -1.0) * im / den
+    lift[2] = np.where(chart0, n2 - 1.0, 1.0 - n2) / (2.0 * den)
     return lift
 
 
@@ -555,35 +556,50 @@ def render(
     return header + img.tobytes()
 
 
-# Nearest neighbours for cloud_group_invariance come from uniform grids of
-# cubic cells on the sphere lift.  The cell index along an axis is
-# floor((x + 1) / side) + 1; with |x| <= 1/2 and cells no smaller than
-# _MIN_CELL it stays below 2^21, so three indices pack into one int64 key.
+# Nearest neighbours for cloud_group_invariance come from a hierarchy of
+# cubic cells on the sphere lift.  A point's cell of side s on an axis is
+# floor((x + 1) / s); with |x| <= 1/2 and s no smaller than _MIN_CELL it
+# stays below 2^21, so the three cell indices interleave bit by bit into one
+# int64 key in Morton order (Morton 1966).  The key shifted right by 6L bits
+# is the point's cell of side s * 4^L, so with the points sorted by key the
+# points of any cell on any level are one run, and the children of a cell
+# are one run of the level below.
 _MIN_CELL = 2.0**-20
-# the lift has diameter 1, so the block of a cell of side 2 holds every point
-# and every query settles there: a larger finest side would find the same
-# distances, and its squared half-side may overflow
+# the lift has diameter 1, so one cell of side 2 holds every point: a larger
+# side would find the same distances
 _MAX_CELL = 2.0
-# key offsets of the four z-columns of a 2x2x2 block of cells; the two
-# cells of a column have consecutive keys, so their points are one run of
-# the sorted keys
-_COLUMNS = np.array(
-    [(dx << 42) | (dy << 21) for dx in (0, 1) for dy in (0, 1)], dtype=np.int64
+# (shift, mask) steps that move bit k of a 21-bit cell index to bit 3k
+_SPREAD = (
+    (32, 0x1F00000000FFFF),
+    (16, 0x1F0000FF0000FF),
+    (8, 0x100F00F00F00F00F),
+    (4, 0x10C30C30C30C30C3),
+    (2, 0x1249249249249249),
 )
-# query-to-point distances computed at once: bounds the temporaries even
-# where many points crowd a few cells
+# queries descended at once, those of largest bound first
+_QUERIES = 128
+# (query, cell) or (query, point) pairs in flight before a chunk of queries
+# is split: bounds the temporaries where a query is nearly equidistant from
+# many points
 _PAIRS = 1 << 16
-# relative slack on bounds built from computed cell indices and distances,
+# widening of a cell's box, far above the rounding errors of computed cell
+# indices and box faces (about 1e-15 on coordinates below 1.5), so the box
+# holds every point keyed to its cell
+_MARGIN = 2.0**-40
+# relative slack on comparisons of box distances with computed distances,
 # far above their rounding errors
 _SLACK = 2.0**-20
 
 
-def _cell_keys(columns, side: float, shift: float) -> np.ndarray:
-    """Cell keys of the points with coordinate arrays columns[0..2]."""
-    keys = np.zeros(len(columns[0]), dtype=np.int64)
-    for x, bits in zip(columns, (42, 21, 0)):
-        cells = np.floor((x + 1.0) / side - shift).astype(np.int64) + 1
-        keys |= cells << bits
+def _cell_keys(coords: np.ndarray, side: float) -> np.ndarray:
+    """Morton keys of the cells of side `side` that hold the columns of
+    coords (one row per axis)."""
+    keys = np.zeros(coords.shape[1], dtype=np.int64)
+    for x in coords:
+        cells = np.floor((x + 1.0) / side).astype(np.int64)
+        for shift, mask in _SPREAD:
+            cells = (cells | cells << shift) & mask
+        keys = keys << 1 | cells
     return keys
 
 
@@ -594,168 +610,118 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-class _Grid(Record):
-    """Points in cubic cells of one side: the cell side, the sorted keys of
-    the nonempty cells, where each cell's points start (and, last, the
-    point count), and for each point its index into coords, the coordinate
-    arrays sorted by cell on the finest grid (None on that grid, where it
-    is the identity).  Record gives it only its constructor and its refusal
-    of assignment: a grid holds arrays, so it is never compared, hashed or
-    pickled."""
-
-    __slots__ = ("side", "keys", "starts", "index", "coords")
-
-    def coarser(self) -> "_Grid":
-        """The grid of side 4 * side, made from this grid's cells: a cell of
-        side 4s is a block of 4x4x4 cells of side s."""
-        x, y, z = ((((self.keys >> b) & 0x1FFFFF) - 1) // 4 + 1 for b in (42, 21, 0))
-        keys = (x << 42) | (y << 21) | z
-        cells = np.argsort(keys, kind="stable")
-        keys = keys[cells]
-        counts = np.diff(self.starts)[cells]
-        starts = np.cumsum(counts) - counts
-        # the cells' runs of points, in the new order of the cells
-        at = np.arange(self.starts[-1]) + np.repeat(self.starts[cells] - starts, counts)
-        index = at.astype(np.int32) if self.index is None else self.index[at]
-        first = _run_starts(keys)
-        starts = np.r_[starts[first], self.starts[-1]]
-        return _Grid(4.0 * self.side, keys[first], starts, index, self.coords)
-
-    def _finest(self, at: np.ndarray) -> np.ndarray:
-        """The positions in coords of the points at positions `at` here."""
-        return at if self.index is None else self.index[at]
-
-    def block_nearest_sq(self, queries: np.ndarray) -> np.ndarray:
-        """Squared distance from each query to the nearest point in the
-        2x2x2 block of cells centred on it (inf where the block is empty)."""
-        base = _cell_keys(queries.T, self.side, 0.5)
-        order = np.argsort(base, kind="stable")
-        base = base[order]
-        # queries sharing a block look it up once
-        first = _run_starts(base)
-        # one row of needles per column of the block, each row sorted
-        needles = base[first] + _COLUMNS[:, None]
-        run_start = self.starts[np.searchsorted(self.keys, needles)]
-        run_end = self.starts[np.searchsorted(self.keys, needles + 2)]
-        repeats = np.diff(np.r_[first, len(base)])
-        best = np.empty(len(queries))
-        best[order] = self.runs_nearest_sq(
-            queries[order],
-            run_start.T.repeat(repeats, axis=0),
-            (run_end - run_start).T.repeat(repeats, axis=0),
-        )
-        return best
-
-    def own_cell_sq(self, queries: np.ndarray):
-        """Whether each query's own cell holds a point, and for those that
-        do, the squared distance to the first point of the cell, summed as
-        runs_nearest_sq sums it."""
-        keys = _cell_keys(queries.T, self.side, 0.0)
-        at = np.searchsorted(self.keys, keys)
-        hit = np.take(self.keys, at, mode="clip") == keys
-        first = self._finest(self.starts[at[hit]])
-        found = queries[hit]
-        dx, dy, dz = (found[:, k] - self.coords[k][first] for k in range(3))
-        return hit, dx * dx + dy * dy + dz * dz
-
-    def runs_nearest_sq(self, queries, starts, counts) -> np.ndarray:
-        """Squared distance from query i to the nearest of the points at
-        positions starts[i, j] + range(counts[i, j]) (inf if none).  The
-        distance is summed dx*dx + dy*dy + dz*dz, left to right."""
-        per_query = counts.sum(axis=1)
-        ends = np.cumsum(per_query)
-        best = np.full(len(queries), np.inf)
-        i = 0
-        while i < len(queries):
-            done = ends[i - 1] if i else 0
-            j = max(i + 1, int(np.searchsorted(ends, done + _PAIRS, "right")))
-            c = counts[i:j].ravel()
-            # position of every (query, candidate) pair, grouped by query
-            point = np.arange(c.sum()) + np.repeat(starts[i:j].ravel() - (np.cumsum(c) - c), c)
-            point = self._finest(point)
-            dx, dy, dz = (
-                queries[i:j, k].repeat(per_query[i:j]) - self.coords[k][point]
-                for k in range(3)
-            )
-            d2 = dx * dx + dy * dy + dz * dz
-            has = np.flatnonzero(per_query[i:j])
-            if has.size:
-                offsets = ends[i:j] - per_query[i:j] - done
-                best[i + has] = np.minimum.reduceat(d2, offsets[has])
-            i = j
-        return best
+def _squared(queries: np.ndarray, points: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Squared distances from the columns of queries to the columns `at` of
+    points, summed dx*dx + dy*dy + dz*dz left to right with dx = query -
+    point.  Gathering one row at a time is about twice as fast as gathering
+    the columns."""
+    dx, dy, dz = (q - x[at] for q, x in zip(queries, points))
+    return dx * dx + dy * dy + dz * dz
 
 
 class _Nearest:
     """Exact nearest-neighbour squared distances to points on the radius-1/2
-    sphere, from grids of side s * 4^k for k = 0, 1, ..., each made from the
-    one below it on first use, where s is h kept within _MIN_CELL and
+    sphere, given one row per axis, from cells of side s * 4^L on levels
+    L = 0, 1, ... up to one cell, where s is h kept within _MIN_CELL and
     _MAX_CELL.
 
-    The 2x2x2 block of cells centred on a query holds every point within
-    side/2 of it, so a query whose block holds such a point is settled
-    exactly, and it is nearer than every query its block leaves unsettled.
-    The distance from a query to any one point bounds its nearest distance
-    from above, and the largest distance is a max of minima, so a query
-    whose bound is no more than the largest distance found is not searched
-    further.  The largest distance found only grows, so batches of queries
-    may be folded through max_squared in any order and split."""
+    runs[L] says where each cell of level L starts in level L - 1 (in the
+    points for L = 0), with the count of that level last, and firsts[L]
+    which point comes first in each cell.  The distance from a query to any
+    one point bounds its nearest distance from above, and the largest
+    distance is a max of minima, so a query whose bound is no more than the
+    largest distance found is not searched further.  The largest distance
+    found only grows, so batches of queries may be folded through
+    max_squared in any order and split."""
 
     def __init__(self, points: np.ndarray, h: float):
-        side = min(h if h >= _MIN_CELL else _MIN_CELL, _MAX_CELL)
-        keys = _cell_keys(points.T, side, 0.0)
+        self.side = min(h if h >= _MIN_CELL else _MIN_CELL, _MAX_CELL)
+        keys = _cell_keys(points, self.side)
         order = np.argsort(keys, kind="stable")
+        self.coords = points[:, order]
         keys = keys[order]
         first = _run_starts(keys)
-        coords = [x[order] for x in points.T]
-        self.grids = [_Grid(side, keys[first], np.r_[first, len(keys)], None, coords)]
+        self.keys = keys = keys[first]
+        self.runs, self.firsts = [np.r_[first, len(order)]], [first]
+        while len(keys) > 1:
+            keys = keys >> 6
+            first = _run_starts(keys)
+            self.runs.append(np.r_[first, len(keys)])
+            self.firsts.append(self.firsts[-1][first])
+            keys = keys[first]
 
-    def grid(self, level: int) -> _Grid:
-        if level == len(self.grids):
-            self.grids.append(self.grids[-1].coarser())
-        return self.grids[level]
+    def bound(self, queries: np.ndarray) -> np.ndarray:
+        """The squared distance from each query to the nearer of the two
+        points beside its key in key order; one of them is in the query's
+        own cell when that cell holds a point."""
+        at = self.runs[0][np.searchsorted(self.keys, _cell_keys(queries, self.side))]
+        bound = _squared(queries, self.coords, np.maximum(at - 1, 0))
+        beside = _squared(queries, self.coords, np.minimum(at, self.coords.shape[1] - 1))
+        return np.minimum(bound, beside, out=bound)
 
     def max_squared(self, queries: np.ndarray, best: float) -> float:
         """The larger of best and the queries' largest squared nearest-point
         distance.
 
-        Each query is bounded by the squared distance to the first point of
-        its own cell on the grid of side h, else on the grid of side 4h.
-        The "open" queries, whose own cells are both empty, are searched
-        first; then those whose bound exceeds the largest distance found so
-        far, since no other query can raise it."""
-        hit, d2 = self.grid(0).own_cell_sq(queries)
-        bound = np.full(len(queries), np.inf)
-        bound[hit] = d2
-        rows = np.flatnonzero(~hit)
-        hit, d2 = self.grid(1).own_cell_sq(queries[rows])
-        bound[rows[hit]] = d2
-        best = self._search(queries[rows[~hit]], best)
-        return self._search(queries[(bound > best) & (bound < np.inf)], best)
-
-    def _search(self, queries: np.ndarray, best: float, level: int = 0) -> float:
-        """The larger of best and the queries' largest squared
-        nearest-point distance, searched from the grid of side h * 4^level.
-
-        A query its block leaves unsettled waits with a bound: the nearest
-        point of its block, else the first point of its own cell on the next
-        grid.  One with neither goes on to the next grid at once, so the
-        farthest queries raise best before the waiting ones are weighed."""
-        while len(queries):
-            grid = self.grid(level)
-            d2 = grid.block_nearest_sq(queries)
-            # a block holds every point within side/2 of its query
-            settled = d2 <= (0.5 * grid.side * (1.0 - _SLACK)) ** 2
-            best = float(np.max(d2, where=settled, initial=best))
-            queries, bound = queries[~settled], d2[~settled]
-            level += 1
-            empty = np.flatnonzero(bound == np.inf)
-            if empty.size:
-                hit, d2 = self.grid(level).own_cell_sq(queries[empty])
-                bound[empty[hit]] = d2
-                best = self._search(queries[empty[~hit]], best, level)
-            queries = queries[(bound > best) & (bound < np.inf)]
+        Each query starts with its key-order bound.  The _QUERIES queries of
+        largest bound are descended while some bound exceeds the largest
+        distance found so far, since no other query can raise it."""
+        bound = self.bound(queries)
+        rows = np.flatnonzero(bound > best)
+        while rows.size:
+            top = rows
+            if rows.size > _QUERIES:
+                top = rows[np.argpartition(bound[rows], -_QUERIES)[-_QUERIES:]]
+            best = self._descend(queries[:, top], bound[top], best)
+            bound[top] = 0.0
+            rows = rows[bound[rows] > best]
         return best
+
+    def _descend(self, queries: np.ndarray, bound: np.ndarray, best: float) -> float:
+        """The larger of best and the queries' largest squared nearest-point
+        distance, searched down from the top level; bound holds an upper
+        bound of each query's distance.
+
+        The cells a query may find its nearest point in are opened into
+        their children, and on level 0 into their points.  A chunk with
+        more than _PAIRS pairs in flight is split in half."""
+        query = np.arange(len(bound))
+        cells = np.zeros(len(bound), dtype=np.int64)
+        for level in range(len(self.runs) - 1, -1, -1):
+            query, cells = self._prune(queries, bound, best, level, query, cells)
+            if not query.size:
+                return best
+            starts = self.runs[level][cells]
+            counts = self.runs[level][cells + 1] - starts
+            if counts.sum() > _PAIRS and len(bound) > 1:
+                half = len(bound) // 2
+                best = self._descend(queries[:, :half], bound[:half], best)
+                return self._descend(queries[:, half:], bound[half:], best)
+            # the children of every kept cell, grouped by query
+            query = query.repeat(counts)
+            cells = np.arange(len(query)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        d2 = _squared(queries[:, query], self.coords, cells)
+        return max(best, float(np.minimum.reduceat(d2, _run_starts(query)).max()))
+
+    def _prune(self, queries, bound, best: float, level: int, query, cells):
+        """The pairs of query and cell on `level` where the query may find
+        its nearest point, once each query's bound has fallen to the nearest
+        first point of its cells: those whose cell box, widened by _MARGIN,
+        lies within the bound while the bound exceeds best."""
+        at = queries[:, query]
+        first = self.firsts[level][cells]
+        d2 = _squared(at, self.coords, first)
+        groups = _run_starts(query)
+        owner = query[groups]
+        bound[owner] = np.minimum(bound[owner], np.minimum.reduceat(d2, groups))
+        # each cell's box from the level-0 index of its first point, as
+        # _cell_keys computes it (the division by 4^level is exact)
+        side = self.side * 4.0**level
+        low = np.floor((self.coords[:, first] + 1.0) / self.side / 4.0**level) * side - (1.0 + _MARGIN)
+        gap = np.maximum(np.maximum(low - at, at - low - (side + 2.0 * _MARGIN)), 0.0)
+        limit = bound[query]
+        keep = ((gap * gap).sum(axis=0) * (1.0 - _SLACK) <= limit) & (limit > best)
+        return query[keep], cells[keep]
 
 
 def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float:
@@ -764,15 +730,15 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     group.
 
     The nearest cloud point of every image is found exactly where it can
-    matter, by uniform grids on the sphere lift with cells of side
-    2 * cloud.epsilon times 1, 4, 16, ..., so the value is the one a
-    KD-tree query gives, to the last bit.  The images under every generator
-    and inverse are made once, _CHUNK cloud points at a time, so the
-    temporaries do not grow with the cloud.  Each batch is folded into the
-    largest distance found (see _Nearest.max_squared): its images whose own
-    cells on the two finest grids are empty are searched first, then those
-    whose distance to the first point of their own cell exceeds the largest
-    distance found.  Repeated points are searched once."""
+    matter, in cubic cells on the sphere lift of side 2 * cloud.epsilon
+    times 1, 4, 16, ..., so the value is the one a KD-tree query gives, to
+    the last bit.  The images under every generator and inverse are made
+    once, _CHUNK cloud points at a time, so the temporaries do not grow with
+    the cloud.  Each batch is folded into the largest distance found (see
+    _Nearest.max_squared): every image is bounded by the points beside it in
+    key order, and only the images whose bound exceeds the largest distance
+    found are searched down the cells, largest bound first.  Repeated points
+    are searched once."""
     if len(cloud) == 0:
         raise LimitSetError("empty cloud")
     vals = cloud.values
@@ -790,7 +756,7 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
         chart0 = charts[s:s + _CHUNK] == 0
         u = np.where(chart0, chunk, 1.0)
         v = np.where(chart0, 1.0, chunk)
-        images = np.concatenate([_image_lift(g, u, v) for g in entries])
+        images = np.concatenate([_image_lift(g, u, v) for g in entries], axis=1)
         best = nearest.max_squared(images, best)
     return math.sqrt(best)
 

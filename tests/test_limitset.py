@@ -66,7 +66,7 @@ def _chart(z):
 def _chordal(p, q):
     """Chordal distance between two (chart value, chart) pairs."""
     lifts = _lift(np.array([p[0], q[0]]), np.array([p[1], q[1]]))
-    return float(np.linalg.norm(lifts[0] - lifts[1]))
+    return float(np.linalg.norm(lifts[:, 0] - lifts[:, 1]))
 
 
 def test_sphere_point_charts():
@@ -74,7 +74,7 @@ def test_sphere_point_charts():
     for z in (0.5 + 0.25j, 1.0 + 0j, 4.0 + 0j, -3.0 - 7.5j):
         assert _chordal((z, 0), (1.0 / z, 1)) <= 1e-15
     # 0 lifts to the south pole; chart 1 holds infinity at 0, the north pole
-    assert _lift(np.array([0j, 0j]), np.array([0, 1])).tolist() == [
+    assert _lift(np.array([0j, 0j]), np.array([0, 1])).T.tolist() == [
         [0.0, 0.0, -0.5], [0.0, 0.0, 0.5]
     ]
 
@@ -85,9 +85,9 @@ def test_sphere_lift_has_radius_half():
         _chart(complex(rng.normal(0, 3), rng.normal(0, 3))) for _ in range(50)
     ]
     values, charts = zip(*points)
-    radii = np.linalg.norm(_lift(np.array(values), np.array(charts)), axis=1)
+    radii = np.linalg.norm(_lift(np.array(values), np.array(charts)), axis=0)
     assert np.abs(radii - 0.5).max() <= 1e-12
-    assert _lift(np.array([0j]), np.array([1])).tolist() == [[0.0, 0.0, 0.5]]
+    assert _lift(np.array([0j]), np.array([1])).T.tolist() == [[0.0, 0.0, 0.5]]
 
 
 def test_chordal_metric():
@@ -567,6 +567,8 @@ INVARIANCE_GUARD = [
     (from_traces(0, 0), FINITE_GROUP_CLOUD, "0.7999999999999999"),
     (MIXED_CHART, {"epsilon": 5e-3, "cap": 20000}, "0.19439189257008074"),
     (FUCHSIAN, {"epsilon": 1e-5, "cap": 100000}, "0.07392611075604565"),
+    # a truncated cloud whose images fall far from it
+    (from_traces(2, 2), {"epsilon": 1e-6, "cap": 20000}, "0.5694620876961545"),
 ]
 
 
@@ -781,7 +783,7 @@ def _brute_nearest_sq(points, queries):
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    layout=st.sampled_from(["uniform", "many", "duplicates", "far", "boundary"]),
+    layout=st.sampled_from(["uniform", "many", "duplicates", "far", "boundary", "arc"]),
     # 2 * 2^-23 is below the smallest cell side, 2^-20
     eps_exp=st.integers(-23, -2),
 )
@@ -791,8 +793,8 @@ def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
     if layout == "uniform":
         points, queries = _on_sphere(rng, 200), _on_sphere(rng, 100)
     elif layout == "many":
-        # many small cells at small epsilon: a query climbs several grids
-        # before its block holds a point
+        # many small cells at small epsilon: a query descends through many
+        # levels of cells to reach its nearest point
         points, queries = _on_sphere(rng, 6000), _on_sphere(rng, 40)
     elif layout == "duplicates":
         points = _on_sphere(rng, 3)[rng.integers(0, 3, 400)]
@@ -805,24 +807,33 @@ def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
         queries = np.concatenate(
             [[[0.0, 0.0, -0.5]], points[:30] * 0.999, _on_sphere(rng, 20)]
         )
-    else:
-        # x and y on cell faces of the finest grid, queries also halfway
+    elif layout == "boundary":
+        # x and y on faces of level-0 cells, queries also halfway
         step = max(2.0 * eps, 2.0**-20, 1.0 / 16)
         points = _lattice_on_sphere(step)
         queries = np.concatenate([_lattice_on_sphere(step / 2.0), points[:50]])
         queries = queries[rng.permutation(len(queries))[:150]]
+    else:
+        # points on a quarter of a great circle and queries on the rest of
+        # it, as in a truncated cloud: the sphere about a query through its
+        # nearest point is tangent to the set
+        u, v = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+        angles = np.concatenate([rng.uniform(0.0, 0.5, 300), rng.uniform(0.5, 2.0, 60)])
+        circle = 0.5 * (np.cos(np.pi * angles)[:, None] * u + np.sin(np.pi * angles)[:, None] * v)
+        points, queries = circle[:300], circle[300:]
     expected = _brute_nearest_sq(points, queries)
-    nearest = _Nearest(points, 2.0 * eps)
-    assert [nearest.max_squared(q[None], 0.0) for q in queries] == list(expected)
+    nearest = _Nearest(points.T, 2.0 * eps)
+    assert [nearest.max_squared(q[:, None], 0.0) for q in queries] == list(expected)
     halves = [queries[: len(queries) // 2], queries[len(queries) // 2:]]
-    assert _max_over(_Nearest(points, 2.0 * eps), halves) == expected.max()
+    assert _max_over(_Nearest(points.T, 2.0 * eps), halves) == expected.max()
 
 
 def _max_over(nearest, batches):
-    """Fold the running best through max_squared, one batch at a time."""
+    """Fold the running best through max_squared, one batch of query rows at
+    a time."""
     best = 0.0
     for queries in batches:
-        best = nearest.max_squared(queries, best)
+        best = nearest.max_squared(queries.T, best)
     return best
 
 
@@ -830,64 +841,78 @@ def _split(queries, parts):
     return [queries[i::parts] for i in range(parts)]
 
 
-def _own_cell_bound(nearest, queries):
-    """The bound max_squared puts on each query: the squared distance to
-    the first point of its own cell on the grid of side h, else on the grid
-    of side 4h, and inf where both cells are empty."""
-    hit, d2 = nearest.grid(0).own_cell_sq(queries)
-    bound = np.full(len(queries), np.inf)
-    bound[hit] = d2
-    rows = np.flatnonzero(~hit)
-    hit, d2 = nearest.grid(1).own_cell_sq(queries[rows])
-    bound[rows[hit]] = d2
-    return bound
+def _own_cell_holds_a_point(points, queries, side):
+    """Whether the cell of side `side` (cell index floor((x + 1) / side) on
+    each axis) that holds each query also holds a point."""
+    cells = {tuple(c) for c in np.floor((points + 1.0) / side).astype(np.int64)}
+    return np.array([tuple(c) in cells for c in np.floor((queries + 1.0) / side).astype(np.int64)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_max_squared_bound_pass_when_every_query_shares_a_cell(seed):
-    # every query is a cloud point moved by at most 1e-4 and shares its own
-    # cell with a point, so none is open; the first point of a cell of side
-    # 1/16 is mostly farther than the nearest point, so the bounds exceed
-    # the true max and the search of the bounded queries decides
+    # every query is a cloud point moved by at most 1e-4 that shares its own
+    # cell with a point; the points beside a query in key order are mostly
+    # farther than its nearest point, so the key-order bounds exceed the
+    # true max and the descent decides
     rng = np.random.default_rng(seed)
     h = 1.0 / 16
     points = _on_sphere(rng, 3000)
     moved = points[:1500] + rng.uniform(-1e-4, 1e-4, (1500, 3))
     moved = 0.5 * moved / np.linalg.norm(moved, axis=1, keepdims=True)
-    bound = _own_cell_bound(_Nearest(points, h), moved)
-    queries = moved[np.isfinite(bound)]
-    bound = bound[np.isfinite(bound)]
+    queries = moved[_own_cell_holds_a_point(points, moved, h)]
     assert len(queries) >= 1400
+    bound = _Nearest(points.T, h).bound(queries.T)
     expected = _brute_nearest_sq(points, queries)
+    assert (bound >= expected).all()
     assert 0.0 < expected.max() < bound.max()
-    assert _max_over(_Nearest(points, h), _split(queries, 3)) == expected.max()
+    assert _max_over(_Nearest(points.T, h), _split(queries, 3)) == expected.max()
 
 
 def test_max_squared_when_a_bounded_query_holds_the_max():
-    # cloud points just left of the plane x = 0, which bounds cells of both
-    # sides 1/32 and 1/8, and open queries just right of it: their own cells
-    # are empty and their nearest points 0.002 away.  One query shares its
-    # own cell with the point 0.01 away from it, and holds the max
+    # cloud points just left of the plane x = 0, which bounds cells on every
+    # level, and queries just right of it: their own cells are empty and
+    # their nearest points 0.002 away.  One query shares its own cell with
+    # the point 0.01 away from it, and holds the max
     h = 1.0 / 32
     yz = np.array([(y, z) for y in (-0.2, -0.1, 0.1, 0.2) for z in (-0.2, 0.1, 0.3)])
     wall = np.column_stack([np.full(len(yz), -0.001), yz])
     lone = np.array([[-0.3, 0.0, 0.0]])
     points = np.concatenate([wall, lone])
     queries = np.concatenate([wall + [0.002, 0.0, 0.0], lone + [0.01, 0.0, 0.0], wall[:3]])
-    nearest = _Nearest(points, h)
-    bound = _own_cell_bound(nearest, queries)
-    assert np.isinf(bound[: len(wall)]).all()
-    assert np.isfinite(bound[len(wall):]).all()
+    shared = _own_cell_holds_a_point(points, queries, h)
+    assert not shared[: len(wall)].any()
+    assert shared[len(wall):].all()
     expected = _brute_nearest_sq(points, queries)
     assert expected.argmax() == len(wall)
     assert expected.max() > expected[: len(wall)].max() > 0.0
     for parts in (1, 2, 5):
-        assert _max_over(_Nearest(points, h), _split(queries, parts)) == expected.max()
-    # the bounded queries, the max among them, in the first batch, and every
-    # open query in the last
-    bounded = np.isfinite(bound)
-    batches = [queries[bounded], queries[~bounded]]
-    assert _max_over(_Nearest(points, h), batches) == expected.max()
+        assert _max_over(_Nearest(points.T, h), _split(queries, parts)) == expected.max()
+    # the queries that share their own cell, the max among them, in the
+    # first batch, and every other query in the last
+    batches = [queries[shared], queries[~shared]]
+    assert _max_over(_Nearest(points.T, h), batches) == expected.max()
+
+
+def test_max_squared_memory_when_every_point_is_nearly_equidistant():
+    # 100,000 points on the great circle z = 0 and 200 queries within 1e-3
+    # of its pole: every point is within about 1e-3 of each query's nearest
+    # distance, so nearly every cell stays open down to level 0; the query
+    # chunks are split to keep the pairs in flight bounded
+    theta = np.linspace(0.0, 2.0 * np.pi, 100_000, endpoint=False)
+    points = 0.5 * np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
+    x, y = np.random.default_rng(0).uniform(-1e-3, 1e-3, (2, 200)) / math.sqrt(2.0)
+    queries = np.column_stack([x, y, np.sqrt(0.25 - x * x - y * y)])
+    expected = max(_brute_nearest_sq(points, q).max() for q in _split(queries, 20))
+    points, queries = points.T.copy(), queries.T.copy()
+    for h in (2e-6, 2e-3):
+        tracemalloc.start()
+        try:
+            found = _Nearest(points, h).max_squared(queries, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == expected
+        assert peak <= 64e6
 
 
 def test_invariance_memory_is_bounded():
@@ -918,6 +943,33 @@ def test_invariance_lifts_each_image_once(monkeypatch, traces):
     cloud_group_invariance(cloud, rep)
     # two generators and their inverses, once per _CHUNK cloud points
     assert len(lifts) == 4 * math.ceil(len(cloud) / limitset._CHUNK)
+
+
+@pytest.mark.parametrize(
+    "traces,kwargs",
+    [
+        ((3, 3, 3), {"epsilon": 1e-5, "cap": 20000}),
+        ((2, 2), {"epsilon": 1e-6, "cap": 20000}),
+        ((3, 3, 3), {"epsilon": 1e-3}),
+    ],
+)
+def test_invariance_work_is_linear_in_the_cloud(monkeypatch, traces, kwargs):
+    # truncated clouds whose images fall far from them, and a whole one
+    rep = from_traces(*traces)
+    cloud = enumerate_limit_set(rep, **kwargs)
+    distances = []
+    squared = limitset._squared
+
+    def counted(*args):
+        d2 = squared(*args)
+        distances.append(len(d2))
+        return d2
+
+    monkeypatch.setattr(limitset, "_squared", counted)
+    cloud_group_invariance(cloud, rep)
+    # each cloud point has 4 images, the key-order bound takes 2 distances
+    # per image, and the descents at most as many again
+    assert sum(distances) <= 16 * len(cloud)
 
 
 # (representation, enumeration arguments, repr of the invariance)
