@@ -281,7 +281,9 @@ def test_gate_by_gate_matches_the_whole_circuit():
 
 
 # Prints the sha256 of the raw amplitude bytes of a seeded 12-area, 500-gate
-# circuit, and of a Kronecker product of raw area states.
+# circuit, of a Kronecker product of raw area states, and of a CNOT-heavy
+# 15-area circuit whose rounds force a gather with a CNOT and an SU(2) gate on
+# its target, then put SU(2) gates on the last areas.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -291,7 +293,15 @@ raw = [qnet.AreaState(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
        for _ in range(12)]
 gates = qnet.random_circuit(rng, 12, 500)
 final = qnet.run_circuit([qnet.normalize(s) for s in raw], gates)
-for amps in (final.amplitudes, qnet.kron_amplitudes(raw)):
+wide_raw = [qnet.AreaState(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+            for _ in range(15)]
+wide = []
+for _ in range(20):
+    c, t = (int(a) + 1 for a in rng.choice(15, size=2, replace=False))
+    wide += [qnet.CNOTGate(c, t), qnet.NotGate(t), qnet.SU2Gate(t, qnet.random_su2(rng))]
+    wide += [qnet.SU2Gate(k, qnet.random_su2(rng)) for k in (15, 14, 13)]
+wide_final = qnet.run_circuit([qnet.normalize(s) for s in wide_raw], wide)
+for amps in (final.amplitudes, qnet.kron_amplitudes(raw), wide_final.amplitudes):
     print(hashlib.sha256(amps.tobytes()).hexdigest())
 """
 
@@ -325,7 +335,7 @@ def _plain_cpu_env():
 
 def test_amplitude_bytes_do_not_depend_on_cpu_kernels():
     default = _amplitude_digests(_env_with_src())
-    assert len(default) == 2
+    assert len(default) == 3
     assert _amplitude_digests(_plain_cpu_env()) == default
 
 

@@ -3,7 +3,8 @@
 The qnet goldens in test_golden.py and the digest script in test_qnet.py run
 circuits from `random_circuit`, which draws no NOT gate.  The cases here pin
 the sha256 of `run_circuit(...).amplitudes.tobytes()` for seeded circuits
-that mix NOT, CNOT and SU(2) gates, and check NOT/CNOT-only circuits against
+that mix NOT, CNOT and SU(2) gates, among them CNOT-heavy ones on 15 and 16
+areas that force gathers of the relabelled index, and check NOT/CNOT-only circuits against
 a plain-Python permutation of the basis indices.
 """
 
@@ -83,6 +84,21 @@ def _cnot_cancels():
     return initial, gates
 
 
+def _gathers_then_last_areas(n):
+    """CNOT-heavy gates on n areas.  Each round ends with a CNOT onto an area
+    and an SU(2) gate on it, which forces a gather, and then SU(2) gates on
+    the last areas, so those run right after the gather."""
+    rng = np.random.default_rng(300 + n)
+    initial = _initial(rng, n)
+    gates = []
+    for _ in range(12):
+        gates += _mixed(rng, n, 8, 0.1, 0.8)
+        control, target = (int(a) + 1 for a in rng.choice(n, size=2, replace=False))
+        gates += [CNOTGate(control, target), SU2Gate(target, random_su2(rng))]
+        gates += [SU2Gate(k, random_su2(rng)) for k in (n, n - 1, n - 3)]
+    return initial, gates
+
+
 def _permutations_only(n):
     rng = np.random.default_rng(200 + n)
     return _initial(rng, n), _mixed(rng, n, 40, 0.5, 0.5)
@@ -92,6 +108,7 @@ CASES = {
     **{f"not-heavy-{n}": (_not_heavy, (n,)) for n in range(1, 9)},
     "not-before-su2": (_not_before_su2, ()),
     "cnot-cancels": (_cnot_cancels, ()),
+    **{f"gathers-then-last-areas-{n}": (_gathers_then_last_areas, (n,)) for n in (15, 16)},
     **{f"permutations-only-{n}": (_permutations_only, (n,)) for n in range(1, 7)},
 }
 
@@ -106,6 +123,8 @@ DIGESTS = {
     "not-heavy-8": "952b1ea5a1519dcc0a4d5f198f6bda75272caa6aefd51fbc09442c87e712aa6d",
     "not-before-su2": "a6196fe9d86a7abb264c43dc4bc41563b0e3d6fd1143ac1a838adef83493a897",
     "cnot-cancels": "486721d0fc1de04d0fca2cad28815fd3b4d6f66d2fc5546f2da8c4540bb53d35",
+    "gathers-then-last-areas-15": "6554e19ab6da18f86ace22dbabd724fb4fc1add920a7305330d2e7bc911dbecd",
+    "gathers-then-last-areas-16": "0d90c22c8dbf919458929153267e9bdae1f396ca9d20ef75d34260b2618f8c3d",
     "permutations-only-1": "06e3f9ee70272cc121d72900d80c7045801734a84f99a7cea0ad9af7b49f552d",
     "permutations-only-2": "e682a6ce020e0bd4566cdcfab2506d70bfee81e24ede0a2b594496b3ec404d32",
     "permutations-only-3": "8db078d92fc15fae730231082f401ecbf19928caa0ef801140097af8ab2f3b5f",
