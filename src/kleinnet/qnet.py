@@ -217,6 +217,17 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # other order.  Otherwise, and once at the end, phi is gathered through G
 # into a second array and G starts again from the identity.
 #
+# A gather may also put the areas' bits in any order at no extra cost, and an
+# SU2 gate costs less the more significant its bit: on 16 areas a gate on
+# area 14 (runs of 4 amplitudes) took 1.7x one on area 1 on a 2-vCPU host.  So on states of
+# _LAYOUT_AREAS or more, a gather looks ahead to the next one and stores the
+# areas that the SU2 gates in between target on the most significant bits,
+# in first-use order, and the other areas after them in area order (after
+# Haener and Steiger, SC17, 2017).  The columns are then the storage bits of
+# that layout, an SU2 gate runs at its area's storage position, and the
+# gather at the end returns to area order.  Only where a pair is stored
+# changes, so every pair gets the same products in the same order.
+#
 # numpy runs a ufunc or a copy fast only along a long inner axis, and a ufunc
 # only when its operands can be walked as one run.  So an SU2 gate gathers
 # its strided views into contiguous scratch, does its arithmetic on flat
@@ -226,6 +237,10 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 
 # amplitude pairs per SU2 block, so that a block's scratch stays in cache
 _BLOCK = 8192
+# states of at least this many areas are laid out for the SU2 gates at each
+# gather: on 12 areas the slowest position costs 1.26x the fastest, and the
+# lookahead costs more than the layout saves
+_LAYOUT_AREAS = 13
 # a pair view whose inner axis is shorter than this is walked along its outer
 # axis when that one is longer
 _MIN_RUN = 8
@@ -318,23 +333,69 @@ def _check_area(area: int, n: int, role: str) -> int:
     return area
 
 
+def _bits(order: Sequence[int], n: int) -> list[int]:
+    """Each area's storage bit when `order` lists the areas from the most
+    significant position down."""
+    own = [0] * n
+    for p, area in enumerate(order):
+        own[area - 1] = 1 << (n - 1 - p)
+    return own
+
+
+def _segment_order(gates: Sequence[Gate], start: int, first: int, n: int) -> list[int]:
+    """The areas in storage order, most significant first, for a gather
+    made for an SU2 gate on area `first` just before gates[start]: the SU2
+    targets up to the next gather in first-use order, then the other areas
+    in area order.  The scan reads each gate once and stops at the gate that
+    forces the next gather or that names an area out of range, which the
+    caller then refuses."""
+    own = _bits(range(1, n + 1), n)
+    cols = own[:]
+    order = [first]
+    for i in range(start, len(gates)):
+        gate = gates[i]
+        if isinstance(gate, SU2Gate):
+            k = gate.area
+            if k > n:
+                break
+            bit = own[k - 1]
+            if cols[k - 1] != bit or sum(col & bit for col in cols) != bit:
+                break
+            if k not in order:
+                order.append(k)
+        elif isinstance(gate, CNOTGate):
+            if max(gate.control, gate.target) > n:
+                break
+            cols[gate.control - 1] ^= cols[gate.target - 1]
+        elif not isinstance(gate, NotGate) or gate.area > n:
+            break
+    return order + [k for k in range(1, n + 1) if k not in order]
+
+
 def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
     """Apply `gates` to the C-contiguous rows `psi` and return the final
     rows, which may be `psi` itself or a new array; `psi` is overwritten."""
     scratch = _Scratch(psi.shape[1])
-    own = [1 << (n - k) for k in range(1, n + 1)]
+    pos = range(1, n + 1)
+    identity = own = _bits(pos, n)
     cols, flip = own[:], 0
-    for gate in gates:
+    for i, gate in enumerate(gates):
         if isinstance(gate, SU2Gate):
             k = _check_area(gate.area, n, "target")
             bit = own[k - 1]
             # G moves bit k unless col[k] is bit k and no other column holds it
             if cols[k - 1] != bit or sum(col & bit for col in cols) != bit:
+                if n >= _LAYOUT_AREAS:
+                    order = _segment_order(gates, i + 1, k, n)
+                    cols = [cols[a - 1] for a in order]
+                    own = _bits(order, n)
+                    pos = [n + 1 - b.bit_length() for b in own]
+                    bit = own[k - 1]
                 psi = _gather(psi, cols, flip, scratch)
                 cols, flip = own[:], 0
             a, b, c, d = gate.matrix.entries()
             entries = (d, c, b, a) if flip & bit else (a, b, c, d)
-            _apply_su2(_pairs(psi, n, k), entries, scratch)
+            _apply_su2(_pairs(psi, n, pos[k - 1]), entries, scratch)
         elif isinstance(gate, CNOTGate):
             control = _check_area(gate.control, n, "control")
             target = _check_area(gate.target, n, "target")
@@ -343,7 +404,7 @@ def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
             flip ^= cols[_check_area(gate.area, n, "target") - 1]
         else:
             raise QnetError(f"unknown gate {gate!r}")
-    if flip or cols != own:
+    if flip or cols != identity:
         psi = _gather(psi, cols, flip, scratch)
     return psi
 

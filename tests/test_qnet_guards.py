@@ -5,15 +5,21 @@ circuits from `random_circuit`, which draws no NOT gate.  The cases here pin
 the sha256 of `run_circuit(...).amplitudes.tobytes()` for seeded circuits
 that mix NOT, CNOT and SU(2) gates, among them CNOT-heavy ones on 15 and 16
 areas that force gathers of the relabelled index, and check NOT/CNOT-only circuits against
-a plain-Python permutation of the basis indices.
+a plain-Python permutation of the basis indices.  On wide states, the cases
+at the end check the layout that each gather picks: the SU(2) gates after it
+run on the first storage positions, its lookahead reads each gate at most
+once, and a gate out of range still raises in circuit order.
 """
 
 import hashlib
+from itertools import groupby
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleinnet import qnet
+from kleinnet.errors import QnetError
 from kleinnet.qnet import (
     AreaState,
     CNOTGate,
@@ -21,6 +27,7 @@ from kleinnet.qnet import (
     SU2Gate,
     apply_gate,
     normalize,
+    random_circuit,
     random_su2,
     run_circuit,
     tensor,
@@ -197,3 +204,105 @@ def test_permutation_circuits_move_amplitudes_by_index_bits(case):
     for i in range(start.size):
         expected[_permuted_index(i, n, gates)] = start[i]
     assert np.array_equal(run_circuit(initial, gates).amplitudes, expected)
+
+
+# -- layouts chosen at the gathers -------------------------------------------------
+
+
+class _CountedGates(list):
+    """A gate list that counts the records read by index; iterating over it
+    reads none."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def _segments(monkeypatch, initial, gates):
+    """Run `gates` and return, per stretch between two gathers, the SU(2)
+    gates applied in it as (area, storage position) pairs."""
+    events = []
+    pairs, gather = qnet._pairs, qnet._gather
+
+    def record_pairs(psi, n, position):
+        events.append(position)
+        return pairs(psi, n, position)
+
+    def record_gather(*args):
+        events.append(None)
+        return gather(*args)
+
+    monkeypatch.setattr(qnet, "_pairs", record_pairs)
+    monkeypatch.setattr(qnet, "_gather", record_gather)
+    run_circuit(initial, gates)
+    areas = iter(g.area for g in gates if isinstance(g, SU2Gate))
+    return [
+        [(next(areas), p) for p in run]
+        for is_gather, run in groupby(events, lambda e: e is None)
+        if not is_gather
+    ], events.count(None)
+
+
+def _gather_at_every_su2(n, rounds):
+    """A CNOT onto an area, then an SU(2) gate on it, which forces a gather,
+    round after round; area n is never a target."""
+    rng = np.random.default_rng(400 + n)
+    gates = []
+    for r in range(rounds):
+        target = r % (n - 1) + 1
+        gates += [CNOTGate(target % (n - 1) + 1, target), SU2Gate(target, random_su2(rng))]
+    return _initial(rng, n), gates
+
+
+def _seeded_wide(n):
+    rng = np.random.default_rng(500 + n)
+    return _initial(rng, n), random_circuit(rng, n, 300)
+
+
+@pytest.mark.parametrize(
+    "make, args", [(_seeded_wide, (16,)), (_gather_at_every_su2, (16, 60))]
+)
+def test_su2_gates_after_a_gather_run_on_the_first_positions(monkeypatch, make, args):
+    initial, gates = make(*args)
+    gates = _CountedGates(gates)
+    segments, gathers = _segments(monkeypatch, initial, gates)
+    assert gathers >= 10
+    # the first stretch runs before any gather, in area order
+    for segment in segments[1:]:
+        distinct = len({area for area, _ in segment})
+        assert max(p for _, p in segment) <= distinct
+    assert gates.reads <= len(gates)
+
+
+def _gathers_then(bad):
+    """15 areas: two forced gathers, then the gates `bad`."""
+    rng = np.random.default_rng(12)
+
+    def su2(k):
+        return SU2Gate(k, random_su2(rng))
+
+    gates = [CNOTGate(1, 2), su2(2), su2(15), CNOTGate(3, 4), su2(14)]
+    gates += [su2(4), NotGate(5), *bad, su2(15)]
+    return _initial(rng, 15), gates
+
+
+_M = random_su2(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([SU2Gate(16, _M), CNOTGate(17, 1)], "target area 16 out of range for 15 areas"),
+        ([CNOTGate(2, 16), NotGate(17)], "target area 16 out of range for 15 areas"),
+        ([CNOTGate(16, 2), CNOTGate(2, 17)], "control area 16 out of range for 15 areas"),
+        ([NotGate(16), SU2Gate(17, _M)], "target area 16 out of range for 15 areas"),
+        ([SU2Gate(3, _M), "H", NotGate(16)], "unknown gate 'H'"),
+    ],
+)
+def test_gates_out_of_range_after_a_gather_raise_in_circuit_order(bad, message):
+    # the lookahead of the second gather reads `bad` before the loop does
+    initial, gates = _gathers_then(bad)
+    with pytest.raises(QnetError, match=message):
+        run_circuit(initial, gates)
