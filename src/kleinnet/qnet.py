@@ -218,15 +218,15 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # into a second array and G starts again from the identity.
 #
 # A gather may also put the areas' bits in any order at no extra cost, and an
-# SU2 gate costs less the more significant its bit: on 16 areas a gate on
-# area 14 (runs of 4 amplitudes) took 1.7x one on area 1 on a 2-vCPU host.  So on states of
-# _LAYOUT_AREAS or more, a gather looks ahead to the next one and stores the
-# areas that the SU2 gates in between target on the most significant bits,
-# in first-use order, and the other areas after them in area order (after
-# Haener and Steiger, SC17, 2017).  The columns are then the storage bits of
-# that layout, an SU2 gate runs at its area's storage position, and the
-# gather at the end returns to area order.  Only where a pair is stored
-# changes, so every pair gets the same products in the same order.
+# SU2 gate costs less the more significant its bit: on 16 areas, a gate on
+# area 14 (runs of 4 amplitudes) took 1.7x one on area 1 on a 2-vCPU host.
+# So on states of _LAYOUT_AREAS or more, a gather looks ahead to the next one
+# and stores the areas that the SU2 gates in between target on the most
+# significant bits, in first-use order, and the other areas after them in
+# area order (after Haener and Steiger, SC17, 2017).  The columns are then
+# bitmasks in that layout, an SU2 gate runs at its area's storage position,
+# and the gather at the end returns to area order.  Only where a pair is
+# stored changes, so every pair gets the same products in the same order.
 #
 # numpy runs a ufunc or a copy fast only along a long inner axis, and a ufunc
 # only when its operands can be walked as one run.  So an SU2 gate gathers
@@ -311,8 +311,9 @@ def _apply_su2(pairs: np.ndarray, entries: tuple, scratch: _Scratch) -> None:
 
 def _gather(phi: np.ndarray, cols: list[int], flip: int, scratch: _Scratch) -> np.ndarray:
     """The rows psi with psi[:, i] = phi[:, G(i)], G(i) = B.i ^ flip, where
-    B has column cols[k - 1] for area k.  psi is scratch.y, and phi becomes
-    scratch.y for the next gather."""
+    B has column cols[p - 1] for bit position p of i, position 1 the most
+    significant.  psi is scratch.y, and phi becomes scratch.y for the next
+    gather."""
     index, psi = scratch.index, scratch.y
     # doubling from the least significant area: index[:m] covers the last
     # log2(m) areas
@@ -333,15 +334,6 @@ def _check_area(area: int, n: int, role: str) -> int:
     return area
 
 
-def _bits(order: Sequence[int], n: int) -> list[int]:
-    """Each area's storage bit when `order` lists the areas from the most
-    significant position down."""
-    own = [0] * n
-    for p, area in enumerate(order):
-        own[area - 1] = 1 << (n - 1 - p)
-    return own
-
-
 def _segment_order(gates: Sequence[Gate], start: int, first: int, n: int) -> list[int]:
     """The areas in storage order, most significant first, for a gather
     made for an SU2 gate on area `first` just before gates[start]: the SU2
@@ -349,7 +341,7 @@ def _segment_order(gates: Sequence[Gate], start: int, first: int, n: int) -> lis
     in area order.  The scan reads each gate once and stops at the gate that
     forces the next gather or that names an area out of range, which the
     caller then refuses."""
-    own = _bits(range(1, n + 1), n)
+    own = [1 << (n - k) for k in range(1, n + 1)]
     cols = own[:]
     order = [first]
     for i in range(start, len(gates)):
@@ -359,6 +351,7 @@ def _segment_order(gates: Sequence[Gate], start: int, first: int, n: int) -> lis
             if k > n:
                 break
             bit = own[k - 1]
+            # _apply_gates' test whether G moves bit k, in area order
             if cols[k - 1] != bit or sum(col & bit for col in cols) != bit:
                 break
             if k not in order:
@@ -376,20 +369,23 @@ def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
     """Apply `gates` to the C-contiguous rows `psi` and return the final
     rows, which may be `psi` itself or a new array; `psi` is overwritten."""
     scratch = _Scratch(psi.shape[1])
-    pos = range(1, n + 1)
-    identity = own = _bits(pos, n)
+    pos = list(range(1, n + 1))
+    identity = own = [1 << (n - p) for p in pos]
     cols, flip = own[:], 0
+    layouts = n >= _LAYOUT_AREAS
     for i, gate in enumerate(gates):
         if isinstance(gate, SU2Gate):
             k = _check_area(gate.area, n, "target")
             bit = own[k - 1]
             # G moves bit k unless col[k] is bit k and no other column holds it
             if cols[k - 1] != bit or sum(col & bit for col in cols) != bit:
-                if n >= _LAYOUT_AREAS:
+                if layouts:
                     order = _segment_order(gates, i + 1, k, n)
+                    # the gather's columns by storage position
                     cols = [cols[a - 1] for a in order]
-                    own = _bits(order, n)
-                    pos = [n + 1 - b.bit_length() for b in own]
+                    for p, area in enumerate(order, start=1):
+                        pos[area - 1] = p
+                    own = [1 << (n - p) for p in pos]
                     bit = own[k - 1]
                 psi = _gather(psi, cols, flip, scratch)
                 cols, flip = own[:], 0
