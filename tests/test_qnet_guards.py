@@ -12,7 +12,6 @@ once, and a gate out of range still raises in circuit order.
 """
 
 import hashlib
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -210,39 +209,36 @@ def test_permutation_circuits_move_amplitudes_by_index_bits(case):
 
 
 class _CountedGates(list):
-    """A gate list that counts the records read by index; iterating over it
-    reads none."""
+    """A gate list that counts the records read by index or slice; iterating
+    over it reads none."""
 
     reads = 0
 
     def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
+        got = super().__getitem__(i)
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
 
 
 def _segments(monkeypatch, initial, gates):
-    """Run `gates` and return, per stretch between two gathers, the SU(2)
-    gates applied in it as (area, storage position) pairs."""
-    events = []
+    """Run `gates` and return the SU(2) gates applied before the first
+    gather and after each gather, as lists of (area, storage position)."""
+    areas = iter([g.area for g in gates if isinstance(g, SU2Gate)])
+    segments = [[]]
     pairs, gather = qnet._pairs, qnet._gather
 
     def record_pairs(psi, n, position):
-        events.append(position)
+        segments[-1].append((next(areas), position))
         return pairs(psi, n, position)
 
     def record_gather(*args):
-        events.append(None)
+        segments.append([])
         return gather(*args)
 
     monkeypatch.setattr(qnet, "_pairs", record_pairs)
     monkeypatch.setattr(qnet, "_gather", record_gather)
     run_circuit(initial, gates)
-    areas = iter(g.area for g in gates if isinstance(g, SU2Gate))
-    return [
-        [(next(areas), p) for p in run]
-        for is_gather, run in groupby(events, lambda e: e is None)
-        if not is_gather
-    ], events.count(None)
+    return segments
 
 
 def _gather_at_every_su2(n, rounds):
@@ -267,12 +263,12 @@ def _seeded_wide(n):
 def test_su2_gates_after_a_gather_run_on_the_first_positions(monkeypatch, make, args):
     initial, gates = make(*args)
     gates = _CountedGates(gates)
-    segments, gathers = _segments(monkeypatch, initial, gates)
-    assert gathers >= 10
-    # the first stretch runs before any gather, in area order
+    segments = _segments(monkeypatch, initial, gates)
+    assert len(segments) > 10
+    # the gates before the first gather run in area order
     for segment in segments[1:]:
         distinct = len({area for area, _ in segment})
-        assert max(p for _, p in segment) <= distinct
+        assert all(p <= distinct for _, p in segment)
     assert gates.reads <= len(gates)
 
 
