@@ -378,6 +378,13 @@ def test_nonfinite_sl2_inputs_exit_one_with_a_message(tmp_path, argv):
     assert "Traceback" not in err and "nan" not in err.lower()
 
 
+# The sweep builds and evaluates each t value in turn, so the products at
+# t = 100 overflow before the family at t = 1000 is built.
+def test_degenerate_reports_the_first_failing_t_value():
+    code, out, err = run_module("degenerate", "--t-values", "100,1000")
+    assert (code, out, err) == (1, "", "error: not unimodular: det is not finite\n")
+
+
 # -- limitset ----------------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from kleinnet.degeneration import (
     tree_limit_check,
     write_sweep_csv,
 )
-from kleinnet.degeneration import _class_matrices, _trie_walk
+from kleinnet.degeneration import _axiom_residuals, _class_matrices, _trie_walk
 from kleinnet.errors import DegenerationError, RepresentationError
 from kleinnet.sl2 import (
     Matrix2C,
@@ -28,7 +28,7 @@ from kleinnet.sl2 import (
     random_loxodromic,
     random_sl2,
 )
-from kleinnet.words import ConjugacyClassList, Word, enumerate_classes
+from kleinnet.words import ConjugacyClassList, Word, enumerate_classes, necklace
 
 T_GRID = [5.0, 10.0, 15.0, 20.0]
 
@@ -299,6 +299,39 @@ def test_report_json_round_trip():
     }
     assert data["passed"] == report.passed
     assert len(data["deltas"]) == 1
+
+
+def _axiom_residuals_reference(final):
+    """The residuals with each inverse class found through its necklace."""
+    classes = final.classes
+    values = final.values
+    index = {w.letters: i for i, w in enumerate(classes)}
+    sym = hom = 0.0
+    for i, w in enumerate(classes):
+        j = index.get(necklace(tuple(-l for l in reversed(w.letters))))
+        if j is not None:
+            sym = max(sym, abs(values[i] - values[j]))
+        for n in range(2, classes.max_length // len(w) + 1):
+            j = index.get(w.letters * n)
+            if j is not None:
+                hom = max(hom, abs(values[j] - n * values[i]))
+    return sym, hom
+
+
+@pytest.mark.parametrize(
+    "rank, max_len, fold",
+    [(1, 6, False), (2, 6, False), (3, 5, False), (2, 6, True)],
+)
+def test_axiom_residuals_match_the_necklace_reference(rank, max_len, fold):
+    classes = enumerate_classes(rank, max_len, fold_inverses=fold)
+    rng = np.random.default_rng(rank * 100 + max_len)
+    for _ in range(3):
+        values = tuple(float(x) for x in rng.random(len(classes)))
+        vec = LengthVector(classes, values, 1.0)
+        want = _axiom_residuals_reference(vec)
+        assert [x.hex() for x in _axiom_residuals(vec)] == [x.hex() for x in want]
+        # a folded list holds no class together with its inverse
+        assert (want[0] == 0.0) == fold and want[1] > 0.0
 
 
 def test_sweep_csv_format(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import pickle
 import time
 
 import numpy as np
@@ -66,6 +67,15 @@ def test_text_round_trip():
     assert w.text() == "abAB"
     assert Word.from_text("1").letters == ()
     assert Word.from_text("").text() == "1"
+
+
+def test_text_covers_26_generators():
+    assert Word((26,)).text() == "z"
+    assert Word((-26,)).text() == "Z"
+    assert Word((1, -26, 2)).text() == "aZb"
+    for letters in ((27,), (-27,), (1, 27)):
+        with pytest.raises(WordError, match="^word text syntax only covers 26 generators$"):
+            Word(letters).text()
 
 
 def test_text_rejects_garbage():
@@ -237,6 +247,22 @@ def test_fold_inverses_merges_mutually_inverse_classes():
     for w in folded:
         inv = canonical_cyclic(w.inverse())
         assert inv == w or inv.letters not in {v.letters for v in folded}
+
+
+# enumerate_classes builds its representatives without Word's checks; each
+# must still be the Word that the validating constructor makes
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_enumerated_representatives_equal_validated_words(rank, fold):
+    classes = enumerate_classes(rank, 6, fold_inverses=fold)
+    for w in classes:
+        v = Word(w.letters)
+        assert type(w) is Word and type(w.letters) is tuple
+        assert w == v and hash(w) == hash(v) and repr(w) == repr(v)
+        assert pickle.loads(pickle.dumps(w)) == v
+    again = pickle.loads(pickle.dumps(classes))
+    assert again == classes
+    assert again.representatives == tuple(Word(w.letters) for w in classes)
 
 
 def test_conjugation_invariance_bulk():
