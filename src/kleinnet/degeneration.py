@@ -23,7 +23,7 @@ from ._record import Record
 from .errors import DegenerationError, RepresentationError
 from .sl2 import Entries, Matrix2C, Representation, make_rep
 from .sl2 import classify_entries, mul_entries
-from .words import ConjugacyClassList, cyclically_reduce, necklace
+from .words import ConjugacyClassList, cyclically_reduce
 
 __all__ = [
     "LengthVector",
@@ -295,11 +295,13 @@ class TreeLimitReport(Record):
 def _axiom_residuals(final: LengthVector) -> tuple[float, float]:
     """Largest |l(w) - l(w^-1)| and |l(w^n) - n l(w)| over the classes whose
     inverse or power is in the list.  The representatives are necklaces, so
-    the necklace of w^n is w repeated n times, and only the inverse needs a
-    least rotation."""
+    the necklace of w^n is w repeated n times, and the index holds no other
+    rotation: the first rotation of w^-1 found in it is w^-1's necklace.
+    Each inverse pair is looked up once, from its first class."""
     classes = final.classes
     values = final.values
     index = _class_index(classes)
+    paired = set()
     sym = 0.0
     hom = 0.0
     for i, w in enumerate(classes):
@@ -307,9 +309,14 @@ def _axiom_residuals(final: LengthVector) -> tuple[float, float]:
         if not letters:
             continue
         x = values[i]
-        j = index.get(necklace(tuple(-l for l in reversed(letters))))
-        if j is not None:
-            sym = max(sym, abs(x - values[j]))
+        if i not in paired:
+            inverse = tuple([-l for l in reversed(letters)])
+            for k in range(len(inverse)):
+                j = index.get(inverse[k:] + inverse[:k])
+                if j is not None:
+                    sym = max(sym, abs(x - values[j]))
+                    paired.add(j)
+                    break
         n = 2
         while n * len(letters) <= classes.max_length:
             j = index.get(letters * n)
@@ -354,9 +361,8 @@ def format_sweep_csv(
     words = vectors[0].classes.words_text()
     lines = ["t,lambda," + ",".join(words)]
     for t, vec in zip(t_values, vectors):
-        cells = [f"{t:.9g}", f"{vec.scale:.9g}"]
-        cells.extend(f"{x:.9g}" for x in vec.values)
-        lines.append(",".join(cells))
+        row = ",".join(["%.9g"] * (len(vec.values) + 2))
+        lines.append(row % (t, vec.scale, *vec.values))
     return "\n".join(lines) + "\n"
 
 

@@ -44,6 +44,14 @@ def _letter_key(letter: int) -> int:
     return 2 * letter - 2 if letter > 0 else -2 * letter - 1
 
 
+# text of each letter: a-z for generators 1-26, A-Z for their inverses
+_LETTER_TEXT = {
+    sign * k: chr(base + k - 1)
+    for k in range(1, 27)
+    for sign, base in ((1, ord("a")), (-1, ord("A")))
+}
+
+
 def _reduce(letters: Iterable[int], rank: int | None = None) -> tuple[int, ...]:
     out: list[int] = []
     for letter in letters:
@@ -88,14 +96,10 @@ class Word(Record):
     def text(self) -> str:
         if not self.letters:
             return "1"
-        chars = []
-        for letter in self.letters:
-            base = "a" if letter > 0 else "A"
-            index = abs(letter) - 1
-            if index >= 26:
-                raise WordError("word text syntax only covers 26 generators")
-            chars.append(chr(ord(base) + index))
-        return "".join(chars)
+        try:
+            return "".join(map(_LETTER_TEXT.__getitem__, self.letters))
+        except KeyError:
+            raise WordError("word text syntax only covers 26 generators") from None
 
     def __str__(self) -> str:
         return self.text()
@@ -125,6 +129,14 @@ class Word(Record):
 
     def shortlex_key(self) -> tuple:
         return (len(self.letters), tuple(_letter_key(l) for l in self.letters))
+
+
+def _trusted_word(letters: tuple[int, ...]) -> Word:
+    """A `Word` on letters its caller built nonzero and freely reduced,
+    without the constructor's checks.  Pickling still calls `Word`."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 def reduce_word(letters: Sequence[int], rank: int | None = None) -> Word:
@@ -203,7 +215,10 @@ def enumerate_classes(
     exactly when l >= w[n-p].  Extending each level in alphabet order keeps
     every level in lexicographic order, so the result is in shortlex order.
     The words visited are about twice the classes emitted: 7,379 for the
-    3,582 classes of rank 2 up to length 9.
+    3,582 classes of rank 2 up to length 9.  The alphabet is listed in
+    letter order, so the letters that may follow a prefix are one slice of
+    it, cut at the key of w[n-p], and each representative is made from the
+    letters as generated, without `Word`'s checks.
 
     `fold_inverses` merges each class with its inverse class, keeping the
     smaller representative; the inverse class's representative is its
@@ -230,13 +245,17 @@ def enumerate_classes(
                 if not fold_inverses or list(map(_letter_key, w)) <= list(
                     map(_letter_key, necklace(tuple(-l for l in reversed(w))))
                 ):
-                    reps.append(Word(w))
+                    # the letters are nonzero and freely reduced by
+                    # construction: each comes from the alphabet, and no
+                    # extension below appends the inverse of the last one
+                    reps.append(_trusted_word(w))
         if n < max_length:
+            # a letter's key is its position in the alphabet
             level = [
                 (w + (l,), p if l == w[n - p] else n + 1)
                 for w, p in level
-                for l in alphabet
-                if l != -w[-1] and _letter_key(l) >= _letter_key(w[n - p])
+                for l in alphabet[_letter_key(w[n - p]):]
+                if l != -w[-1]
             ]
     return ConjugacyClassList(tuple(reps), max_length, rank, fold_inverses)
 
