@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kleinnet import degeneration
 from kleinnet.degeneration import (
     LengthVector,
     RepFamily,
@@ -332,6 +333,43 @@ def test_axiom_residuals_match_the_necklace_reference(rank, max_len, fold):
         assert [x.hex() for x in _axiom_residuals(vec)] == [x.hex() for x in want]
         # a folded list holds no class together with its inverse
         assert (want[0] == 0.0) == fold and want[1] > 0.0
+
+
+def test_sweep_makes_one_product_per_prefix_per_t(monkeypatch):
+    classes = enumerate_classes(2, 9)
+    prefixes = {w.letters[:k] for w in classes for k in range(1, len(w) + 1)}
+    products = []
+    mul = degeneration.mul_entries
+
+    def counted(m, g):
+        products.append(1)
+        return mul(m, g)
+
+    monkeypatch.setattr(degeneration, "mul_entries", counted)
+    sweep(schottky_family(), classes, T_GRID)
+    assert 0 < len(products) <= len(T_GRID) * len(prefixes)
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_report_lookups_are_linear_in_the_letters(monkeypatch, fold):
+    classes = enumerate_classes(2, 9, fold_inverses=fold)
+    lookups = []
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            lookups.append(1)
+            return super().get(key, default)
+
+    class_index = degeneration._class_index
+    monkeypatch.setattr(degeneration, "_class_index", lambda c: Counted(class_index(c)))
+    values = tuple(float(len(w)) for w in classes)
+    _axiom_residuals(LengthVector(classes, values, 1.0))
+    letters = sum(len(w) for w in classes)
+    powers = sum(classes.max_length // len(w) - 1 for w in classes)
+    # at most one rotation per letter of w^-1, plus one lookup per power;
+    # an inverse pair is looked up from one of its two classes only, and an
+    # unfolded list holds both classes of every pair
+    assert len(lookups) <= (letters if fold else letters // 2) + powers
 
 
 def test_sweep_csv_format(tmp_path):
