@@ -10,8 +10,10 @@ The class matrices come from the prefix trie of the representatives: each
 distinct prefix costs one product M(w l) = M(w) @ g_l, which is the product
 `sl2.evaluate` makes at that step, so every matrix is bit for bit the same.
 Each is classified through `sl2.classify_entries`, the path `sl2.classify`
-takes.  The report looks up inverses by their `words.necklace` and powers of
-a necklace w by w repeated, so it makes no `Word` per lookup.
+takes.  The report finds the inverse class of w by looking up the rotations
+of w^-1's letters in the class index, which holds only necklaces, and the
+power w^n of a necklace w by w repeated, so it makes no `Word` and takes no
+least rotation per lookup.
 """
 
 from __future__ import annotations

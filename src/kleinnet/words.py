@@ -250,7 +250,6 @@ def enumerate_classes(
                     # extension below appends the inverse of the last one
                     reps.append(_trusted_word(w))
         if n < max_length:
-            # a letter's key is its position in the alphabet
             level = [
                 (w + (l,), p if l == w[n - p] else n + 1)
                 for w, p in level
