@@ -83,15 +83,15 @@ def worse_by(summary: dict) -> float:
 
 def verdict(name: str, summary: dict, bound: float) -> str:
     p, c = summary["parent"], summary["change"]
-    pairs = len(p["runs"])
+    worse = worse_by(summary)
     text = (
         f"{name}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}], "
         f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}], "
-        f"change better in {summary['change_better_in_pairs']}/{pairs} pairs, "
+        f"change better in {summary['change_better_in_pairs']}/{len(p['runs'])} pairs, "
         f"{'gain' if gains(summary) else 'no gain'}; "
-        f"worse by {100 * worse_by(summary):+.2f}% (bound {100 * bound:g}%)"
+        f"worse by {100 * worse:+.2f}% (bound {100 * bound:g}%)"
     )
-    return text + (": REGRESSION" if worse_by(summary) > bound else "")
+    return text + (": REGRESSION" if worse > bound else "")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
