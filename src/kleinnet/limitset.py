@@ -174,6 +174,25 @@ def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     return lift
 
 
+def _cloud_order(re: np.ndarray, im: np.ndarray, charts: np.ndarray) -> np.ndarray:
+    """The permutation `np.lexsort((charts, im, re))` gives, made with one
+    sort of re: each run of equal re (NaNs, which sort last, count as
+    equal, as lexsort holds them) is then ordered by (im, chart, index).
+    Runs of equal re are rare, so this is one float sort where lexsort
+    makes three stable sorts."""
+    order = np.argsort(re)
+    r = re[order]
+    tie = r[1:] == r[:-1]
+    tie |= np.isnan(r[1:]) & np.isnan(r[:-1])
+    if tie.any():
+        pos = np.flatnonzero(tie)
+        tied = np.union1d(pos, pos + 1)
+        run = np.cumsum(np.r_[True, ~tie])[tied]
+        sub = order[tied]
+        order[tied] = sub[np.lexsort((sub, charts[sub], im[sub], run))]
+    return order
+
+
 def _make_cloud(
     re: np.ndarray,
     im: np.ndarray,
@@ -182,7 +201,7 @@ def _make_cloud(
     max_depth: int,
     truncated: bool,
 ) -> LimitPointCloud:
-    order = np.lexsort((charts, im, re))
+    order = _cloud_order(re, im, charts)
     values = np.empty(order.size, dtype=np.complex128)
     values.real = re[order]
     values.imag = im[order]
@@ -212,6 +231,8 @@ _CONJUGATE = np.array([1.0, -1.0])[:, None, None]
 # per candidate count k: the candidate index pairs i < j (all i, then all
 # j) over which a node's diameter is taken
 _DIAMETER_ENDS = {k: np.concatenate(np.triu_indices(k, 1)) for k in (3, 4)}
+# (shift, mask) steps that move bit k of a 16-bit box cell index to bit 2k
+_SPREAD2 = ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555))
 
 
 def _multiplier(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -223,14 +244,15 @@ def _multiplier(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.array([[re, im], [-im, re]]).swapaxes(1, 2))
 
 
-def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _product(m: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The sums over c of m[c] x[c] for complex m and x: m has axes (re/im,
     c, ...) and x is a _multiplier table, broadcast against m.  Each
     product is re*re - im*im and re*im + im*re, and the sum over c runs
-    left to right."""
-    p = m * x
-    p = p[0] + p[1]
-    return p[0] + p[1]
+    left to right.  The products go to `out` when given, and the sums into
+    the products' own first rows."""
+    p = np.multiply(m, x, out=out)
+    p = np.add(p[0], p[1], out=p[0])
+    return np.add(p[0], p[1], out=p[0])
 
 
 def _normalized(m: np.ndarray) -> np.ndarray:
@@ -239,8 +261,10 @@ def _normalized(m: np.ndarray) -> np.ndarray:
     complex by a float (the float is promoted to complex), which keeps
     signed zeros: re + im*0.0 and im - re*0.0, over the scale."""
     a = np.abs(m)
-    s = (a[0] + a[1]).reshape(4, -1).max(axis=0)
-    return (m + m[::-1] * _QUOTIENT_ZEROS) / s
+    s = np.add(a[0], a[1], out=a[0]).reshape(4, -1).max(axis=0)
+    q = np.multiply(m[::-1], _QUOTIENT_ZEROS)
+    np.add(m, q, out=q)
+    return np.divide(q, s, out=q)
 
 
 def _node_points(uv, eps2: float, at_floor: bool):
@@ -256,7 +280,7 @@ def _node_points(uv, eps2: float, at_floor: bool):
     """
     k = uv.shape[2]
     sq = uv * uv
-    norm = sq[:, 0] + sq[:, 1]
+    norm = np.add(sq[:, 0], sq[:, 1], out=sq[:, 0])
     # fits[0]: |u| <= 2|v|, the candidate fits chart 0; fits[1]: chart 1
     fits = norm <= 4.0 * norm[::-1]
     counts = fits.sum(axis=1)
@@ -268,11 +292,15 @@ def _node_points(uv, eps2: float, at_floor: bool):
     # the candidates as p/q in the chosen chart
     p, q = np.where(use0, uv, uv[::-1])
     d = np.where(use0, norm[1], norm[0])
-    z = (p * q[0] + p[::-1] * (q[1] * _CONJUGATE)) / d
+    z = np.multiply(p, q[0])
+    t = np.multiply(q[1], _CONJUGATE)
+    np.multiply(p[::-1], t, out=t)
+    np.add(z, t, out=z)
+    np.divide(z, d, out=z)
     ends = np.take(z, _DIAMETER_ENDS[k], axis=1).reshape(2, 2, -1, len(use0))
-    dz = ends[:, 0] - ends[:, 1]
-    dz = dz * dz
-    diam2 = np.fmax.reduce(dz[0] + dz[1], axis=0, initial=0.0)
+    dz = np.subtract(ends[:, 0], ends[:, 1])
+    np.multiply(dz, dz, out=dz)
+    diam2 = np.fmax.reduce(np.add(dz[0], dz[1], out=dz[0]), axis=0, initial=0.0)
     emit = np.logical_and(diam2 < eps2, uniform)
     if at_floor:
         emit[:] = True
@@ -282,24 +310,49 @@ def _node_points(uv, eps2: float, at_floor: bool):
     z = np.where(in_chart, z, 0.0)[..., emit]
     c = 0.0 + z[:, 0]
     for i in range(1, k):
-        c = c + z[:, i]
+        np.add(c, z[:, i], out=c)
     use0 = use0[emit]
-    return emit, (c / np.where(use0, *counts[:, emit]), np.where(use0, 0, 1))
+    return emit, (np.divide(c, np.where(use0, *counts[:, emit]), out=c), np.where(use0, 0, 1))
 
 
-def _expand(mats, last, cands, steps, eps2: float, at_floor: bool, room: int):
+class _Scratch:
+    """One buffer for the temporaries of a chunk of up to `nodes` frontier
+    nodes, allocated once per level.  The candidates taken per node
+    and their products with the prefixes are dead before the children are
+    made, so they share it with the letters' matrices taken per child and
+    the children's stacked products."""
+
+    def __init__(self, nodes: int) -> None:
+        self.flat = np.empty(144 * nodes)
+
+    def take(self, table: np.ndarray, index: np.ndarray, at: int) -> np.ndarray:
+        """table[..., index], written into the buffer from float `at` on."""
+        shape = table.shape[:-1] + index.shape
+        out = self.flat[at:at + math.prod(shape)].reshape(shape)
+        return np.take(table, index, axis=-1, out=out, mode="clip")
+
+    def out(self, shape: tuple) -> np.ndarray:
+        """The buffer's first floats, as an array of the given shape."""
+        return self.flat[: math.prod(shape)].reshape(shape)
+
+
+def _expand(mats, last, cands, steps, scratch, eps2: float, at_floor: bool, room: int):
     """One chunk of a level: nodes with prefix matrices `mats` (as
     _normalized returns them) and last letters `last`.  cands and steps are
     the _multiplier tables of the candidates after each last letter and of
-    the letters' matrices.  `room` is cap less the level's points and
-    children so far.  This chunk's points take from it too, and the next
-    level cuts the children past it, so only the first ceil(room / 3) open
-    nodes are expanded.
+    the letters' matrices, and scratch a _Scratch for the chunk.  `room` is
+    cap less the level's points and children so far.  This chunk's points
+    take from it too, and the next level cuts the children past it, so only
+    the first ceil(room / 3) open nodes are expanded.
 
     Returns the points of the emitting nodes (None if there are none), the
     number of children all open nodes have, and the children made, each
     node's in letter order (None when no room is left)."""
-    uv = _product(mats[:, :, :, None, None], np.take(cands, last, axis=-1)[:, :, None])
+    n = len(last)
+    # the products fill the first 48 floats per node, the candidates the
+    # next 24
+    x = scratch.take(cands, last, 48 * n)
+    uv = _product(mats[:, :, :, None, None], x[:, :, None], scratch.out((2, 2, 2, 2, 3, n)))
     emit, points = _node_points(uv, eps2, at_floor)
     if points is not None:
         room -= len(points[1])
@@ -310,10 +363,15 @@ def _expand(mats, last, cands, steps, eps2: float, at_floor: bool, room: int):
         return points, made, None
     keep = -(-room // 3)
     mats, last = mats[..., :keep], last[:keep]
+    n = len(last)
     child_last = _NEXT[last].ravel()
-    parents = mats.repeat(3, axis=-1)[:, :, None, None]
-    children = _product(parents, np.take(steps, child_last, axis=-1)[:, :, :, :, None])
-    return points, made, (_normalized(children), child_last)
+    # the stacked products fill the first 96 floats per parent node, the
+    # letters' matrices the next 48; each parent meets its three children's
+    # by broadcasting, with the children last, as a repeat of the parents
+    # would lay them out
+    x = scratch.take(steps, child_last, 96 * n).reshape(2, 2, 2, 2, 1, n, 3)
+    children = _product(mats[:, :, None, None, :, :, None], x, scratch.out((2, 2, 2, 2, 2, n, 3)))
+    return points, made, (_normalized(children.reshape(2, 2, 2, 3 * n)), child_last)
 
 
 def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
@@ -358,10 +416,11 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
             mats, last = mats[..., :room], last[:room]
         children = []
         width = 0
+        scratch = _Scratch(min(_LEVEL_CHUNK, len(last)))
         for s in range(0, len(last), _LEVEL_CHUNK):
             pts, made, kids = _expand(
                 mats[..., s:s + _LEVEL_CHUNK], last[s:s + _LEVEL_CHUNK],
-                cands, steps, eps2, depth >= max_depth, cap - emitted - width,
+                cands, steps, scratch, eps2, depth >= max_depth, cap - emitted - width,
             )
             if pts is not None:
                 points.append(pts)
@@ -481,7 +540,15 @@ def circle_deviation(
 def box_dimension(cloud: LimitPointCloud) -> float:
     """Box-counting slope over dyadic scales delta_0 / 2^k, k < BOX_LEVELS,
     with delta_0 a quarter of the bounding-box size, on the points within
-    WINDOW_RADIUS."""
+    WINDOW_RADIUS.
+
+    The cells of the finest scale are found once and their (ix, iy)
+    interleaved bit by bit into one Morton key, and the keys are sorted
+    once.  Each delta is twice the next finer one, exactly, and so is each
+    quotient (x - xmin) / delta, so a point's cell on the coarser scale is
+    its finer cell halved: the coarser level's keys are the sorted keys
+    shifted right by 2 bits, still sorted.  (Halving is exact while the
+    deltas are normal floats, for any size above 2^-1014.)"""
     z = cloud.plane_values(WINDOW_RADIUS)
     if len(z) < MIN_BOX_POINTS:
         raise SparseWindowError(
@@ -492,15 +559,22 @@ def box_dimension(cloud: LimitPointCloud) -> float:
     size = max(float(x.max() - xmin), float(y.max() - ymin))
     if size == 0.0:
         raise LimitSetError("degenerate cloud: all points coincide")
-    log_inv_delta = []
-    log_counts = []
-    for k in range(BOX_LEVELS):
-        delta = size / 4.0 / (2.0**k)
-        ix = np.floor((x - xmin) / delta).astype(np.int64)
-        iy = np.floor((y - ymin) / delta).astype(np.int64)
-        count = len(_run_starts(np.sort(ix << 32 | iy)))
-        log_inv_delta.append(math.log(1.0 / delta))
-        log_counts.append(math.log(count))
+    deltas = [size / 4.0 / (2.0**k) for k in range(BOX_LEVELS)]
+    # cell indices on the finest scale are at most 4 * 2^(BOX_LEVELS - 1)
+    keys = np.zeros(len(z), dtype=np.int64)
+    for t in (x - xmin, y - ymin):
+        cells = np.floor(t / deltas[-1]).astype(np.int64)
+        for shift, mask in _SPREAD2:
+            cells = (cells | cells << shift) & mask
+        keys = keys << 1 | cells
+    keys = np.sort(keys)
+    counts = []
+    for _ in range(BOX_LEVELS):
+        keys = keys[_run_starts(keys)]
+        counts.append(len(keys))
+        keys = keys >> 2
+    log_inv_delta = [math.log(1.0 / delta) for delta in deltas]
+    log_counts = [math.log(count) for count in reversed(counts)]
     slope = np.polyfit(log_inv_delta, log_counts, 1)[0]
     return float(slope)
 
@@ -589,6 +663,8 @@ _MARGIN = 2.0**-40
 # relative slack on comparisons of box distances with computed distances,
 # far above their rounding errors
 _SLACK = 2.0**-20
+# images per generator of which the first is an anchor (see _anchored_max)
+_ANCHOR = 16
 
 
 def _cell_keys(coords: np.ndarray, side: float) -> np.ndarray:
@@ -625,6 +701,7 @@ class _Nearest:
     L = 0, 1, ... up to one cell, where s is h kept within _MIN_CELL and
     _MAX_CELL.
 
+    `order` is the points' Morton order, in which `coords` holds them.
     runs[L] says where each cell of level L starts in level L - 1 (in the
     points for L = 0), with the count of that level last, and firsts[L]
     which point comes first in each cell.  The distance from a query to any
@@ -637,7 +714,7 @@ class _Nearest:
     def __init__(self, points: np.ndarray, h: float):
         self.side = min(h if h >= _MIN_CELL else _MIN_CELL, _MAX_CELL)
         keys = _cell_keys(points, self.side)
-        order = np.argsort(keys, kind="stable")
+        self.order = order = np.argsort(keys, kind="stable")
         self.coords = points[:, order]
         keys = keys[order]
         first = _run_starts(keys)
@@ -661,33 +738,46 @@ class _Nearest:
 
     def max_squared(self, queries: np.ndarray, best: float) -> float:
         """The larger of best and the queries' largest squared nearest-point
-        distance.
+        distance, each query starting from its key-order bound."""
+        return self.fold(queries, self.bound(queries), best)
 
-        Each query starts with its key-order bound.  The _QUERIES queries of
-        largest bound are descended while some bound exceeds the largest
-        distance found so far, since no other query can raise it."""
-        bound = self.bound(queries)
-        rows = np.flatnonzero(bound > best)
+    def fold(self, queries: np.ndarray, bound: np.ndarray, best: float) -> float:
+        """The larger of best and the queries' largest squared nearest-point
+        distance, given an upper bound of each query's.
+
+        The _QUERIES queries of largest bound are descended while some
+        bound exceeds the largest distance found so far, since no other
+        query can raise it.  bound is lowered in place to each query's
+        running minimum, which stays an upper bound of its distance."""
+        open_ = bound > best
+        rows = np.flatnonzero(open_)
         while rows.size:
             top = rows
             if rows.size > _QUERIES:
                 top = rows[np.argpartition(bound[rows], -_QUERIES)[-_QUERIES:]]
-            best = self._descend(queries[:, top], bound[top], best)
-            bound[top] = 0.0
-            rows = rows[bound[rows] > best]
+            lowered = bound[top]
+            best = self._descend(queries[:, top], lowered, best)
+            bound[top] = lowered
+            open_[top] = False
+            rows = rows[open_[rows] & (bound[rows] > best)]
         return best
 
-    def _descend(self, queries: np.ndarray, bound: np.ndarray, best: float) -> float:
+    def _descend(self, queries, bound, best: float, level=None, query=None, cells=None) -> float:
         """The larger of best and the queries' largest squared nearest-point
-        distance, searched down from the top level; bound holds an upper
-        bound of each query's distance.
+        distance, searched down from the top level, or from the (query,
+        cell) pairs on `level` when given; bound holds an upper bound of
+        each query's distance, lowered in place to its running minimum.
 
         The cells a query may find its nearest point in are opened into
         their children, and on level 0 into their points.  A chunk with
-        more than _PAIRS pairs in flight is split in half."""
-        query = np.arange(len(bound))
-        cells = np.zeros(len(bound), dtype=np.int64)
-        for level in range(len(self.runs) - 1, -1, -1):
+        more than _PAIRS pairs in flight is split in half: the queries, or
+        a lone query's cells, which carry its running minimum from the
+        first half into the second."""
+        if level is None:
+            level = len(self.runs) - 1
+            query = np.arange(len(bound))
+            cells = np.zeros(len(bound), dtype=np.int64)
+        for level in range(level, -1, -1):
             query, cells = self._prune(queries, bound, best, level, query, cells)
             if not query.size:
                 return best
@@ -697,11 +787,19 @@ class _Nearest:
                 half = len(bound) // 2
                 best = self._descend(queries[:, :half], bound[:half], best)
                 return self._descend(queries[:, half:], bound[half:], best)
+            if counts.sum() > _PAIRS and len(cells) > 1:
+                half = len(cells) // 2
+                self._descend(queries, bound, best, level, query[:half], cells[:half])
+                self._descend(queries, bound, best, level, query[half:], cells[half:])
+                return max(best, float(bound[0]))
             # the children of every kept cell, grouped by query
             query = query.repeat(counts)
             cells = np.arange(len(query)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
         d2 = _squared(queries[:, query], self.coords, cells)
-        return max(best, float(np.minimum.reduceat(d2, _run_starts(query)).max()))
+        groups = _run_starts(query)
+        owner = query[groups]
+        bound[owner] = np.minimum(bound[owner], np.minimum.reduceat(d2, groups))
+        return max(best, float(bound[owner].max()))
 
     def _prune(self, queries, bound, best: float, level: int, query, cells):
         """The pairs of query and cell on `level` where the query may find
@@ -724,6 +822,39 @@ class _Nearest:
         return query[keep], cells[keep]
 
 
+def _anchored_max(nearest: _Nearest, images: np.ndarray, n: int, best: float) -> float:
+    """The larger of best and the largest squared nearest-point distance of
+    the images, one column each: the images of n points in Morton order
+    under one generator after another.
+
+    Every _ANCHOR-th image of each generator is an anchor, folded through
+    the nearest-point search first.  An image q whose anchor a has the
+    bound B is no farther from its nearest point than sqrt(B) + |q - a|,
+    by the triangle inequality; widened by _SLACK for rounding, that bound
+    settles most images without a key search, and only those whose bound
+    still exceeds the largest distance found are bounded in key order and
+    descended."""
+    gens = images.shape[1] // n
+    j = np.arange(n)
+    anchors = (np.arange(gens)[:, None] * n + j[::_ANCHOR]).ravel()
+    queries = images[:, anchors]
+    anchor_bound = nearest.bound(queries)
+    best = nearest.fold(queries, anchor_bound, best)
+    # each image's anchor, as a column of images and as an anchor
+    at = (np.arange(gens)[:, None] * n + (j - j % _ANCHOR)).ravel()
+    of = (np.arange(gens)[:, None] * len(j[::_ANCHOR]) + j // _ANCHOR).ravel()
+    bound = np.sqrt(_squared(images, images, at))
+    bound += np.sqrt(anchor_bound)[of]
+    bound *= bound
+    bound *= 1.0 + _SLACK
+    bound[anchors] = 0.0
+    rows = np.flatnonzero(bound > best)
+    if rows.size:
+        queries = images[:, rows]
+        best = nearest.fold(queries, np.minimum(nearest.bound(queries), bound[rows]), best)
+    return best
+
+
 def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float:
     """One-sided chordal distance from the generator-mapped cloud back to the
     cloud: small values witness invariance of the sampled set under the
@@ -733,12 +864,15 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     matter, in cubic cells on the sphere lift of side 2 * cloud.epsilon
     times 1, 4, 16, ..., so the value is the one a KD-tree query gives, to
     the last bit.  The images under every generator and inverse are made
-    once, _CHUNK cloud points at a time, so the temporaries do not grow with
-    the cloud.  Each batch is folded into the largest distance found (see
-    _Nearest.max_squared): every image is bounded by the points beside it in
-    key order, and only the images whose bound exceeds the largest distance
-    found are searched down the cells, largest bound first.  Repeated points
-    are searched once."""
+    once, _CHUNK cloud points at a time in the cells' Morton order, so the
+    temporaries do not grow with the cloud and neighbouring images come
+    from neighbouring points.  Each batch is folded into the largest
+    distance found (see _anchored_max and _Nearest.fold): every _ANCHOR-th
+    image is bounded by the points beside it in key order, every other
+    image by its anchor's bound plus its distance to the anchor, and only
+    the images whose bound exceeds the largest distance found are bounded
+    in key order, then searched down the cells, largest bound first.
+    Repeated points are searched once."""
     if len(cloud) == 0:
         raise LimitSetError("empty cloud")
     vals = cloud.values
@@ -749,6 +883,7 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     if not keep.all():
         vals, charts = vals[keep], charts[keep]
     nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
+    vals, charts = vals[nearest.order], charts[nearest.order]
     entries = [g.entries() for g in rep.images + rep.inverses]
     best = 0.0
     for s in range(0, len(vals), _CHUNK):
@@ -757,7 +892,7 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
         u = np.where(chart0, chunk, 1.0)
         v = np.where(chart0, 1.0, chunk)
         images = np.concatenate([_image_lift(g, u, v) for g in entries], axis=1)
-        best = nearest.max_squared(images, best)
+        best = _anchored_max(nearest, images, len(chunk), best)
     return math.sqrt(best)
 
 

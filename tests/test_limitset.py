@@ -463,6 +463,36 @@ def test_enumeration_is_deterministic():
     assert np.array_equal(a.charts, b.charts)
 
 
+def _tied_arrays(rng, n):
+    """re, im and chart arrays with forced ties: 0.0 against -0.0, NaNs,
+    equal (re, im) in both charts, and full duplicates."""
+    pool = np.array([0.0, -0.0, 1.5, -1.5, np.nan, np.inf, -np.inf, 5e-324])
+    re = np.where(rng.random(n) < 0.4, rng.choice(pool, n), rng.normal(size=n))
+    im = np.where(rng.random(n) < 0.4, rng.choice(pool, n), rng.normal(size=n))
+    charts = rng.integers(0, 2, n)
+    # equal (re, im) in the other chart, and full duplicates
+    src, dst = rng.integers(0, n, (2, n // 4))
+    re[dst], im[dst] = re[src], im[src]
+    src, dst = rng.integers(0, n, (2, n // 8))
+    re[dst], im[dst], charts[dst] = re[src], im[src], charts[src]
+    return re, im, charts
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cloud_order_is_the_lexsort_order(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 17, 1000, 20000):
+        re, im, charts = _tied_arrays(rng, n)
+        expected = np.lexsort((charts, im, re))
+        assert np.array_equal(limitset._cloud_order(re, im, charts), expected)
+        cloud = limitset._make_cloud(re, im, charts, 1e-3, 30, False)
+        assert np.array_equal(cloud.values.real, re[expected], equal_nan=True)
+        assert np.array_equal(np.signbit(cloud.values.real), np.signbit(re[expected]))
+        assert np.array_equal(cloud.values.imag, im[expected], equal_nan=True)
+        assert np.array_equal(np.signbit(cloud.values.imag), np.signbit(im[expected]))
+        assert np.array_equal(cloud.charts, charts[expected].astype(np.int8))
+
+
 def test_cloud_is_group_invariant():
     for rep in (FUCHSIAN, PERTURBED):
         cloud = enumerate_limit_set(rep, epsilon=1e-3)
@@ -700,6 +730,34 @@ def test_perturbed_box_dimension_exceeds_fuchsian():
     assert 0.5 < df < 1.5 and 0.5 < dp < 1.5
 
 
+def _box_dimension_by_level(cloud):
+    """box_dimension with each level's cells computed and sorted on their
+    own."""
+    z = cloud.plane_values(limitset.WINDOW_RADIUS)
+    x, y = z.real, z.imag
+    xmin, ymin = x.min(), y.min()
+    size = max(float(x.max() - xmin), float(y.max() - ymin))
+    log_inv_delta, log_counts = [], []
+    for k in range(limitset.BOX_LEVELS):
+        delta = size / 4.0 / (2.0**k)
+        ix = np.floor((x - xmin) / delta).astype(np.int64)
+        iy = np.floor((y - ymin) / delta).astype(np.int64)
+        log_inv_delta.append(math.log(1.0 / delta))
+        log_counts.append(math.log(len(np.unique(ix << 32 | iy))))
+    return float(np.polyfit(log_inv_delta, log_counts, 1)[0])
+
+
+# the clouds of the limitset goldens with enough points in the window, and
+# the benchmark's fractal cloud
+@pytest.mark.parametrize(
+    "rep,eps",
+    [(FUCHSIAN, 1e-3), (FUCHSIAN, 2e-3), (PERTURBED, 1e-3), (PERTURBED, 2e-4), (PERTURBED, 5e-5)],
+)
+def test_box_dimension_matches_the_per_level_counts(rep, eps):
+    cloud = enumerate_limit_set(rep, epsilon=eps)
+    assert box_dimension(cloud) == _box_dimension_by_level(cloud)
+
+
 # -- rendering and export --------------------------------------------------------
 
 
@@ -915,6 +973,34 @@ def test_max_squared_memory_when_every_point_is_nearly_equidistant():
         assert peak <= 64e6
 
 
+def test_lone_query_memory_is_bounded():
+    # the pole of 100,000 points on the great circle z = 0 is equidistant
+    # from all of them, so a lone query keeps every cell open; its cells are
+    # split in halves to keep the pairs in flight bounded
+    theta = np.linspace(0.0, 2.0 * np.pi, 100_000, endpoint=False)
+    points = 0.5 * np.array([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
+    pole = np.array([[0.0], [0.0], [0.5]])
+    expected = _brute_nearest_sq(points.T, pole.T).max()
+    nearest = _Nearest(points, 2e-3)
+    tracemalloc.start()
+    try:
+        found = nearest.max_squared(pole, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == expected
+    # 2.4 MB of points; a search that meets them all at once peaks at 8 MB
+    assert peak <= 2 * points.nbytes
+    # just off the pole the nearest point is one of many nearly as near,
+    # in the first or the last of the halves that the query's cells are
+    # split into, depending on the side
+    for k in range(8):
+        x, y = 2e-4 * np.array([np.cos(k + 0.3), np.sin(k + 0.3)])
+        query = np.array([[x], [y], [math.sqrt(0.25 - x * x - y * y)]])
+        expected = _brute_nearest_sq(points.T, query.T).max()
+        assert nearest.max_squared(query, 0.0) == expected
+
+
 def test_invariance_memory_is_bounded():
     # 319,150 points; the images are made and searched a chunk at a time
     cloud = enumerate_limit_set(FUCHSIAN, epsilon=1e-5)
@@ -987,6 +1073,96 @@ def test_invariance_does_not_depend_on_the_batch_split(monkeypatch, spec, kwargs
     for chunk in (7, 500):
         monkeypatch.setattr(limitset, "_CHUNK", chunk)
         assert repr(cloud_group_invariance(cloud, spec)) == expected
+
+
+def _brute_invariance(cloud, rep):
+    """The invariance by brute force: the max over every image that
+    _image_lift makes of the squared distance to the nearest cloud lift,
+    each summed as _squared sums it."""
+    chart0 = cloud.charts == 0
+    u = np.where(chart0, cloud.values, 1.0)
+    v = np.where(chart0, 1.0, cloud.values)
+    points = _lift(cloud.values, cloud.charts)
+    best = 0.0
+    for g in rep.images + rep.inverses:
+        images = limitset._image_lift(g.entries(), u, v)
+        for s in range(0, images.shape[1], 500):
+            dx, dy, dz = (q[s:s + 500, None] - x[None, :] for q, x in zip(images, points))
+            best = max(best, float((dx * dx + dy * dy + dz * dz).min(axis=1).max()))
+    return math.sqrt(best)
+
+
+def _seeded_reps(count, seed):
+    """Loxodromic generators from trace pairs near the Fuchsian ones."""
+    rng = random.Random(seed)
+    return [
+        from_traces(
+            complex(rng.uniform(2.1, 3.5), rng.uniform(-0.4, 0.4)),
+            complex(rng.uniform(2.1, 3.5), rng.uniform(-0.4, 0.4)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _distinct_points(cloud):
+    """How many points cloud_group_invariance searches: a sorted cloud's
+    repeats are next to each other."""
+    vals, charts = cloud.values, cloud.charts
+    return 1 + int(((vals[1:] != vals[:-1]) | (charts[1:] != charts[:-1])).sum())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_invariance_matches_brute_force(monkeypatch, seed):
+    # seeded clouds of at most 3,000 points, whole or cut by the cap
+    for rep, (eps, cap) in zip(_seeded_reps(2, seed), [(2e-3, 3000), (1e-4, 1500)]):
+        cloud = enumerate_limit_set(rep, epsilon=eps, cap=cap)
+        assert 1000 <= len(cloud) <= 3000
+        expected = _brute_invariance(cloud, rep)
+        assert cloud_group_invariance(cloud, rep) == expected
+        # chunks whose length is not a multiple of _ANCHOR, and a last
+        # chunk of one point
+        n = _distinct_points(cloud)
+        assert (n - 1) % limitset._ANCHOR
+        for chunk in (7, 500, n - 1):
+            monkeypatch.setattr(limitset, "_CHUNK", chunk)
+            assert cloud_group_invariance(cloud, rep) == expected
+        monkeypatch.undo()
+
+
+def _invariance_without_anchors(cloud, rep):
+    """The invariance with every image bounded in key order and searched
+    through _Nearest.max_squared, one chunk of images at a time."""
+    vals, charts = cloud.values, cloud.charts
+    nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
+    chart0 = charts == 0
+    u = np.where(chart0, vals, 1.0)
+    v = np.where(chart0, 1.0, vals)
+    best = 0.0
+    for g in rep.images + rep.inverses:
+        images = limitset._image_lift(g.entries(), u, v)
+        for s in range(0, images.shape[1], 1 << 15):
+            best = nearest.max_squared(images[:, s:s + (1 << 15)], best)
+    return math.sqrt(best)
+
+
+# the clouds whose bytes are checked across CPU kernels: (traces, eps)
+CROSS_CPU_CLOUDS = [
+    ((complex(3, 0.5), 3), 5e-5),
+    ((complex(3, 0.5), 3), 1e-3),
+    ((complex(3, 0.5), 3), 1e-4),
+    ((3, complex(3, 1)), 1e-3),
+    ((complex(2.1, 0.3), 2.4), 1e-3),
+    ((complex(1.9, 0.05), complex(2, 0.1)), 1e-3),
+    ((2.2, 2.5), 1e-3),
+    ((3, 3, 3), 1e-3),
+]
+
+
+@pytest.mark.parametrize("traces,eps", CROSS_CPU_CLOUDS)
+def test_invariance_matches_the_search_without_anchors(traces, eps):
+    rep = from_traces(*traces)
+    cloud = enumerate_limit_set(rep, epsilon=eps)
+    assert cloud_group_invariance(cloud, rep) == _invariance_without_anchors(cloud, rep)
 
 
 def test_invariance_rejects_empty_cloud():
