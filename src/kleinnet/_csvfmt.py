@@ -23,6 +23,12 @@ lies on the same side of each, so the range test on y picks the same e and
 values with |x| outside [1e-300, 1e300] (subnormals included) and
 non-finite values are formatted by Python's own "%.9g", which is correctly
 rounded for every float.
+
+Integer columns whose values in a block all lie in [0, 10^9) skip the
+float path: "%.9g" and "%d" write such a value alike, as its digits, so
+each is laid out as zero-padded digits from the same 4-digit table, as
+many as the block's largest value has, and its leading zeros become the
+NUL padding.
 """
 
 from __future__ import annotations
@@ -55,6 +61,38 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _DIGITS4, _TRAILING4 = _digit_tables()
+_INT_TOP = 1_000_000_000
+
+
+def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leading digit of each m in [0, 10^9) and its next two groups of
+    4 digits."""
+    lead = m // 100_000_000
+    low = m - lead * 100_000_000
+    q1 = low // 10_000
+    return lead, q1, low - q1 * 10_000
+
+
+def _nine_digits(lead: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """The 9 ASCII digits of the numbers that _split gives these parts of,
+    zero-padded, as the rows of a uint8 array (a view of 12 bytes per
+    row)."""
+    words = np.empty((len(lead), 3), dtype=np.uint32)
+    words[:, 1] = _DIGITS4[q1]
+    words[:, 2] = _DIGITS4[q2]
+    digits = words.view(np.uint8)
+    digits[:, 3] = lead + ord("0")
+    return digits[:, 3:]
+
+
+def _int_fields(x: np.ndarray) -> np.ndarray:
+    """The "%d" texts of integers in [0, 10^9) as rows as wide as the
+    largest one's, the leading zeros of the others NUL."""
+    width = len(str(int(x.max())))
+    fields = _nine_digits(*_split(x))[:, 9 - width :]
+    for k in range(width - 1):
+        fields[x < 10 ** (width - 1 - k), k] = 0
+    return fields
 
 
 def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,10 +148,7 @@ def _fields(x: np.ndarray, templates: dict) -> np.ndarray:
     """The "%.9g" texts of x as the rows of a uint8 array, NUL-padded to
     the widest of them."""
     m, e, settled = _round9(x)
-    lead = m // 100_000_000
-    low = m - lead * 100_000_000
-    q1 = low // 10_000
-    q2 = low - q1 * 10_000
+    lead, q1, q2 = _split(m)
     # 9 less the trailing zeros; the leading digit is nonzero unless m = 0,
     # which has one digit, "0"
     nd = 9 - np.where(q2 != 0, _TRAILING4[q2], 4 + _TRAILING4[q1])
@@ -121,12 +156,7 @@ def _fields(x: np.ndarray, templates: dict) -> np.ndarray:
     key = np.where(settled, ((e + 301) * 10 + nd) * 2 + np.signbit(x), 0).astype(np.int16)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    words = np.empty((len(x), 3), dtype=np.uint32)
-    words[:, 1] = _DIGITS4[q1[order]]
-    words[:, 2] = _DIGITS4[q2[order]]
-    digits = words.view(np.uint8)
-    digits[:, 3] = lead[order] + ord("0")
-    digits = digits[:, 3:]
+    digits = _nine_digits(lead[order], q1[order], q2[order])
 
     starts = np.flatnonzero(key[1:] != key[:-1]) + 1
     groups = list(zip([0, *starts.tolist()], [*starts.tolist(), len(x)]))
@@ -158,6 +188,13 @@ def _fields(x: np.ndarray, templates: dict) -> np.ndarray:
     return unsorted
 
 
+def _column_fields(x: np.ndarray, templates: dict) -> np.ndarray:
+    """The texts of one block of a column, NUL-padded rows of uint8."""
+    if x.dtype.kind in "iu" and x.min() >= 0 and x.max() < _INT_TOP:
+        return _int_fields(x.astype(np.int64, copy=False))
+    return _fields(x.astype(np.float64, copy=False), templates)
+
+
 def csv_bytes(header: str, columns: Sequence[np.ndarray]) -> bytes:
     """The CSV text, as ASCII bytes, of a header line and equal-length
     columns, every value written as "%.9g" writes it.  Integer columns
@@ -166,7 +203,7 @@ def csv_bytes(header: str, columns: Sequence[np.ndarray]) -> bytes:
     parts = [header.encode("ascii") + b"\n"]
     templates: dict = {}
     for s in range(0, n, _CHUNK):
-        fields = [_fields(np.asarray(c[s : s + _CHUNK], dtype=np.float64), templates) for c in columns]
+        fields = [_column_fields(np.asarray(c[s : s + _CHUNK]), templates) for c in columns]
         block = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
         at = 0
         for f in fields:

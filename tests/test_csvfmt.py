@@ -103,3 +103,38 @@ def test_fast_path_settles_round_ups_and_powers_of_ten():
     m, e, settled = _round9(p[(np.abs(p) >= 1e-299) & (np.abs(p) <= 1e299)])
     assert settled.all()
     assert ((m >= 100_000_000) & (m < 1_000_000_000)).all()
+
+
+def _int_reference(header, columns):
+    """Integer columns as "%d" writes them, the others as "%.9g"."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in columns) + "\n"
+    rows = zip(*[c.tolist() for c in columns])
+    return (header + "\n" + "".join(map(row.__mod__, rows))).encode("ascii")
+
+
+def _digit_edges(top):
+    """0, 9, 10, 10^k - 1 and 10^k up to top, and top - 1."""
+    edges = {0, 9, 10, top - 1}
+    k = 1
+    while 10**k < top:
+        edges |= {10**k - 1, 10**k}
+        k += 1
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("dtype,top", [(np.int8, 128), (np.int16, 32768), (np.int64, 10**9)])
+def test_integer_columns_match_the_d_format(dtype, top):
+    rng = np.random.default_rng(11)
+    edges = np.array(_digit_edges(top), dtype=dtype)
+    for values in (edges, rng.permutation(np.repeat(edges, 5000)), np.zeros(3, dtype)):
+        assert csv_bytes("i", [values]) == _int_reference("i", [values])
+        floats = rng.normal(size=len(values)) * 1e-3
+        columns = [values, floats, values[::-1].copy()]
+        assert csv_bytes("i,x,j", columns) == _int_reference("i,x,j", columns)
+
+
+def test_integer_columns_outside_the_digit_range_keep_the_float_format():
+    # negative values and values from 10^9 on are written as "%.9g" writes
+    # their float, as before
+    for values in (np.array([-1, 0, 5]), np.array([10**9, 1, 2]), np.array([2**62, 7])):
+        assert csv_bytes("i", [values]) == _reference("i", [values])
