@@ -10,6 +10,7 @@ a < a^-1 < b < b^-1 < ...
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
@@ -201,6 +202,32 @@ class ConjugacyClassList(Record):
         return [w.text() for w in self.representatives]
 
 
+def _inverse_came_first(w: tuple[int, ...], emitted: set) -> bool:
+    """Whether the necklace of w^-1 came before the necklace w at their
+    length, given the set of the necklaces `emitted` so far there.
+
+    A necklace starts with its least letter, and w^-1's letters are the
+    inverses of w's.  When w[0] is an inverse, w^-1 holds -w[0], which
+    comes before every letter of w, so its necklace came first.  When w
+    does not hold -w[0], every letter of w^-1 comes after w[0], and so
+    does its necklace.  Otherwise the necklace of w^-1 starts with w[0],
+    and the rotations of w^-1 that do are looked up among those emitted:
+    the set holds only necklaces, so a rotation found there is it."""
+    first = w[0]
+    if first < 0:
+        return True
+    if -first not in w:
+        return False
+    inverse = tuple(map(neg, reversed(w))) * 2
+    n = len(w)
+    at = inverse.index(first)
+    while at < n:
+        if inverse[at:at + n] in emitted:
+            return True
+        at = inverse.index(first, at + 1)
+    return False
+
+
 def enumerate_classes(
     rank: int, max_length: int = 4, fold_inverses: bool = False
 ) -> ConjugacyClassList:
@@ -221,8 +248,11 @@ def enumerate_classes(
     letters as generated, without `Word`'s checks.
 
     `fold_inverses` merges each class with its inverse class, keeping the
-    smaller representative; the inverse class's representative is its
-    `necklace`, an O(L) least rotation.
+    smaller representative.  A level is emitted in lexicographic order, so
+    w^-1's class came first exactly when some rotation of w^-1 is among
+    the necklaces already emitted at w's length; the set of them holds
+    only necklaces, so a rotation found there is w^-1's necklace, and no
+    least rotation is computed.
     """
     if rank < 1:
         raise WordError("rank must be >= 1")
@@ -240,15 +270,18 @@ def enumerate_classes(
     level = [((l,), 1) for l in alphabet]
     reps: list[Word] = []
     for n in range(1, max_length + 1):
+        # the necklaces emitted at this length, for fold_inverses
+        emitted: set[tuple[int, ...]] = set()
         for w, p in level:
             if n % p == 0 and w[0] != -w[-1]:
-                if not fold_inverses or list(map(_letter_key, w)) <= list(
-                    map(_letter_key, necklace(tuple(-l for l in reversed(w))))
-                ):
-                    # the letters are nonzero and freely reduced by
-                    # construction: each comes from the alphabet, and no
-                    # extension below appends the inverse of the last one
-                    reps.append(_trusted_word(w))
+                if fold_inverses:
+                    if _inverse_came_first(w, emitted):
+                        continue
+                    emitted.add(w)
+                # the letters are nonzero and freely reduced by
+                # construction: each comes from the alphabet, and no
+                # extension below appends the inverse of the last one
+                reps.append(_trusted_word(w))
         if n < max_length:
             level = [
                 (w + (l,), p if l == w[n - p] else n + 1)

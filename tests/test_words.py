@@ -249,6 +249,33 @@ def test_fold_inverses_merges_mutually_inverse_classes():
         assert inv == w or inv.letters not in {v.letters for v in folded}
 
 
+def _folded_by_necklace(classes):
+    """The representatives that fold_inverses keeps, by Duval's least
+    rotation: each class whose necklace is no greater than its inverse's."""
+    def keys(letters):
+        return [words._letter_key(l) for l in letters]
+
+    return [
+        w for w in classes
+        if keys(w.letters) <= keys(words.necklace(tuple(-l for l in reversed(w.letters))))
+    ]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_folded_classes_match_the_necklace_reference(monkeypatch, rank):
+    plain = enumerate_classes(rank, 8)
+    # the fold looks the inverses up among the classes already emitted and
+    # computes no least rotation
+    def no_necklace(letters):
+        raise AssertionError("fold_inverses ran necklace")
+
+    monkeypatch.setattr(words, "necklace", no_necklace)
+    folded = enumerate_classes(rank, 8, fold_inverses=True)
+    monkeypatch.undo()
+    assert folded.folded and folded.max_length == 8 and folded.rank == rank
+    assert list(folded.representatives) == _folded_by_necklace(plain)
+
+
 # enumerate_classes builds its representatives without Word's checks; each
 # must still be the Word that the validating constructor makes
 @pytest.mark.parametrize("fold", [False, True])
