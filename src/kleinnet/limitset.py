@@ -429,6 +429,8 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
             if kids is not None:
                 children.append(kids)
                 width += made
+        # freed before the next level's is allocated
+        del scratch
         if width == 0:
             break
         if len(children) == 1:
@@ -665,6 +667,9 @@ _MARGIN = 2.0**-40
 _SLACK = 2.0**-20
 # images per generator of which the first is an anchor (see _anchored_max)
 _ANCHOR = 16
+# added to the bounds from anchors: above the absolute rounding of squares
+# that underflow (2^-1075 each), which _SLACK does not cover
+_TINY = 2.0**-990
 
 
 def _cell_keys(coords: np.ndarray, side: float) -> np.ndarray:
@@ -822,36 +827,39 @@ class _Nearest:
         return query[keep], cells[keep]
 
 
-def _anchored_max(nearest: _Nearest, images: np.ndarray, n: int, best: float) -> float:
+def _anchored_max(nearest: _Nearest, images: np.ndarray, best: float) -> float:
     """The larger of best and the largest squared nearest-point distance of
-    the images, one column each: the images of n points in Morton order
-    under one generator after another.
+    the images, given as (axis, generator, point) with the points in
+    Morton order.
 
-    Every _ANCHOR-th image of each generator is an anchor, folded through
-    the nearest-point search first.  An image q whose anchor a has the
-    bound B is no farther from its nearest point than sqrt(B) + |q - a|,
-    by the triangle inequality; widened by _SLACK for rounding, that bound
-    settles most images without a key search, and only those whose bound
-    still exceeds the largest distance found are bounded in key order and
-    descended."""
-    gens = images.shape[1] // n
-    j = np.arange(n)
-    anchors = (np.arange(gens)[:, None] * n + j[::_ANCHOR]).ravel()
-    queries = images[:, anchors]
-    anchor_bound = nearest.bound(queries)
-    best = nearest.fold(queries, anchor_bound, best)
-    # each image's anchor, as a column of images and as an anchor
-    at = (np.arange(gens)[:, None] * n + (j - j % _ANCHOR)).ravel()
-    of = (np.arange(gens)[:, None] * len(j[::_ANCHOR]) + j // _ANCHOR).ravel()
-    bound = np.sqrt(_squared(images, images, at))
-    bound += np.sqrt(anchor_bound)[of]
-    bound *= bound
-    bound *= 1.0 + _SLACK
-    bound[anchors] = 0.0
-    rows = np.flatnonzero(bound > best)
-    if rows.size:
-        queries = images[:, rows]
-        best = nearest.fold(queries, np.minimum(nearest.bound(queries), bound[rows]), best)
+    Every _ANCHOR-th image of each generator is an anchor, and the anchors
+    are folded through the nearest-point search first.  An image q whose
+    anchor a has the bound B is no farther from its nearest point than
+    sqrt(B) + |q - a|, by the triangle inequality; widened by _SLACK and
+    _TINY for rounding, that bound settles most images without a key
+    search, and only those whose bound still exceeds the largest distance
+    found are bounded in key order and descended."""
+    anchors = images[:, :, ::_ANCHOR]
+    per = anchors.shape[2]
+    anchors = anchors.reshape(3, -1)
+    anchor_bound = nearest.bound(anchors)
+    best = nearest.fold(anchors, anchor_bound, best)
+    root = np.sqrt(anchor_bound)
+    # each image's anchor, as a point of its generator and as an anchor
+    j = np.arange(images.shape[2])
+    at, of = j - j % _ANCHOR, j // _ANCHOR
+    for g in range(images.shape[1]):
+        queries = images[:, g]
+        bound = np.sqrt(_squared(queries, queries, at))
+        bound += root[g * per:(g + 1) * per][of]
+        bound *= bound
+        bound *= 1.0 + _SLACK
+        bound += _TINY
+        bound[::_ANCHOR] = 0.0
+        rows = np.flatnonzero(bound > best)
+        if rows.size:
+            queries = queries[:, rows]
+            best = nearest.fold(queries, np.minimum(nearest.bound(queries), bound[rows]), best)
     return best
 
 
@@ -891,8 +899,8 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
         chart0 = charts[s:s + _CHUNK] == 0
         u = np.where(chart0, chunk, 1.0)
         v = np.where(chart0, 1.0, chunk)
-        images = np.concatenate([_image_lift(g, u, v) for g in entries], axis=1)
-        best = _anchored_max(nearest, images, len(chunk), best)
+        images = np.stack([_image_lift(g, u, v) for g in entries], axis=1)
+        best = _anchored_max(nearest, images, best)
     return math.sqrt(best)
 
 
