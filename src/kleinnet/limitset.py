@@ -244,12 +244,12 @@ def _multiplier(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.array([[re, im], [-im, re]]).swapaxes(1, 2))
 
 
-def _product(m: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _product(m: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The sums over c of m[c] x[c] for complex m and x: m has axes (re/im,
     c, ...) and x is a _multiplier table, broadcast against m.  Each
     product is re*re - im*im and re*im + im*re, and the sum over c runs
-    left to right.  The products go to `out` when given, and the sums into
-    the products' own first rows."""
+    left to right.  The products are written to `out`, and the sums into
+    their own first rows."""
     p = np.multiply(m, x, out=out)
     p = np.add(p[0], p[1], out=p[0])
     return np.add(p[0], p[1], out=p[0])
