@@ -218,8 +218,9 @@ def _make_cloud(
 
 # letters 0=a, 1=a^-1, 2=b, 3=b^-1; after letter l come the letters h != l^1
 _NEXT = np.array([[h for h in range(4) if h != l ^ 1] for l in range(4)])
-# rows handled at once (invariance queries): bounds the temporaries
-_CHUNK = 1 << 15
+# cloud points whose images are searched at once (invariance): bounds the
+# temporaries, which at this size stay below the traversal's peak
+_CHUNK = 1 << 14
 # frontier nodes expanded at once: a level's stacked products hold up to
 # 96 floats per node, which this keeps within a few MB
 _LEVEL_CHUNK = 1 << 13

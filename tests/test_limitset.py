@@ -1086,8 +1086,8 @@ def _brute_invariance(cloud, rep):
     best = 0.0
     for g in rep.images + rep.inverses:
         images = limitset._image_lift(g.entries(), u, v)
-        for s in range(0, images.shape[1], 500):
-            dx, dy, dz = (q[s:s + 500, None] - x[None, :] for q, x in zip(images, points))
+        for s in range(0, images.shape[1], 200):
+            dx, dy, dz = (q[s:s + 200, None] - x[None, :] for q, x in zip(images, points))
             best = max(best, float((dx * dx + dy * dy + dz * dz).min(axis=1).max()))
     return math.sqrt(best)
 
@@ -1160,9 +1160,15 @@ CROSS_CPU_CLOUDS = [
 
 @pytest.mark.parametrize("traces,eps", CROSS_CPU_CLOUDS)
 def test_invariance_matches_the_search_without_anchors(traces, eps):
+    # the clouds of up to 4,500 points are checked by brute force too; the
+    # search without anchors is checked against it on its own
+    # (test_grid_nearest_matches_brute_force)
     rep = from_traces(*traces)
     cloud = enumerate_limit_set(rep, epsilon=eps)
-    assert cloud_group_invariance(cloud, rep) == _invariance_without_anchors(cloud, rep)
+    value = cloud_group_invariance(cloud, rep)
+    assert value == _invariance_without_anchors(cloud, rep)
+    if len(cloud) <= 4500:
+        assert value == _brute_invariance(cloud, rep)
 
 
 def test_invariance_rejects_empty_cloud():
