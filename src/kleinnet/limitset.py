@@ -42,6 +42,9 @@ DEFAULT_CAP = 1_000_000
 # largest point cap: a run peaks at about 170-230 bytes per point, so a run
 # at this cap may take up to about 1 GB
 MAX_CAP = 4_000_000
+# largest word length: a level of few nodes takes about 36 us, so a run at
+# this depth may spend about 3.6 s on narrow levels alone
+MAX_DEPTH = 100_000
 MARKOV_TOL = 1e-8
 # rounding allowance of the trace relation, in units of the largest rounding
 # error of one of its terms
@@ -162,16 +165,27 @@ def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
     """Radius-1/2 sphere lift of chart coordinates, one row per axis and one
     column per point; the chordal metric is the Euclidean distance between
     lifts."""
-    re = values.real
-    im = values.imag
-    n2 = re * re + im * im
-    den = 1.0 + n2
-    chart0 = charts == 0
     lift = np.empty((3, len(values)))
-    lift[0] = re / den
-    lift[1] = np.where(chart0, 1.0, -1.0) * im / den
-    lift[2] = np.where(chart0, n2 - 1.0, 1.0 - n2) / (2.0 * den)
+    _lift_into(lift, values.real, values.imag, charts == 0, np.empty((3, len(values))))
     return lift
+
+
+def _lift_into(lift, re, im, chart0, scratch) -> None:
+    """Write the lift of the points re + i*im, in chart 0 where chart0,
+    into the rows of lift, with three rows of scratch as temporaries:
+    (re, s*im, s*(n2 - 1)/2) / (1 + n2), n2 = re^2 + im^2, s = 1 in
+    chart 0 and -1 in chart 1."""
+    n2, den, t = scratch
+    np.multiply(re, re, out=n2)
+    n2 += np.multiply(im, im, out=t)
+    np.add(1.0, n2, out=den)
+    np.divide(re, den, out=lift[0])
+    np.copyto(t, -1.0)
+    np.copyto(t, 1.0, where=chart0)
+    np.divide(np.multiply(t, im, out=t), den, out=lift[1])
+    np.subtract(1.0, n2, out=t)
+    np.subtract(n2, 1.0, out=t, where=chart0)
+    np.divide(t, np.multiply(2.0, den, out=den), out=lift[2])
 
 
 def _cloud_order(re: np.ndarray, im: np.ndarray, charts: np.ndarray) -> np.ndarray:
@@ -493,6 +507,10 @@ def enumerate_limit_set(
         raise LimitSetError("epsilon must be positive")
     if max_depth < 1:
         raise LimitSetError("max_depth must be at least 1")
+    if max_depth > MAX_DEPTH:
+        raise LimitSetError(
+            f"max_depth must be at most MAX_DEPTH = {MAX_DEPTH}, got {max_depth}"
+        )
     if cap < 1:
         raise LimitSetError("point cap must be at least 1")
     if cap > MAX_CAP:
@@ -666,7 +684,9 @@ _MARGIN = 2.0**-40
 # relative slack on comparisons of box distances with computed distances,
 # far above their rounding errors
 _SLACK = 2.0**-20
-# images per generator of which the first is an anchor (see _anchored_max)
+# cloud points, in Morton order, of which the first is an anchor: its images
+# are searched before all others and bound those of the next points (see
+# cloud_group_invariance)
 _ANCHOR = 16
 # added to the bounds from anchors: above the absolute rounding of squares
 # that underflow (2^-1075 each), which _SLACK does not cover
@@ -828,35 +848,24 @@ class _Nearest:
         return query[keep], cells[keep]
 
 
-def _anchored_max(nearest: _Nearest, images: np.ndarray, best: float) -> float:
+def _anchored_max(nearest: _Nearest, images, anchors, roots, of, best: float) -> float:
     """The larger of best and the largest squared nearest-point distance of
-    the images, given as (axis, generator, point) with the points in
-    Morton order.
+    the images, given as (axis, generator, point), when image j of
+    generator g has the anchor anchors[:, g, of[j]], already folded, whose
+    nearest distance is at most roots[g, of[j]].
 
-    Every _ANCHOR-th image of each generator is an anchor, and the anchors
-    are folded through the nearest-point search first.  An image q whose
-    anchor a has the bound B is no farther from its nearest point than
-    sqrt(B) + |q - a|, by the triangle inequality; widened by _SLACK and
-    _TINY for rounding, that bound settles most images without a key
-    search, and only those whose bound still exceeds the largest distance
-    found are bounded in key order and descended."""
-    anchors = images[:, :, ::_ANCHOR]
-    per = anchors.shape[2]
-    anchors = anchors.reshape(3, -1)
-    anchor_bound = nearest.bound(anchors)
-    best = nearest.fold(anchors, anchor_bound, best)
-    root = np.sqrt(anchor_bound)
-    # each image's anchor, as a point of its generator and as an anchor
-    j = np.arange(images.shape[2])
-    at, of = j - j % _ANCHOR, j // _ANCHOR
+    An image q whose anchor a has the bound R^2 is no farther from its
+    nearest point than R + |q - a|, by the triangle inequality; widened by
+    _SLACK and _TINY for rounding, that bound settles most images without a
+    key search, and only those whose bound still exceeds the largest
+    distance found are bounded in key order and descended."""
     for g in range(images.shape[1]):
         queries = images[:, g]
-        bound = np.sqrt(_squared(queries, queries, at))
-        bound += root[g * per:(g + 1) * per][of]
+        bound = np.sqrt(_squared(queries, anchors[:, g], of))
+        bound += roots[g, of]
         bound *= bound
         bound *= 1.0 + _SLACK
         bound += _TINY
-        bound[::_ANCHOR] = 0.0
         rows = np.flatnonzero(bound > best)
         if rows.size:
             queries = queries[:, rows]
@@ -872,15 +881,21 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     The nearest cloud point of every image is found exactly where it can
     matter, in cubic cells on the sphere lift of side 2 * cloud.epsilon
     times 1, 4, 16, ..., so the value is the one a KD-tree query gives, to
-    the last bit.  The images under every generator and inverse are made
-    once, _CHUNK cloud points at a time in the cells' Morton order, so the
-    temporaries do not grow with the cloud and neighbouring images come
-    from neighbouring points.  Each batch is folded into the largest
-    distance found (see _anchored_max and _Nearest.fold): every _ANCHOR-th
-    image is bounded by the points beside it in key order, every other
-    image by its anchor's bound plus its distance to the anchor, and only
-    the images whose bound exceeds the largest distance found are bounded
-    in key order, then searched down the cells, largest bound first.
+    the last bit.  The cloud is walked in the cells' Morton order, so
+    neighbouring points have neighbouring images, and each image under
+    every generator and inverse is made once:
+
+    - first the images of every _ANCHOR-th point, the anchors, are bounded
+      by the points beside them in key order and folded into the largest
+      distance found (see _Nearest.fold), so that bound is already tight
+      when the other images come;
+    - then the other images, _CHUNK cloud points at a time so the
+      temporaries do not grow with the cloud, are each bounded by its
+      anchor's bound plus its distance to the anchor (see _anchored_max),
+      and only those whose bound exceeds the largest distance found are
+      bounded in key order, then searched down the cells, largest bound
+      first.
+
     Repeated points are searched once."""
     if len(cloud) == 0:
         raise LimitSetError("empty cloud")
@@ -894,32 +909,56 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
     vals, charts = vals[nearest.order], charts[nearest.order]
     entries = [g.entries() for g in rep.images + rep.inverses]
-    best = 0.0
+    anchors = _image_lifts(entries, vals[::_ANCHOR], charts[::_ANCHOR])
+    flat = anchors.reshape(3, -1)
+    bound = nearest.bound(flat)
+    best = nearest.fold(flat, bound, 0.0)
+    roots = np.sqrt(bound).reshape(len(entries), -1)
     for s in range(0, len(vals), _CHUNK):
-        chunk = vals[s:s + _CHUNK]
-        chart0 = charts[s:s + _CHUNK] == 0
-        u = np.where(chart0, chunk, 1.0)
-        v = np.where(chart0, 1.0, chunk)
-        images = np.stack([_image_lift(g, u, v) for g in entries], axis=1)
-        best = _anchored_max(nearest, images, best)
+        i = np.arange(s, min(s + _CHUNK, len(vals)))
+        i = i[i % _ANCHOR != 0]
+        if i.size:
+            images = _image_lifts(entries, vals[i], charts[i])
+            best = _anchored_max(nearest, images, anchors, roots, i // _ANCHOR, best)
     return math.sqrt(best)
 
 
-def _image_lift(g, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sphere lift of the images of the homogeneous points (u, v) under the
-    matrix with entries g.  The products are spelled out on real and
-    imaginary parts as CPython forms them, since numpy's SIMD loops for
-    complex products may fuse a multiply and an add."""
-    a, b, c, d = g
-    nu, nv = np.empty_like(u), np.empty_like(u)
-    for out, p, q in ((nu, a, b), (nv, c, d)):
-        out.real = (p.real * u.real - p.imag * u.imag) + (q.real * v.real - q.imag * v.imag)
-        out.imag = (p.real * u.imag + p.imag * u.real) + (q.real * v.imag + q.imag * v.real)
-    take0 = np.abs(nu) <= np.abs(nv)
-    # nv (resp. nu) is nonzero wherever take0 (resp. not): the images are
-    # genuine sphere points
-    new_vals = np.where(take0, nu, nv) / np.where(take0, nv, nu)
-    return _lift(new_vals, np.where(take0, 0, 1).astype(np.int8))
+def _image_lifts(entries, vals: np.ndarray, charts: np.ndarray) -> np.ndarray:
+    """Sphere lifts of the images of the points (vals, charts) under the
+    matrices with the given entries, as (axis, matrix, point).
+
+    A point is the homogeneous pair (u, v) = (z, 1) in chart 0 and (1, z)
+    in chart 1, split once into contiguous real and imaginary parts that
+    every matrix shares.  The products are spelled out on those parts as
+    CPython forms them, since numpy's SIMD loops for complex products may
+    fuse a multiply and an add, and each step writes into a buffer made
+    once per call."""
+    n = len(vals)
+    chart0 = charts == 0
+    ur, ui = np.where(chart0, vals.real, 1.0), np.where(chart0, vals.imag, 0.0)
+    vr, vi = np.where(chart0, 1.0, vals.real), np.where(chart0, 0.0, vals.imag)
+    lifts = np.empty((3, len(entries), n))
+    nu, nv = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
+    scratch = np.empty((3, n))
+    x, y, t = scratch
+    take0 = np.empty(n, dtype=bool)
+    for k, (a, b, c, d) in enumerate(entries):
+        for out, p, q in ((nu, a, b), (nv, c, d)):
+            # (p.real * pu -+ p.imag * pv) + (q.real * qu -+ q.imag * qv)
+            for part, sub, (pu, pv, qu, qv) in (
+                (out.real, np.subtract, (ur, ui, vr, vi)),
+                (out.imag, np.add, (ui, ur, vi, vr)),
+            ):
+                sub(np.multiply(p.real, pu, out=x), np.multiply(p.imag, pv, out=t), out=x)
+                sub(np.multiply(q.real, qu, out=y), np.multiply(q.imag, qv, out=t), out=y)
+                np.add(x, y, out=part)
+        np.less_equal(np.abs(nu, out=x), np.abs(nv, out=y), out=take0)
+        # nv (resp. nu) is nonzero wherever take0 (resp. not): the images
+        # are genuine sphere points
+        w = np.where(take0, nu, nv)
+        np.divide(w, np.where(take0, nv, nu), out=w)
+        _lift_into(lifts[:, k], w.real, w.imag, take0, scratch)
+    return lifts
 
 
 def _cloud_csv(cloud: LimitPointCloud) -> bytes:

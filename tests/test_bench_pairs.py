@@ -1,6 +1,7 @@
 """The summary math of tools/bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,59 @@ def test_summary_needs_matching_pairs():
         bench_pairs.summarize(PARENT, PARENT[:-1], "s", "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0], [1.0], "s", "lower")
+
+
+def test_traced_summary_takes_the_median_of_the_pair_ratios():
+    # the host slows both sides of the last pairs alike: the sides' medians
+    # move with it, the ratio within each pair does not
+    parent = [10.0, 10.0, 10.0, 20.0, 30.0]
+    change = [9.0, 8.0, 9.5, 18.0, 27.0]
+    s = bench_pairs.traced_summary(parent, change)
+    assert s["parent"] == parent and s["change"] == change
+    # ratios 0.9, 0.8, 0.95, 0.9, 0.9
+    assert s["median_change_over_parent"] == pytest.approx(0.9)
+    # an even number of pairs takes the mean of the middle two ratios
+    s = bench_pairs.traced_summary([2.0, 4.0], [1.0, 4.0])
+    assert s["median_change_over_parent"] == pytest.approx(0.75)
+
+
+def test_traced_summary_without_a_ratio_where_the_parent_reads_zero():
+    s = bench_pairs.traced_summary([0.0, 3.0], [1.0, 3.0])
+    assert s["median_change_over_parent"] is None
+    with pytest.raises(ValueError):
+        bench_pairs.traced_summary([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        bench_pairs.traced_summary([], [])
+
+
+def test_traced_section_records_the_pair_ratios(monkeypatch, tmp_path, capsys):
+    # synthetic runs: the change halves invariance_ms, the host slows the
+    # later pairs on both sides, and every other layer reads 0
+    names = [m["name"] for m in json.loads((_PATH.parent.parent / "BENCHMARK.json")
+                                           .read_text())["per_layer"]]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        assert trace == 1
+        pair = len(calls) // 2
+        calls.append(checkout.name)
+        slow = 1.0 + pair
+        ms = 40.0 * slow if checkout.name == "parent" else 20.0 * slow
+        values = dict.fromkeys(names, 0.0)
+        values["limitset.invariance_ms"] = ms
+        env = {"commit": checkout.name, "source_sha256": checkout.name}
+        return values, {}, env
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"parent": {"commit": "parent", "source_sha256": "parent"},
+                               "change": {"commit": "change", "source_sha256": "change"}}))
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "limitset-fractal", "--pairs", "4",
+                             "--section", "traced", "--out", str(out)]) == 0
+    # alternated: the parent first in even pairs
+    assert calls == ["parent", "change", "change", "parent"] * 2
+    layers = json.loads(out.read_text())["traced"]["workloads"]["limitset-fractal"]
+    assert list(layers) == ["limitset.invariance_ms"]
+    assert layers["limitset.invariance_ms"]["median_change_over_parent"] == pytest.approx(0.5)
+    assert "median change/parent 0.5000" in capsys.readouterr().out

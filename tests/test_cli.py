@@ -497,6 +497,20 @@ def test_limitset_refuses_a_cap_over_the_budget():
     assert err == f"error: point cap must be at most {limitset.MAX_CAP}, got 100000000\n"
 
 
+def test_limitset_refuses_a_depth_over_the_budget():
+    # narrow levels of about 36 us each: ten hours at this depth
+    start = time.perf_counter()
+    code, out, err = run_module(
+        "limitset", "--traces", "2,2", "--eps", "1e-300",
+        "--depth", "1000000000", "--cap", "4", timeout=30,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: max_depth must be at most MAX_DEPTH = {limitset.MAX_DEPTH}, got 1000000000\n"
+    )
+
+
 def test_limitset_defaults_come_from_the_library(capsys):
     implicit = run_cli(capsys, "limitset", "--traces", "3,3,3")
     explicit = run_cli(

@@ -15,7 +15,9 @@ from kleinnet import limitset
 from kleinnet.errors import ElementaryGroupError, LimitSetError, RepresentationError
 from kleinnet.limitset import (
     DEFAULT_CAP,
+    DEFAULT_MAX_DEPTH,
     MAX_CAP,
+    MAX_DEPTH,
     LimitPointCloud,
     box_dimension,
     circle_deviation,
@@ -312,6 +314,19 @@ def test_cap_over_the_budget_is_refused_before_the_search(monkeypatch):
         enumerate_limit_set(FUCHSIAN, cap=MAX_CAP)
 
 
+def test_depth_over_the_budget_is_refused_before_the_search(monkeypatch):
+    assert MAX_DEPTH >= DEFAULT_MAX_DEPTH
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("kleinnet.limitset._traverse", no_search)
+    with pytest.raises(LimitSetError, match=f"MAX_DEPTH = {MAX_DEPTH}, got {MAX_DEPTH + 1}"):
+        enumerate_limit_set(FUCHSIAN, max_depth=MAX_DEPTH + 1)
+    with pytest.raises(AssertionError, match="search ran"):
+        enumerate_limit_set(FUCHSIAN, max_depth=MAX_DEPTH)
+
+
 def _quot(z, s):
     # CPython 3.11's complex / float, spelled out so the reference does not
     # depend on the interpreter version
@@ -588,7 +603,7 @@ FINITE_GROUP_CLOUD = LimitPointCloud(
 # (representation, enumeration arguments or the cloud itself, repr of the
 # invariance), recorded with a scipy cKDTree nearest-neighbour query (the
 # PERTURBED values on images whose complex products are spelled out, as
-# _image_lift forms them)
+# _image_lifts forms them)
 INVARIANCE_GUARD = [
     (FUCHSIAN, {"epsilon": 1e-3}, "0.0045580501105617665"),
     (PERTURBED, {"epsilon": 1e-3}, "0.004878685370349052"),
@@ -1018,17 +1033,46 @@ def test_invariance_memory_is_bounded():
 def test_invariance_lifts_each_image_once(monkeypatch, traces):
     rep = from_traces(*traces)
     cloud = enumerate_limit_set(rep, epsilon=1e-3)
-    lifts = []
-    image_lift = limitset._image_lift
+    lifted = []
+    image_lifts = limitset._image_lifts
 
-    def counted(*args):
-        lifts.append(args)
-        return image_lift(*args)
+    def counted(entries, vals, charts):
+        lifted.append((len(entries), vals, charts))
+        return image_lifts(entries, vals, charts)
 
-    monkeypatch.setattr(limitset, "_image_lift", counted)
+    monkeypatch.setattr(limitset, "_image_lifts", counted)
+    vals, charts = _distinct(cloud)
+    for chunk in (limitset._CHUNK, 7):
+        monkeypatch.setattr(limitset, "_CHUNK", chunk)
+        lifted.clear()
+        cloud_group_invariance(cloud, rep)
+        # two generators and their inverses, each lifting every distinct
+        # point once: the anchors first, then the other points by chunks
+        assert {k for k, _, _ in lifted} == {4}
+        got_vals = np.concatenate([v for _, v, _ in lifted])
+        got_charts = np.concatenate([c for _, _, c in lifted])
+        assert len(got_vals) == len(vals)
+        order = np.lexsort((got_charts, got_vals.imag, got_vals.real))
+        assert np.array_equal(got_vals[order], vals)
+        assert np.array_equal(got_charts[order], charts)
+
+
+def test_invariance_key_bounds_few_images(monkeypatch):
+    # the anchors, one image in _ANCHOR = 16, are all bounded in key order;
+    # the anchor bounds settle all but a few of the others, so at most
+    # 1/16 + 3/16 of the images reach _Nearest.bound (0.17 when measured)
+    rep = from_traces(complex(3, 0.5), 3)
+    cloud = enumerate_limit_set(rep, epsilon=1e-4)
+    bounded = []
+    bound = _Nearest.bound
+
+    def counted(self, queries):
+        bounded.append(queries.shape[1])
+        return bound(self, queries)
+
+    monkeypatch.setattr(_Nearest, "bound", counted)
     cloud_group_invariance(cloud, rep)
-    # two generators and their inverses, once per _CHUNK cloud points
-    assert len(lifts) == 4 * math.ceil(len(cloud) / limitset._CHUNK)
+    assert sum(bounded) <= 0.25 * 4 * len(_distinct(cloud)[0])
 
 
 @pytest.mark.parametrize(
@@ -1075,20 +1119,23 @@ def test_invariance_does_not_depend_on_the_batch_split(monkeypatch, spec, kwargs
         assert repr(cloud_group_invariance(cloud, spec)) == expected
 
 
+def _images(cloud, rep):
+    """The lifts of the cloud's images under every generator and inverse,
+    one column per image, made by the program's own image function."""
+    entries = [g.entries() for g in rep.images + rep.inverses]
+    return limitset._image_lifts(entries, cloud.values, cloud.charts).reshape(3, -1)
+
+
 def _brute_invariance(cloud, rep):
     """The invariance by brute force: the max over every image that
-    _image_lift makes of the squared distance to the nearest cloud lift,
+    _image_lifts makes of the squared distance to the nearest cloud lift,
     each summed as _squared sums it."""
-    chart0 = cloud.charts == 0
-    u = np.where(chart0, cloud.values, 1.0)
-    v = np.where(chart0, 1.0, cloud.values)
     points = _lift(cloud.values, cloud.charts)
     best = 0.0
-    for g in rep.images + rep.inverses:
-        images = limitset._image_lift(g.entries(), u, v)
-        for s in range(0, images.shape[1], 200):
-            dx, dy, dz = (q[s:s + 200, None] - x[None, :] for q, x in zip(images, points))
-            best = max(best, float((dx * dx + dy * dy + dz * dz).min(axis=1).max()))
+    images = _images(cloud, rep)
+    for s in range(0, images.shape[1], 200):
+        dx, dy, dz = (q[s:s + 200, None] - x[None, :] for q, x in zip(images, points))
+        best = max(best, float((dx * dx + dy * dy + dz * dz).min(axis=1).max()))
     return math.sqrt(best)
 
 
@@ -1104,11 +1151,12 @@ def _seeded_reps(count, seed):
     ]
 
 
-def _distinct_points(cloud):
-    """How many points cloud_group_invariance searches: a sorted cloud's
-    repeats are next to each other."""
+def _distinct(cloud):
+    """The values and charts of the points cloud_group_invariance searches:
+    a sorted cloud's repeats are next to each other."""
     vals, charts = cloud.values, cloud.charts
-    return 1 + int(((vals[1:] != vals[:-1]) | (charts[1:] != charts[:-1])).sum())
+    keep = np.r_[True, (vals[1:] != vals[:-1]) | (charts[1:] != charts[:-1])]
+    return vals[keep], charts[keep]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1121,7 +1169,7 @@ def test_invariance_matches_brute_force(monkeypatch, seed):
         assert cloud_group_invariance(cloud, rep) == expected
         # chunks whose length is not a multiple of _ANCHOR, and a last
         # chunk of one point
-        n = _distinct_points(cloud)
+        n = len(_distinct(cloud)[0])
         assert (n - 1) % limitset._ANCHOR
         for chunk in (7, 500, n - 1):
             monkeypatch.setattr(limitset, "_CHUNK", chunk)
@@ -1132,16 +1180,11 @@ def test_invariance_matches_brute_force(monkeypatch, seed):
 def _invariance_without_anchors(cloud, rep):
     """The invariance with every image bounded in key order and searched
     through _Nearest.max_squared, one chunk of images at a time."""
-    vals, charts = cloud.values, cloud.charts
-    nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
-    chart0 = charts == 0
-    u = np.where(chart0, vals, 1.0)
-    v = np.where(chart0, 1.0, vals)
+    nearest = _Nearest(_lift(cloud.values, cloud.charts), 2.0 * cloud.epsilon)
+    images = _images(cloud, rep)
     best = 0.0
-    for g in rep.images + rep.inverses:
-        images = limitset._image_lift(g.entries(), u, v)
-        for s in range(0, images.shape[1], 1 << 15):
-            best = nearest.max_squared(images[:, s:s + (1 << 15)], best)
+    for s in range(0, images.shape[1], 1 << 15):
+        best = nearest.max_squared(images[:, s:s + (1 << 15)], best)
     return math.sqrt(best)
 
 

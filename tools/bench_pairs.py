@@ -20,7 +20,10 @@ of the parent's median over the change's.  `--section confirmation` adds
 the same summaries under `confirmation` to an existing file of the same two
 commits.  `--section traced` runs with `--trace 1` and adds, under
 `traced`, each side's runs of every per-layer metric that either side reads
-nonzero.
+nonzero, with the median over pairs of the change's value over the
+parent's.  Raw per-layer times move with the host from run to run, so the
+ratio within each pair compares the two commits better than the two sides'
+medians do.
 
 For each end-to-end metric the tool prints whether the change gains (it
 wins at least nine tenths of the pairs, and its median is better than the
@@ -59,6 +62,19 @@ def summarize(parent: list[float], change: list[float], unit: str, better: str) 
     out["change_better_in_pairs"] = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     out["ratio_parent_over_change"] = out["parent"]["median"] / out["change"]["median"]
     return out
+
+
+def traced_summary(parent: list[float], change: list[float]) -> dict:
+    """Each side's runs of one per-layer metric, pair i being (parent[i],
+    change[i]), and the median over pairs of change / parent (None when the
+    parent reads 0 in some pair)."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need one or more pairs of runs")
+    ratio = None
+    if all(parent):
+        ratio = statistics.median(c / p for p, c in zip(parent, change))
+    return {"parent": list(parent), "change": list(change),
+            "median_change_over_parent": ratio}
 
 
 def gains(summary: dict) -> bool:
@@ -150,10 +166,12 @@ def main(argv: list[str] | None = None) -> int:
             per_side = [[values[m["name"]] for values, _ in sides[s]] for s in SIDES]
             if trace:
                 if any(v for side_runs in per_side for v in side_runs):
-                    summaries[w][m["name"]] = dict(zip(SIDES, per_side))
+                    summary = summaries[w][m["name"]] = traced_summary(*per_side)
+                    ratio = summary["median_change_over_parent"]
                     print(f"{w} {m['name']}: parent median "
                           f"{statistics.median(per_side[0]):.6g}, change median "
-                          f"{statistics.median(per_side[1]):.6g}")
+                          f"{statistics.median(per_side[1]):.6g}, median change/parent "
+                          + ("n/a" if ratio is None else f"{ratio:.4f}"))
                 continue
             summary = summarize(*per_side, m["unit"], m["better"])
             summaries[w][m["name"]] = summary
@@ -187,7 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     else:
         doc["traced"] = {
             "what": f"Per-layer metrics of {pairs_text} of traced runs (--trace 1, "
-                    f"seed {args.seed}, {args.seconds:g} s); each value is one run's median.",
+                    f"seed {args.seed}, {args.seconds:g} s); each value is one run's median, "
+                    "and median_change_over_parent is the median over pairs of the "
+                    "change's value over the parent's.",
             "workloads": summaries,
         }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
