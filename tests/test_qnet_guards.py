@@ -3,9 +3,10 @@
 The qnet goldens in test_golden.py and the digest script in test_qnet.py run
 circuits from `random_circuit`, which draws no NOT gate.  The cases here pin
 the sha256 of `run_circuit(...).amplitudes.tobytes()` for seeded circuits
-that mix NOT, CNOT and SU(2) gates, among them CNOT-heavy ones on 15 and 16
-areas that force gathers of the relabelled index, and check NOT/CNOT-only circuits against
-a plain-Python permutation of the basis indices.  On wide states, the cases
+that mix NOT, CNOT and SU(2) gates, among them CNOT-heavy ones on 12, 13,
+15 and 16 areas that force gathers of the relabelled index (12 and 13 lie on
+either side of the layout threshold), and check NOT/CNOT-only circuits
+against a plain-Python permutation of the basis indices.  On wide states, the cases
 at the end check the layout that each gather picks: the SU(2) gates after it
 run on the first storage positions, its lookahead reads each gate at most
 once, and a gate out of range still raises in circuit order.
@@ -114,7 +115,7 @@ CASES = {
     **{f"not-heavy-{n}": (_not_heavy, (n,)) for n in range(1, 9)},
     "not-before-su2": (_not_before_su2, ()),
     "cnot-cancels": (_cnot_cancels, ()),
-    **{f"gathers-then-last-areas-{n}": (_gathers_then_last_areas, (n,)) for n in (15, 16)},
+    **{f"gathers-then-last-areas-{n}": (_gathers_then_last_areas, (n,)) for n in (12, 13, 15, 16)},
     **{f"permutations-only-{n}": (_permutations_only, (n,)) for n in range(1, 7)},
 }
 
@@ -129,6 +130,8 @@ DIGESTS = {
     "not-heavy-8": "952b1ea5a1519dcc0a4d5f198f6bda75272caa6aefd51fbc09442c87e712aa6d",
     "not-before-su2": "a6196fe9d86a7abb264c43dc4bc41563b0e3d6fd1143ac1a838adef83493a897",
     "cnot-cancels": "486721d0fc1de04d0fca2cad28815fd3b4d6f66d2fc5546f2da8c4540bb53d35",
+    "gathers-then-last-areas-12": "96cadfb112eaaf3ab603e0bc87bb57cea1bcf1ae719249833c80c6fb225b72ff",
+    "gathers-then-last-areas-13": "b8d8ae412568eabca7ea93537dbd4154ca30d92bd60a4cec3b44bb5c81586f3e",
     "gathers-then-last-areas-15": "6554e19ab6da18f86ace22dbabd724fb4fc1add920a7305330d2e7bc911dbecd",
     "gathers-then-last-areas-16": "0d90c22c8dbf919458929153267e9bdae1f396ca9d20ef75d34260b2618f8c3d",
     "permutations-only-1": "06e3f9ee70272cc121d72900d80c7045801734a84f99a7cea0ad9af7b49f552d",
