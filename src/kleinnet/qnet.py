@@ -12,7 +12,7 @@ ignore it.
 from __future__ import annotations
 
 import math
-from typing import Sequence, TextIO, Union
+from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -163,11 +163,9 @@ def _product_rows(states: Sequence[AreaState], n_gates: int = 0) -> np.ndarray:
     _check_work(len(states), n_gates)
     rows = np.array([[1.0], [0.0]])
     for s in states:
-        p, q = rows
-        out = np.empty((2, p.size, 2))
-        for j, (u, v) in enumerate(((s.a.real, s.a.imag), (s.b.real, s.b.imag))):
-            out[0, :, j] = p * u - q * v
-            out[1, :, j] = p * v + q * u
+        out, tmp = np.empty((2, rows.shape[1], 2)), np.empty_like(rows)
+        for j, z in enumerate((s.a, s.b)):
+            _cmul(out[:, :, j], tmp, z, rows)
         rows = out.reshape(2, -1)
     return rows
 
@@ -201,10 +199,10 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # -- gate kernel -------------------------------------------------------------------
 #
 # The state is one (2, 2^n) float64 array, row 0 the real parts and row 1 the
-# imaginary parts.  Complex products are spelled out on the rows, re = p*u -
-# q*v and im = p*v + q*u, as in limitset._image_lift: float multiply and add
-# never fuse, so no BLAS or SIMD complex kernel decides the bits, and the
-# amplitudes do not depend on the CPU.
+# imaginary parts.  Complex products are spelled out on the rows by _cmul,
+# re = p*u - q*v and im = q*u + p*v, as in limitset._image_lifts: float
+# multiply and add never fuse, so no BLAS or SIMD complex kernel decides the
+# bits, and the amplitudes do not depend on the CPU.
 #
 # NOT and CNOT move no amplitude.  The array phi holds the state psi
 # relabelled, phi[G(i)] = psi[i], where G(i) = B.i ^ d is affine over GF(2)
@@ -220,13 +218,18 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # A gather may also put the areas' bits in any order at no extra cost, and an
 # SU2 gate costs less the more significant its bit: on 16 areas, a gate on
 # area 14 (runs of 4 amplitudes) took 1.7x one on area 1 on a 2-vCPU host.
-# So on states of _LAYOUT_AREAS or more, a gather looks ahead to the next one
-# and stores the areas that the SU2 gates in between target on the most
+# So the gates are read once, one segment at a time: from the start or a
+# gather up to the first SU2 gate whose bit G moves.  While a segment is
+# read, G is kept in area bits, since which bit G moves does not depend on
+# where the areas are stored, and its SU2 gates are recorded with their
+# entries already swapped.  When it ends, on states of _LAYOUT_AREAS or more,
+# the gather before it stores the segment's SU2 targets on the most
 # significant bits, in first-use order, and the other areas after them in
-# area order (after Haener and Steiger, SC17, 2017).  The columns are then
-# bitmasks in that layout, an SU2 gate runs at its area's storage position,
-# and the gather at the end returns to area order.  Only where a pair is
-# stored changes, so every pair gets the same products in the same order.
+# area order (after Haener and Steiger, SC17, 2017); then its SU2 gates run
+# at their areas' storage positions, and G is re-expressed in the storage
+# bits for the next gather.  The gather at the end returns to area order.
+# Only where a pair is stored changes, so every pair gets the same products
+# in the same order.
 #
 # numpy runs a ufunc or a copy fast only along a long inner axis, and a ufunc
 # only when its operands can be walked as one run.  So an SU2 gate gathers
@@ -239,7 +242,7 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 _BLOCK = 8192
 # states of at least this many areas are laid out for the SU2 gates at each
 # gather: on 12 areas the slowest position costs 1.26x the fastest, and the
-# lookahead costs more than the layout saves
+# layout and G's re-expression cost more than the layout saves
 _LAYOUT_AREAS = 13
 # a pair view whose inner axis is shorter than this is walked along its outer
 # axis when that one is longer
@@ -334,64 +337,24 @@ def _check_area(area: int, n: int, role: str) -> int:
     return area
 
 
-def _segment_order(gates: Sequence[Gate], start: int, first: int, n: int) -> list[int]:
-    """The areas in storage order, most significant first, for a gather
-    made for an SU2 gate on area `first` just before gates[start]: the SU2
-    targets up to the next gather in first-use order, then the other areas
-    in area order.  The scan reads each gate once and stops at the gate that
-    forces the next gather or that names an area out of range, which the
-    caller then refuses."""
-    own = [1 << (n - k) for k in range(1, n + 1)]
-    cols = own[:]
-    order = [first]
-    for i in range(start, len(gates)):
-        gate = gates[i]
-        if isinstance(gate, SU2Gate):
-            k = gate.area
-            if k > n:
-                break
-            bit = own[k - 1]
-            # _apply_gates' test whether G moves bit k, in area order
-            if cols[k - 1] != bit or sum(col & bit for col in cols) != bit:
-                break
-            if k not in order:
-                order.append(k)
-        elif isinstance(gate, CNOTGate):
-            if max(gate.control, gate.target) > n:
-                break
-            cols[gate.control - 1] ^= cols[gate.target - 1]
-        elif not isinstance(gate, NotGate) or gate.area > n:
-            break
-    return order + [k for k in range(1, n + 1) if k not in order]
-
-
-def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
-    """Apply `gates` to the C-contiguous rows `psi` and return the final
-    rows, which may be `psi` itself or a new array; `psi` is overwritten."""
-    scratch = _Scratch(psi.shape[1])
-    pos = list(range(1, n + 1))
-    identity = own = [1 << (n - p) for p in pos]
-    cols, flip = own[:], 0
-    layouts = n >= _LAYOUT_AREAS
-    for i, gate in enumerate(gates):
+def _segments(
+    gates: Sequence[Gate], n: int, identity: list[int]
+) -> Iterator[tuple[list, list[int], int]]:
+    """Read `gates` once, in circuit order, and yield each segment, from the
+    start or a gather up to the first SU2 gate whose bit G moves: its SU2
+    gates as (area, entries), with the entries swapped where G flips the
+    area's bit, and G's columns and flip at its end, in area bits."""
+    cols, flip, segment = identity[:], 0, []
+    for gate in gates:
         if isinstance(gate, SU2Gate):
             k = _check_area(gate.area, n, "target")
-            bit = own[k - 1]
+            bit = identity[k - 1]
             # G moves bit k unless col[k] is bit k and no other column holds it
             if cols[k - 1] != bit or sum(col & bit for col in cols) != bit:
-                if layouts:
-                    order = _segment_order(gates, i + 1, k, n)
-                    # the gather's columns by storage position
-                    cols = [cols[a - 1] for a in order]
-                    for p, area in enumerate(order, start=1):
-                        pos[area - 1] = p
-                    own = [1 << (n - p) for p in pos]
-                    bit = own[k - 1]
-                psi = _gather(psi, cols, flip, scratch)
-                cols, flip = own[:], 0
+                yield segment, cols, flip
+                cols, flip, segment = identity[:], 0, []
             a, b, c, d = gate.matrix.entries()
-            entries = (d, c, b, a) if flip & bit else (a, b, c, d)
-            _apply_su2(_pairs(psi, n, pos[k - 1]), entries, scratch)
+            segment.append((k, (d, c, b, a) if flip & bit else (a, b, c, d)))
         elif isinstance(gate, CNOTGate):
             control = _check_area(gate.control, n, "control")
             target = _check_area(gate.target, n, "target")
@@ -400,6 +363,35 @@ def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
             flip ^= cols[_check_area(gate.area, n, "target") - 1]
         else:
             raise QnetError(f"unknown gate {gate!r}")
+    yield segment, cols, flip
+
+
+def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
+    """Apply `gates` to the C-contiguous rows `psi` and return the final
+    rows, which may be `psi` itself or a new array; `psi` is overwritten."""
+    scratch = _Scratch(psi.shape[1])
+    identity = [1 << (n - k) for k in range(1, n + 1)]
+    # the areas by storage position, each area's position, and the gather
+    # due before the next segment, in storage bits
+    order = areas = list(range(1, n + 1))
+    pos, gather = areas, None
+    for segment, cols, flip in _segments(gates, n, identity):
+        if gather:
+            if n >= _LAYOUT_AREAS:
+                order = list(dict.fromkeys(k for k, _ in segment))
+                order += [k for k in areas if k not in order]
+                pos = [order.index(k) + 1 for k in areas]
+            psi = _gather(psi, [gather[0][k - 1] for k in order], gather[1], scratch)
+        for k, entries in segment:
+            _apply_su2(_pairs(psi, n, pos[k - 1]), entries, scratch)
+        if order != areas:
+            # G's columns and flip re-expressed in the storage bits
+            bits = [1 << (n - p) for p in pos]
+            *cols, flip = [
+                sum(b for a, b in zip(identity, bits) if m & a) for m in (*cols, flip)
+            ]
+        gather = cols, flip
+    cols, flip = gather
     if flip or cols != identity:
         psi = _gather(psi, cols, flip, scratch)
     return psi

@@ -6,10 +6,11 @@ the sha256 of `run_circuit(...).amplitudes.tobytes()` for seeded circuits
 that mix NOT, CNOT and SU(2) gates, among them CNOT-heavy ones on 12, 13,
 15 and 16 areas that force gathers of the relabelled index (12 and 13 lie on
 either side of the layout threshold), and check NOT/CNOT-only circuits
-against a plain-Python permutation of the basis indices.  On wide states, the cases
-at the end check the layout that each gather picks: the SU(2) gates after it
-run on the first storage positions, its lookahead reads each gate at most
-once, and a gate out of range still raises in circuit order.
+against a plain-Python permutation of the basis indices.  On wide states,
+the cases at the end check the layout that each gather picks: the SU(2)
+gates after it run on the first storage positions, the gate loop reads each
+gate once by any route, and a gate out of range still raises in circuit
+order.
 """
 
 import hashlib
@@ -212,20 +213,29 @@ def test_permutation_circuits_move_amplitudes_by_index_bits(case):
 
 
 class _CountedGates(list):
-    """A gate list that counts the records read by index or slice; iterating
-    over it reads none."""
+    """A gate list that counts the reads of each gate, by index, by slice
+    and by iteration."""
 
-    reads = 0
+    def __init__(self, gates):
+        super().__init__(gates)
+        self.reads = [0] * len(gates)
 
     def __getitem__(self, i):
-        got = super().__getitem__(i)
-        self.reads += len(got) if isinstance(i, slice) else 1
-        return got
+        at = range(len(self))[i]
+        for j in at if isinstance(i, slice) else [at]:
+            self.reads[j] += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for j, gate in enumerate(super().__iter__()):
+            self.reads[j] += 1
+            yield gate
 
 
 def _segments(monkeypatch, initial, gates):
-    """Run `gates` and return the SU(2) gates applied before the first
-    gather and after each gather, as lists of (area, storage position)."""
+    """Run `gates` as a _CountedGates list and return it, with the SU(2)
+    gates applied before the first gather and after each gather, as lists
+    of (area, storage position)."""
     areas = iter([g.area for g in gates if isinstance(g, SU2Gate)])
     segments = [[]]
     pairs, gather = qnet._pairs, qnet._gather
@@ -240,8 +250,9 @@ def _segments(monkeypatch, initial, gates):
 
     monkeypatch.setattr(qnet, "_pairs", record_pairs)
     monkeypatch.setattr(qnet, "_gather", record_gather)
-    run_circuit(initial, gates)
-    return segments
+    counted = _CountedGates(gates)
+    run_circuit(initial, counted)
+    return counted, segments
 
 
 def _gather_at_every_su2(n, rounds):
@@ -265,14 +276,13 @@ def _seeded_wide(n):
 )
 def test_su2_gates_after_a_gather_run_on_the_first_positions(monkeypatch, make, args):
     initial, gates = make(*args)
-    gates = _CountedGates(gates)
-    segments = _segments(monkeypatch, initial, gates)
+    gates, segments = _segments(monkeypatch, initial, gates)
     assert len(segments) > 10
     # the gates before the first gather run in area order
     for segment in segments[1:]:
         distinct = len({area for area, _ in segment})
         assert all(p <= distinct for _, p in segment)
-    assert gates.reads <= len(gates)
+    assert set(gates.reads) == {1}
 
 
 def _gathers_then(bad):
@@ -301,7 +311,8 @@ _M = random_su2(np.random.default_rng(0))
     ],
 )
 def test_gates_out_of_range_after_a_gather_raise_in_circuit_order(bad, message):
-    # the lookahead of the second gather reads `bad` before the loop does
+    # `bad` lies in the segment after the second gather, which the loop
+    # reads to its end before that segment's SU(2) gates run
     initial, gates = _gathers_then(bad)
     with pytest.raises(QnetError, match=message):
         run_circuit(initial, gates)
