@@ -734,8 +734,8 @@ class _Nearest:
     one point bounds its nearest distance from above, and the largest
     distance is a max of minima, so a query whose bound is no more than the
     largest distance found is not searched further.  The largest distance
-    found only grows, so batches of queries may be folded through
-    max_squared in any order and split."""
+    found only grows, so batches of queries may be folded through fold in
+    any order and split."""
 
     def __init__(self, points: np.ndarray, h: float):
         self.side = min(h if h >= _MIN_CELL else _MIN_CELL, _MAX_CELL)
@@ -761,11 +761,6 @@ class _Nearest:
         bound = _squared(queries, self.coords, np.maximum(at - 1, 0))
         beside = _squared(queries, self.coords, np.minimum(at, self.coords.shape[1] - 1))
         return np.minimum(bound, beside, out=bound)
-
-    def max_squared(self, queries: np.ndarray, best: float) -> float:
-        """The larger of best and the queries' largest squared nearest-point
-        distance, each query starting from its key-order bound."""
-        return self.fold(queries, self.bound(queries), best)
 
     def fold(self, queries: np.ndarray, bound: np.ndarray, best: float) -> float:
         """The larger of best and the queries' largest squared nearest-point

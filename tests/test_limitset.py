@@ -896,17 +896,18 @@ def test_grid_nearest_matches_brute_force(seed, layout, eps_exp):
         points, queries = circle[:300], circle[300:]
     expected = _brute_nearest_sq(points, queries)
     nearest = _Nearest(points.T, 2.0 * eps)
-    assert [nearest.max_squared(q[:, None], 0.0) for q in queries] == list(expected)
+    columns = [q[:, None] for q in queries]
+    assert [nearest.fold(q, nearest.bound(q), 0.0) for q in columns] == list(expected)
     halves = [queries[: len(queries) // 2], queries[len(queries) // 2:]]
     assert _max_over(_Nearest(points.T, 2.0 * eps), halves) == expected.max()
 
 
 def _max_over(nearest, batches):
-    """Fold the running best through max_squared, one batch of query rows at
-    a time."""
+    """Fold the running best through fold from the key-order bounds, one
+    batch of query rows at a time."""
     best = 0.0
     for queries in batches:
-        best = nearest.max_squared(queries.T, best)
+        best = nearest.fold(queries.T, nearest.bound(queries.T), best)
     return best
 
 
@@ -980,7 +981,8 @@ def test_max_squared_memory_when_every_point_is_nearly_equidistant():
     for h in (2e-6, 2e-3):
         tracemalloc.start()
         try:
-            found = _Nearest(points, h).max_squared(queries, 0.0)
+            nearest = _Nearest(points, h)
+            found = nearest.fold(queries, nearest.bound(queries), 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -999,7 +1001,7 @@ def test_lone_query_memory_is_bounded():
     nearest = _Nearest(points, 2e-3)
     tracemalloc.start()
     try:
-        found = nearest.max_squared(pole, 0.0)
+        found = nearest.fold(pole, nearest.bound(pole), 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1013,7 +1015,7 @@ def test_lone_query_memory_is_bounded():
         x, y = 2e-4 * np.array([np.cos(k + 0.3), np.sin(k + 0.3)])
         query = np.array([[x], [y], [math.sqrt(0.25 - x * x - y * y)]])
         expected = _brute_nearest_sq(points.T, query.T).max()
-        assert nearest.max_squared(query, 0.0) == expected
+        assert nearest.fold(query, nearest.bound(query), 0.0) == expected
 
 
 def test_invariance_memory_is_bounded():
@@ -1179,12 +1181,13 @@ def test_invariance_matches_brute_force(monkeypatch, seed):
 
 def _invariance_without_anchors(cloud, rep):
     """The invariance with every image bounded in key order and searched
-    through _Nearest.max_squared, one chunk of images at a time."""
+    through _Nearest.fold, one chunk of images at a time."""
     nearest = _Nearest(_lift(cloud.values, cloud.charts), 2.0 * cloud.epsilon)
     images = _images(cloud, rep)
     best = 0.0
     for s in range(0, images.shape[1], 1 << 15):
-        best = nearest.max_squared(images[:, s:s + (1 << 15)], best)
+        chunk = images[:, s:s + (1 << 15)]
+        best = nearest.fold(chunk, nearest.bound(chunk), best)
     return math.sqrt(best)
 
 
