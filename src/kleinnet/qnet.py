@@ -381,6 +381,7 @@ def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
                 order = list(dict.fromkeys(k for k, _ in segment))
                 order += [k for k in areas if k not in order]
                 pos = [order.index(k) + 1 for k in areas]
+            # the previous segment's G, its columns by storage position
             psi = _gather(psi, [gather[0][k - 1] for k in order], gather[1], scratch)
         for k, entries in segment:
             _apply_su2(_pairs(psi, n, pos[k - 1]), entries, scratch)
