@@ -3,14 +3,15 @@
 The qnet goldens in test_golden.py and the digest script in test_qnet.py run
 circuits from `random_circuit`, which draws no NOT gate.  The cases here pin
 the sha256 of `run_circuit(...).amplitudes.tobytes()` for seeded circuits
-that mix NOT, CNOT and SU(2) gates, among them CNOT-heavy ones on 12, 13,
-15 and 16 areas that force gathers of the relabelled index (12 and 13 lie on
-either side of the layout threshold), and check NOT/CNOT-only circuits
-against a plain-Python permutation of the basis indices.  On wide states,
-the cases at the end check the layout that each gather picks: the SU(2)
-gates after it run on the first storage positions, the gate loop reads each
-gate once by any route, and a gate out of range still raises in circuit
-order.
+that mix NOT, CNOT and SU(2) gates: CNOT-heavy ones on 12 to 16 areas that
+force gathers of the relabelled index (12 and 13 lie on either side of the
+layout threshold, and a 14-area state is exactly one SU(2) block), and a
+long one on 2 areas, where every SU(2) gate is one block of two pairs.  They
+also check NOT/CNOT-only circuits against a plain-Python permutation of the
+basis indices.  On wide states, the cases at the end check the layout that
+each gather picks: the SU(2) gates after it run on the first storage
+positions, the gate loop reads each gate once by any route, and a gate out
+of range still raises in circuit order.
 """
 
 import hashlib
@@ -107,6 +108,11 @@ def _gathers_then_last_areas(n):
     return initial, gates
 
 
+def _small_state_mixed():
+    rng = np.random.default_rng(600)
+    return _initial(rng, 2), _mixed(rng, 2, 4000, 0.2, 0.4)
+
+
 def _permutations_only(n):
     rng = np.random.default_rng(200 + n)
     return _initial(rng, n), _mixed(rng, n, 40, 0.5, 0.5)
@@ -116,7 +122,11 @@ CASES = {
     **{f"not-heavy-{n}": (_not_heavy, (n,)) for n in range(1, 9)},
     "not-before-su2": (_not_before_su2, ()),
     "cnot-cancels": (_cnot_cancels, ()),
-    **{f"gathers-then-last-areas-{n}": (_gathers_then_last_areas, (n,)) for n in (12, 13, 15, 16)},
+    **{
+        f"gathers-then-last-areas-{n}": (_gathers_then_last_areas, (n,))
+        for n in range(12, 17)
+    },
+    "small-state-mixed": (_small_state_mixed, ()),
     **{f"permutations-only-{n}": (_permutations_only, (n,)) for n in range(1, 7)},
 }
 
@@ -133,8 +143,10 @@ DIGESTS = {
     "cnot-cancels": "486721d0fc1de04d0fca2cad28815fd3b4d6f66d2fc5546f2da8c4540bb53d35",
     "gathers-then-last-areas-12": "96cadfb112eaaf3ab603e0bc87bb57cea1bcf1ae719249833c80c6fb225b72ff",
     "gathers-then-last-areas-13": "b8d8ae412568eabca7ea93537dbd4154ca30d92bd60a4cec3b44bb5c81586f3e",
+    "gathers-then-last-areas-14": "1cc4a1e07244dec35e3c58009e3db8ad0ccbc5febeb1ec49b80498ce761089fe",
     "gathers-then-last-areas-15": "6554e19ab6da18f86ace22dbabd724fb4fc1add920a7305330d2e7bc911dbecd",
     "gathers-then-last-areas-16": "0d90c22c8dbf919458929153267e9bdae1f396ca9d20ef75d34260b2618f8c3d",
+    "small-state-mixed": "d6b18584cc3364450f4396a243e0fe7b3c7bed45f3429b730bf64c19e71dddee",
     "permutations-only-1": "06e3f9ee70272cc121d72900d80c7045801734a84f99a7cea0ad9af7b49f552d",
     "permutations-only-2": "e682a6ce020e0bd4566cdcfab2506d70bfee81e24ede0a2b594496b3ec404d32",
     "permutations-only-3": "8db078d92fc15fae730231082f401ecbf19928caa0ef801140097af8ab2f3b5f",
