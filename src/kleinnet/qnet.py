@@ -199,10 +199,11 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # -- gate kernel -------------------------------------------------------------------
 #
 # The state is one (2, 2^n) float64 array, row 0 the real parts and row 1 the
-# imaginary parts.  Complex products are spelled out on the rows by _cmul,
-# re = p*u - q*v and im = q*u + p*v, as in limitset._image_lifts: float
-# multiply and add never fuse, so no BLAS or SIMD complex kernel decides the
-# bits, and the amplitudes do not depend on the CPU.
+# imaginary parts.  Complex products are spelled out on the rows, one ufunc
+# call per real multiply, subtract or add, re = p*u - q*v and im = q*u + p*v,
+# as in limitset._image_lifts: float multiply and add never fuse, so no BLAS
+# or SIMD complex kernel decides the bits, and the amplitudes do not depend
+# on the CPU.
 #
 # NOT and CNOT move no amplitude.  The array phi holds the state psi
 # relabelled, phi[G(i)] = psi[i], where G(i) = B.i ^ d is affine over GF(2)
@@ -221,8 +222,9 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # So the gates are read once, one segment at a time: from the start or a
 # gather up to the first SU2 gate whose bit G moves.  While a segment is
 # read, G is kept in area bits, since which bit G moves does not depend on
-# where the areas are stored, and its SU2 gates are recorded with their
-# entries already swapped.  When it ends, on states of _LAYOUT_AREAS or more,
+# where the areas are stored, with B's rows beside its columns, so that
+# whether G moves a bit is two comparisons; and its SU2 gates are recorded
+# with their entries already swapped.  When it ends, on states of _LAYOUT_AREAS or more,
 # the gather before it stores the segment's SU2 targets on the most
 # significant bits, in first-use order, and the other areas after them in
 # area order (after Haener and Steiger, SC17, 2017); then its SU2 gates run
@@ -236,7 +238,10 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # its strided views into contiguous scratch, does its arithmetic on flat
 # rows, and writes back through a ufunc whose inputs are contiguous: numpy
 # then keeps the axis order it is given, where np.copyto would re-sort by the
-# destination.
+# destination.  Each block is one copy and 18 ufunc calls on views that are
+# made once per block shape and run and kept in _Scratch: on a small state a
+# sliced and reshaped view costs about a third of a ufunc call (0.36 against
+# 0.96 us on 4 amplitudes, 2-vCPU host).
 
 # amplitude pairs per SU2 block, so that a block's scratch stays in cache
 _BLOCK = 8192
@@ -275,7 +280,9 @@ def _blocks(pairs: np.ndarray) -> list[np.ndarray]:
 class _Scratch:
     """Preallocated buffers for the gates on one (2, n_amps) state: `x`
     holds one SU2 block, `u`, `w` and `t` the rows of one block, and `y` and
-    `index` a gathered state and the index it is gathered through."""
+    `index` a gathered state and the index it is gathered through.  `views`
+    keeps the views of these buffers for each block shape met, built once
+    by _block_views."""
 
     def __init__(self, n_amps: int) -> None:
         rows = 2 * min(n_amps // 2, _BLOCK)
@@ -285,6 +292,7 @@ class _Scratch:
         self.t = np.empty(rows)
         self.y = np.empty((2, n_amps))
         self.index = np.empty(n_amps, dtype=np.intp)
+        self.views: dict[tuple, tuple] = {}
 
 
 def _cmul(out: np.ndarray, tmp: np.ndarray, z: complex, rows: np.ndarray) -> None:
@@ -295,21 +303,42 @@ def _cmul(out: np.ndarray, tmp: np.ndarray, z: complex, rows: np.ndarray) -> Non
     np.add(out[1], tmp[0], out=out[1])
 
 
-def _apply_su2(pairs: np.ndarray, entries: tuple, scratch: _Scratch) -> None:
-    """Apply the matrix with row-major `entries` (a, b, c, d) to `pairs`."""
-    blocks = _blocks(pairs)
-    old = scratch.x[: blocks[0].size].reshape(blocks[0].shape)
+def _block_views(scratch: _Scratch, shape: tuple) -> tuple:
+    """The views an SU2 block of `shape` runs on: its copy `old` in
+    scratch.x, the halves `lo` and `hi` of `old` as rows, the rows `u`, `w`
+    and `t` with each of their two rows, and `u` and `w` in the block's
+    shape after its first axis."""
+    old = scratch.x[: math.prod(shape)].reshape(shape)
     h = old.size // 4
     lo, hi = old.reshape(2, 2, h)
     u, w, t = (arr[: 2 * h].reshape(2, h) for arr in (scratch.u, scratch.w, scratch.t))
-    u_out, w_out = u.reshape(old.shape[1:]), w.reshape(old.shape[1:])
-    a, b, c, d = entries
+    return old, lo, hi, u, w, t, *u, *w, *t, u.reshape(shape[1:]), w.reshape(shape[1:])
+
+
+def _apply_su2(pairs: np.ndarray, entries: tuple, scratch: _Scratch) -> None:
+    """Apply the matrix with row-major `entries` (a, b, c, d) to `pairs`:
+    out = z * lo + y * hi for each row of the matrix, each product as
+    re = p*u - q*v and im = q*u + p*v."""
+    blocks = _blocks(pairs)
+    shape = blocks[0].shape
+    views = scratch.views.get(shape)
+    if views is None:
+        views = scratch.views[shape] = _block_views(scratch, shape)
+    old, lo, hi, u, w, t, u0, u1, w0, w1, t0, t1, u_out, w_out = views
+    a, b, c, d = ((z.real, z.imag) for z in entries)
+    mul, sub, add = np.multiply, np.subtract, np.add
     for block in blocks:
         np.copyto(old, block)
-        for out, z, y in ((block[0], a, b), (block[1], c, d)):
-            _cmul(u, t, z, lo)
-            _cmul(w, t, y, hi)
-            np.add(u_out, w_out, out=out)
+        for out, (zr, zi), (yr, yi) in ((block[0], a, b), (block[1], c, d)):
+            mul(lo, zr, out=u)
+            mul(lo, zi, out=t)
+            sub(u0, t1, out=u0)
+            add(u1, t0, out=u1)
+            mul(hi, yr, out=w)
+            mul(hi, yi, out=t)
+            sub(w0, t1, out=w0)
+            add(w1, t0, out=w1)
+            add(u_out, w_out, out=out)
 
 
 def _gather(phi: np.ndarray, cols: list[int], flip: int, scratch: _Scratch) -> np.ndarray:
@@ -337,6 +366,14 @@ def _check_area(area: int, n: int, role: str) -> int:
     return area
 
 
+def _bit_areas(m: int, n: int) -> Iterator[int]:
+    """The index k - 1 of each area k whose bit, 1 << (n - k), is set in m."""
+    while m:
+        low = m & -m
+        yield n - low.bit_length()
+        m ^= low
+
+
 def _segments(
     gates: Sequence[Gate], n: int, identity: list[int]
 ) -> Iterator[tuple[list, list[int], int]]:
@@ -344,21 +381,24 @@ def _segments(
     start or a gather up to the first SU2 gate whose bit G moves: its SU2
     gates as (area, entries), with the entries swapped where G flips the
     area's bit, and G's columns and flip at its end, in area bits."""
-    cols, flip, segment = identity[:], 0, []
+    # rows[k - 1] holds the bit of each area whose column holds bit k
+    cols, rows, flip, segment = identity[:], identity[:], 0, []
     for gate in gates:
         if isinstance(gate, SU2Gate):
             k = _check_area(gate.area, n, "target")
             bit = identity[k - 1]
             # G moves bit k unless col[k] is bit k and no other column holds it
-            if cols[k - 1] != bit or sum(col & bit for col in cols) != bit:
+            if cols[k - 1] != bit or rows[k - 1] != bit:
                 yield segment, cols, flip
-                cols, flip, segment = identity[:], 0, []
+                cols, rows, flip, segment = identity[:], identity[:], 0, []
             a, b, c, d = gate.matrix.entries()
             segment.append((k, (d, c, b, a) if flip & bit else (a, b, c, d)))
         elif isinstance(gate, CNOTGate):
             control = _check_area(gate.control, n, "control")
             target = _check_area(gate.target, n, "target")
             cols[control - 1] ^= cols[target - 1]
+            for j in _bit_areas(cols[target - 1], n):
+                rows[j] ^= identity[control - 1]
         elif isinstance(gate, NotGate):
             flip ^= cols[_check_area(gate.area, n, "target") - 1]
         else:
@@ -388,9 +428,7 @@ def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
         if order != areas:
             # G's columns and flip re-expressed in the storage bits
             bits = [1 << (n - p) for p in pos]
-            *cols, flip = [
-                sum(b for a, b in zip(identity, bits) if m & a) for m in (*cols, flip)
-            ]
+            *cols, flip = [sum(bits[j] for j in _bit_areas(m, n)) for m in (*cols, flip)]
         gather = cols, flip
     cols, flip = gather
     if flip or cols != identity:

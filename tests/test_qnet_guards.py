@@ -15,6 +15,10 @@ of range still raises in circuit order.
 """
 
 import hashlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,35 @@ def test_su2_gates_after_a_gather_run_on_the_first_positions(monkeypatch, make, 
     assert set(gates.reads) == {1}
 
 
+def _gathers_by_the_rule(n, gates):
+    """The gathers a run of `gates` makes: one before each SU(2) gate whose
+    bit G moves, that is, whose column or row of B is not the bit alone,
+    after which G starts again from the identity, and one at the end unless
+    G is the identity."""
+    identity = [1 << (n - k) for k in range(1, n + 1)]
+    cols, flip, count = identity[:], 0, 0
+    for g in gates:
+        if isinstance(g, SU2Gate):
+            bit = identity[g.area - 1]
+            row = [bool(col & bit) for col in cols]
+            if cols[g.area - 1] != bit or row != [a == bit for a in identity]:
+                cols, flip, count = identity[:], 0, count + 1
+        elif isinstance(g, CNOTGate):
+            cols[g.control - 1] ^= cols[g.target - 1]
+        else:
+            flip ^= cols[g.area - 1]
+    return count + (flip != 0 or cols != identity)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 13])
+def test_gathers_follow_the_move_rule(monkeypatch, n):
+    # CNOT-heavy, so that CNOTs often cancel before an SU(2) gate
+    rng = np.random.default_rng(700 + n)
+    initial, gates = _initial(rng, n), _mixed(rng, n, 400, 0.1, 0.6)
+    _, segments = _segments(monkeypatch, initial, gates)
+    assert len(segments) - 1 == _gathers_by_the_rule(n, gates)
+
+
 def _gathers_then(bad):
     """15 areas: two forced gathers, then the gates `bad`."""
     rng = np.random.default_rng(12)
@@ -328,3 +361,49 @@ def test_gates_out_of_range_after_a_gather_raise_in_circuit_order(bad, message):
     initial, gates = _gathers_then(bad)
     with pytest.raises(QnetError, match=message):
         run_circuit(initial, gates)
+
+
+# -- work counts on the benchmark's circuit ----------------------------------------
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def _qnet_wide_circuit(monkeypatch, path):
+    """qnet-wide's seed-0 circuit (16 areas; 1,000 SU(2), 900 CNOT and 100
+    NOT gates), written by the benchmark's own input generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    inputs.write_circuit(path, random.Random(0), 16, 1000, 900, 100)
+    states, gates = qnet.parse_circuit_text(path.read_text(encoding="utf-8"))
+    return [normalize(s) for s in states], gates
+
+
+def test_qnet_wide_work_counts(monkeypatch, tmp_path):
+    calls = {"gather": 0, "su2": 0}
+    shapes, built = set(), []
+    gather, apply_su2, block_views = qnet._gather, qnet._apply_su2, qnet._block_views
+
+    def count_gather(*args):
+        calls["gather"] += 1
+        return gather(*args)
+
+    def count_su2(pairs, entries, scratch):
+        calls["su2"] += 1
+        shapes.add(qnet._blocks(pairs)[0].shape)
+        return apply_su2(pairs, entries, scratch)
+
+    def count_views(scratch, shape):
+        built.append(shape)
+        return block_views(scratch, shape)
+
+    monkeypatch.setattr(qnet, "_gather", count_gather)
+    monkeypatch.setattr(qnet, "_apply_su2", count_su2)
+    monkeypatch.setattr(qnet, "_block_views", count_views)
+    initial, gates = _qnet_wide_circuit(monkeypatch, tmp_path / "qnet-wide.txt")
+    run_circuit(initial, gates)
+    assert calls == {"gather": 221, "su2": 1000}
+    # each block shape's views are built once per run, not once per gate
+    assert sorted(built) == sorted(shapes)
