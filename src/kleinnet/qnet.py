@@ -224,14 +224,14 @@ def tensor(states: Sequence[AreaState]) -> TensorState:
 # read, G is kept in area bits, since which bit G moves does not depend on
 # where the areas are stored, with B's rows beside its columns, so that
 # whether G moves a bit is two comparisons; and its SU2 gates are recorded
-# with their entries already swapped.  When it ends, on states of _LAYOUT_AREAS or more,
-# the gather before it stores the segment's SU2 targets on the most
-# significant bits, in first-use order, and the other areas after them in
-# area order (after Haener and Steiger, SC17, 2017); then its SU2 gates run
-# at their areas' storage positions, and G is re-expressed in the storage
-# bits for the next gather.  The gather at the end returns to area order.
-# Only where a pair is stored changes, so every pair gets the same products
-# in the same order.
+# with their entries already swapped.  When it ends, on states of
+# _LAYOUT_AREAS or more, the gather before it stores the segment's SU2
+# targets on the most significant bits, in first-use order, and the other
+# areas after them in area order (after Haener and Steiger, SC17, 2017);
+# then its SU2 gates run at their areas' storage positions, and G is
+# re-expressed in the storage bits for the next gather.  The gather at the
+# end returns to area order.  Only where a pair is stored changes, so every
+# pair gets the same products in the same order.
 #
 # numpy runs a ufunc or a copy fast only along a long inner axis, and a ufunc
 # only when its operands can be walked as one run.  So an SU2 gate gathers
@@ -312,12 +312,13 @@ def _block_views(scratch: _Scratch, shape: tuple) -> tuple:
     h = old.size // 4
     lo, hi = old.reshape(2, 2, h)
     u, w, t = (arr[: 2 * h].reshape(2, h) for arr in (scratch.u, scratch.w, scratch.t))
-    return old, lo, hi, u, w, t, *u, *w, *t, u.reshape(shape[1:]), w.reshape(shape[1:])
+    u_out, w_out = u.reshape(shape[1:]), w.reshape(shape[1:])
+    return old, lo, hi, u, w, t, *u, *w, *t, u_out, w_out
 
 
 def _apply_su2(pairs: np.ndarray, entries: tuple, scratch: _Scratch) -> None:
     """Apply the matrix with row-major `entries` (a, b, c, d) to `pairs`:
-    out = z * lo + y * hi for each row of the matrix, each product as
+    each matrix row (z, y) gives out = z * lo + y * hi, each product as
     re = p*u - q*v and im = q*u + p*v."""
     blocks = _blocks(pairs)
     shape = blocks[0].shape
@@ -428,7 +429,9 @@ def _apply_gates(psi: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
         if order != areas:
             # G's columns and flip re-expressed in the storage bits
             bits = [1 << (n - p) for p in pos]
-            *cols, flip = [sum(bits[j] for j in _bit_areas(m, n)) for m in (*cols, flip)]
+            *cols, flip = [
+                sum(bits[j] for j in _bit_areas(m, n)) for m in (*cols, flip)
+            ]
         gather = cols, flip
     cols, flip = gather
     if flip or cols != identity:

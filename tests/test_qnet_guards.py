@@ -10,8 +10,10 @@ long one on 2 areas, where every SU(2) gate is one block of two pairs.  They
 also check NOT/CNOT-only circuits against a plain-Python permutation of the
 basis indices.  On wide states, the cases at the end check the layout that
 each gather picks: the SU(2) gates after it run on the first storage
-positions, the gate loop reads each gate once by any route, and a gate out
-of range still raises in circuit order.
+positions, the gate loop reads each gate once by any route, the gathers
+follow the move rule, and a gate out of range still raises in circuit order.
+On the benchmark's `qnet-wide` circuit, the last test counts the gathers,
+the SU(2) kernel calls and the kernel's view sets.
 """
 
 import hashlib
