@@ -1,3 +1,7 @@
+import ast
+import atexit
+import gc
+import importlib
 import json
 import os
 import re
@@ -110,6 +114,71 @@ def run_module(*argv, timeout=None):
         timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _console_script():
+    """The module and function that pyproject.toml's `kleinnet` script names."""
+    text = (ROOT / "pyproject.toml").read_text()
+    return re.search(r'^kleinnet = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+def test_console_script_runs_the_module_entry():
+    module, name = _console_script()
+    entry = importlib.import_module(module)
+    guard = ast.parse(Path(kleinnet.__file__).with_name("__main__.py").read_text()).body[-1]
+    calls = [n.func.id for n in ast.walk(guard) if isinstance(n, ast.Call)]
+    assert calls == [name]
+    assert getattr(entry, name) is getattr(importlib.import_module("kleinnet.__main__"), name)
+
+
+# an atexit handler registered before the entry runs after the entry's own
+# (handlers run last in, first out)
+FREEZE_CHECK = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+)
+
+
+@pytest.mark.parametrize("entry", ["module", "console-script"])
+def test_process_entry_freezes_the_heap_at_exit(capsys, tmp_path, entry):
+    # sitecustomize runs at interpreter start, before `-m` or `-c`
+    (tmp_path / "sitecustomize.py").write_text(FREEZE_CHECK)
+    env = _env_with_src()
+    env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), env["PYTHONPATH"]))
+    argv = ["degenerate", "--t-values", "5,10,20", "--max-len", "4"]
+    if entry == "module":
+        command = ["-m", "kleinnet", *argv]
+    else:
+        module, name = _console_script()
+        command = ["-c", f"import sys, {module}\nsys.argv[1:] = {argv!r}\n{module}.{name}()"]
+    proc = subprocess.run([sys.executable, *command], capture_output=True, text=True, env=env)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, "frozen True\n")
+    assert proc.stdout == out and len(out.splitlines()) == 4
+
+
+def test_main_has_no_process_wide_effect(capsys):
+    frozen, handlers = gc.get_freeze_count(), atexit._ncallbacks()
+    assert run_cli(capsys, "dessin", "--subgroup", "aa,b,abA")[0] == 0
+    assert run_cli(capsys, "graph", "--file", "missing.txt")[0] == 1
+    with pytest.raises(SystemExit):
+        main(["graph"])
+    assert (gc.get_freeze_count(), atexit._ncallbacks()) == (frozen, handlers)
+
+
+def test_qnet_stdout_through_a_pipe_matches_the_out_file(tmp_path):
+    argv = [sys.executable, "-m", "kleinnet", "qnet", "--random-circuit", "200", "--areas", "12"]
+    env = _env_with_src()
+    piped = subprocess.run(argv, capture_output=True, env=env)
+    path = tmp_path / "amps.csv"
+    written = subprocess.run([*argv, "--out", str(path)], capture_output=True, env=env)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert piped.stdout == path.read_bytes()
+    assert len(piped.stdout.splitlines()) == 1 + 4096
 
 
 def _heavy_modules_after(*argv, imports=(), names=("numpy", "scipy")):
