@@ -331,14 +331,23 @@ def _node_points(uv, eps2: float, at_floor: bool):
 
 
 class _Scratch:
-    """One buffer for the temporaries of a chunk of up to `nodes` frontier
-    nodes, allocated once per level.  The candidates taken per node
-    and their products with the prefixes are dead before the children are
-    made, so they share it with the letters' matrices taken per child and
-    the children's stacked products."""
+    """One buffer for the temporaries of a chunk of frontier nodes, kept
+    across levels.  The candidates taken per node and their products with
+    the prefixes are dead before the children are made, so they share it
+    with the letters' matrices taken per child and the children's stacked
+    products."""
 
-    def __init__(self, nodes: int) -> None:
-        self.flat = np.empty(144 * nodes)
+    def __init__(self) -> None:
+        self.flat = np.empty(0)
+
+    def fit(self, nodes: int) -> None:
+        """Grow the buffer to hold a chunk of `nodes` nodes; it never
+        shrinks, so a level no wider than an earlier one takes no new
+        pages."""
+        if len(self.flat) < 144 * nodes:
+            # the smaller buffer is freed before the larger is allocated
+            self.flat = None
+            self.flat = np.empty(144 * nodes)
 
     def take(self, table: np.ndarray, index: np.ndarray, at: int) -> np.ndarray:
         """table[..., index], written into the buffer from float `at` on."""
@@ -424,6 +433,7 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
     points = []
     emitted = 0
     truncated = False
+    scratch = _Scratch()
     for depth in range(1, max_depth + 1):
         room = cap - emitted
         if width > room:
@@ -431,7 +441,7 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
             mats, last = mats[..., :room], last[:room]
         children = []
         width = 0
-        scratch = _Scratch(min(_LEVEL_CHUNK, len(last)))
+        scratch.fit(min(_LEVEL_CHUNK, len(last)))
         for s in range(0, len(last), _LEVEL_CHUNK):
             pts, made, kids = _expand(
                 mats[..., s:s + _LEVEL_CHUNK], last[s:s + _LEVEL_CHUNK],
@@ -444,8 +454,6 @@ def _traverse(gens, fixes, epsilon: float, max_depth: int, cap: int):
             if kids is not None:
                 children.append(kids)
                 width += made
-        # freed before the next level's is allocated
-        del scratch
         if width == 0:
             break
         if len(children) == 1:
