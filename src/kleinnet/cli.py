@@ -370,8 +370,8 @@ def run() -> NoReturn:
     `gc.freeze` has moved to the permanent generation are never examined
     again.  Unlike `os._exit`, this still runs the atexit handlers, flushes
     the standard streams and tears the modules down; every output file is
-    closed by its `with` before main returns.  main itself has no effect on
-    the process, so library callers and tests keep their collector."""
+    closed by its `with` before main returns.  main itself has no
+    process-wide effect, so library callers and tests keep their collector."""
     atexit.register(gc.freeze)
     raise SystemExit(main())
 

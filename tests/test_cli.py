@@ -116,12 +116,9 @@ def run_module(*argv, timeout=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
 def _console_script():
     """The module and function that pyproject.toml's `kleinnet` script names."""
-    text = (ROOT / "pyproject.toml").read_text()
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     return re.search(r'^kleinnet = "([\w.]+):(\w+)"$', text, re.M).groups()
 
 
