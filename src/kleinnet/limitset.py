@@ -538,32 +538,53 @@ def circle_deviation(
 ) -> float:
     """Relative misfit of the best circle (or line, the infinite-radius case)
     through the cloud: max radial deviation over the radius, or max line
-    offset over the cloud diameter."""
+    offset over the cloud diameter.
+
+    Both fits are closed forms in the centred moments s_uu, s_vv and s_uv
+    of u = x - mean(x) and v = y - mean(y), which are plain numpy sums.  The
+    cloud is collinear when their determinant is below 1e-14 times their
+    trace squared (a singular-value ratio below 1e-7); the line is then its
+    principal axis.  Otherwise the circle is the Kasa fit (Kasa 1976), the
+    least-squares solution of x^2 + y^2 = 2 cx x + 2 cy y + c0, whose centre
+    solves the 2x2 normal equations in centred coordinates by Cramer's
+    rule.  u and v are first scaled by a power of two to modulus below 1,
+    which is exact, so that the moments neither overflow nor underflow."""
     z = cloud.plane_values(window_radius)
     if len(z) < MIN_CIRCLE_POINTS:
         raise SparseWindowError(
             f"circle fit needs at least {MIN_CIRCLE_POINTS} points in the window"
         )
-    x, y = z.real, z.imag
-    centered = np.column_stack([x - x.mean(), y - y.mean()])
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    if sv[0] == 0.0:
+    u, v = z.real - z.real.mean(), z.imag - z.imag.mean()
+    _, exp = math.frexp(float(max(np.abs(u).max(), np.abs(v).max())))
+    u, v = np.ldexp(u, -exp), np.ldexp(v, -exp)
+    suu, svv, suv = (u * u).sum(), (v * v).sum(), (u * v).sum()
+    if suu + svv == 0.0:
         raise LimitSetError("degenerate cloud: all points coincide")
-    if sv[1] / sv[0] < 1e-7:
-        # collinear: fit the line through the mean along the top axis
-        along = centered @ vt[0]
-        offset = np.abs(centered @ vt[1])
-        diameter = float(along.max() - along.min())
-        return float(offset.max() / diameter)
-    design = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
-    target = x * x + y * y
-    (cx, cy, c0), *_ = np.linalg.lstsq(design, target, rcond=None)
-    r2 = c0 + cx * cx + cy * cy
+    det = suu * svv - suv * suv
+    if det < 1e-14 * (suu + svv) ** 2:
+        # collinear: fit the line through the mean along the principal axis
+        angle = 0.5 * math.atan2(2.0 * suv, suu - svv)
+        along = u * math.cos(angle) + v * math.sin(angle)
+        offset = np.abs(v * math.cos(angle) - u * math.sin(angle))
+        return float(offset.max() / (along.max() - along.min()))
+    w = u * u + v * v
+    su, sv = 0.5 * (u * w).sum(), 0.5 * (v * w).sum()
+    a, b = (su * svv - sv * suv) / det, (suu * sv - suv * su) / det
+    r2 = a * a + b * b + w.mean()
     if not r2 > 0.0:
         raise LimitSetError("circle fit is degenerate")
     radius = math.sqrt(r2)
-    radial = np.hypot(x - cx, y - cy)
-    return float(np.abs(radial - radius).max() / radius)
+    return float(np.abs(np.hypot(u - a, v - b) - radius).max() / radius)
+
+
+def _dyadic_slope(counts) -> float:
+    """Least-squares slope of log count_k against log(1 / delta_k) for the
+    dyadic scales delta_k = delta_0 / 2^k, k < len(counts).  Since
+    log(1 / delta_k) = log(1 / delta_0) + k log 2, delta_0 drops out:
+    the slope is sum((k - kbar) log count_k) / (sum((k - kbar)^2) log 2)."""
+    kbar = (len(counts) - 1) / 2.0
+    num = sum((k - kbar) * math.log(count) for k, count in enumerate(counts))
+    return num / (sum((k - kbar) ** 2 for k in range(len(counts))) * math.log(2.0))
 
 
 def box_dimension(cloud: LimitPointCloud) -> float:
@@ -588,11 +609,11 @@ def box_dimension(cloud: LimitPointCloud) -> float:
     size = max(float(x.max() - xmin), float(y.max() - ymin))
     if size == 0.0:
         raise LimitSetError("degenerate cloud: all points coincide")
-    deltas = [size / 4.0 / (2.0**k) for k in range(BOX_LEVELS)]
+    finest = size / 4.0 / 2.0 ** (BOX_LEVELS - 1)
     # cell indices on the finest scale are at most 4 * 2^(BOX_LEVELS - 1)
     keys = np.zeros(len(z), dtype=np.int64)
     for t in (x - xmin, y - ymin):
-        cells = np.floor(t / deltas[-1]).astype(np.int64)
+        cells = np.floor(t / finest).astype(np.int64)
         for shift, mask in _SPREAD2:
             cells = (cells | cells << shift) & mask
         keys = keys << 1 | cells
@@ -602,10 +623,7 @@ def box_dimension(cloud: LimitPointCloud) -> float:
         keys = keys[_run_starts(keys)]
         counts.append(len(keys))
         keys = keys >> 2
-    log_inv_delta = [math.log(1.0 / delta) for delta in deltas]
-    log_counts = [math.log(count) for count in reversed(counts)]
-    slope = np.polyfit(log_inv_delta, log_counts, 1)[0]
-    return float(slope)
+    return _dyadic_slope(counts[::-1])
 
 
 def check_window(window) -> tuple[float, float, float, float]:
