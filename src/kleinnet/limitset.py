@@ -554,19 +554,20 @@ def circle_deviation(
         raise SparseWindowError(
             f"circle fit needs at least {MIN_CIRCLE_POINTS} points in the window"
         )
-    u, v = z.real - z.real.mean(), z.imag - z.imag.mean()
-    _, exp = math.frexp(float(max(np.abs(u).max(), np.abs(v).max())))
-    u, v = np.ldexp(u, -exp), np.ldexp(v, -exp)
+    uv = np.stack([z.real - z.real.mean(), z.imag - z.imag.mean()])
+    u, v = np.ldexp(uv, -math.frexp(float(np.abs(uv).max()))[1])
     suu, svv, suv = (u * u).sum(), (v * v).sum(), (u * v).sum()
-    if suu + svv == 0.0:
-        raise LimitSetError("degenerate cloud: all points coincide")
     det = suu * svv - suv * suv
-    if det < 1e-14 * (suu + svv) ** 2:
+    if det <= 1e-14 * (suu + svv) ** 2:
         # collinear: fit the line through the mean along the principal axis
         angle = 0.5 * math.atan2(2.0 * suv, suu - svv)
         along = u * math.cos(angle) + v * math.sin(angle)
+        # coincident points whose mean rounds leave u and v equal, not zero
+        diameter = along.max() - along.min()
+        if diameter == 0.0:
+            raise LimitSetError("degenerate cloud: all points coincide")
         offset = np.abs(v * math.cos(angle) - u * math.sin(angle))
-        return float(offset.max() / (along.max() - along.min()))
+        return float(offset.max() / diameter)
     w = u * u + v * v
     su, sv = 0.5 * (u * w).sum(), 0.5 * (v * w).sum()
     a, b = (su * svv - sv * suv) / det, (suu * sv - suv * su) / det
@@ -582,9 +583,9 @@ def _dyadic_slope(counts) -> float:
     dyadic scales delta_k = delta_0 / 2^k, k < len(counts).  Since
     log(1 / delta_k) = log(1 / delta_0) + k log 2, delta_0 drops out:
     the slope is sum((k - kbar) log count_k) / (sum((k - kbar)^2) log 2)."""
-    kbar = (len(counts) - 1) / 2.0
-    num = sum((k - kbar) * math.log(count) for k, count in enumerate(counts))
-    return num / (sum((k - kbar) ** 2 for k in range(len(counts))) * math.log(2.0))
+    ks = [k - (len(counts) - 1) / 2.0 for k in range(len(counts))]
+    num = sum(k * math.log(count) for k, count in zip(ks, counts))
+    return num / (sum(k * k for k in ks) * math.log(2.0))
 
 
 def box_dimension(cloud: LimitPointCloud) -> float:

@@ -640,9 +640,9 @@ for spec, kwargs, _ in INVARIANCE_GUARD:
 """
 
 
-def _guard_reprs(env):
+def _printed_reprs(script, env):
     proc = subprocess.run(
-        [sys.executable, "-c", _GUARD_SCRIPT, str(Path(__file__).parent)],
+        [sys.executable, "-c", script, str(Path(__file__).parent)],
         capture_output=True,
         text=True,
         env=env,
@@ -653,9 +653,9 @@ def _guard_reprs(env):
 
 
 def test_invariance_does_not_depend_on_cpu_kernels():
-    default = _guard_reprs(_env_with_src())
+    default = _printed_reprs(_GUARD_SCRIPT, _env_with_src())
     assert len(default) == len(INVARIANCE_GUARD)
-    assert _guard_reprs(_plain_cpu_env()) == default
+    assert _printed_reprs(_GUARD_SCRIPT, _plain_cpu_env()) == default
 
 
 # limitset inputs whose stdout, CSV and PPM must not depend on the CPU
@@ -689,6 +689,40 @@ def test_limitset_bytes_do_not_depend_on_cpu_kernels(tmp_path):
     assert _limitset_digests(_plain_cpu_env(), tmp_path) == default
 
 
+# (traces, eps) of the clouds whose statistics must not depend on the CPU
+# kernels in any bit: the inputs above at the default eps, the benchmark's
+# fractal cloud, the perturbed cloud of the goldens and criterion 5, and
+# finer clouds of the Fuchsian group, whose fit is the line branch
+STATISTICS_CLOUDS = [(traces, limitset.DEFAULT_EPSILON) for traces in CPU_KERNEL_TRACES] + [
+    ("3+0.5i,3", 5e-5),
+    ("3,3,3", 1e-5),
+    ("3+0.5i,3", 1e-3),
+    ("3+0.5i,3", 2e-4),
+    ("3,3,3", 1e-4),
+]
+
+# Prints the repr of circle_deviation at the CLI's default window radius 2.2
+# and at 4, and of box_dimension, for every STATISTICS_CLOUDS case; the
+# tests directory is the first argument.
+_STATISTICS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from kleinnet.limitset import box_dimension, circle_deviation, enumerate_limit_set, from_traces
+from test_limitset import STATISTICS_CLOUDS
+for traces, eps in STATISTICS_CLOUDS:
+    rep = from_traces(*(complex(t.replace("i", "j")) for t in traces.split(",")))
+    cloud = enumerate_limit_set(rep, epsilon=eps)
+    for value in (circle_deviation(cloud, 2.2), circle_deviation(cloud, 4.0), box_dimension(cloud)):
+        print(repr(value))
+"""
+
+
+def test_statistics_do_not_depend_on_cpu_kernels():
+    default = _printed_reprs(_STATISTICS_SCRIPT, _env_with_src())
+    assert len(default) == 3 * len(STATISTICS_CLOUDS)
+    assert _printed_reprs(_STATISTICS_SCRIPT, _plain_cpu_env()) == default
+
+
 # -- circle fit and box dimension ----------------------------------------------
 
 
@@ -706,12 +740,48 @@ def test_circle_fit_line_fallback():
     assert circle_deviation(cloud) <= 1e-12
 
 
+def test_circle_fit_exact_arc():
+    # an off-centre arc, on which no moment of the fit vanishes
+    arc = (0.4 - 0.2j) + 1.3 * np.exp(1j * np.linspace(0.3, 2.4, 500))
+    cloud = LimitPointCloud(arc, np.zeros(500, np.int8), 1e-3, 30)
+    assert circle_deviation(cloud) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", [1e100, 1e160, 1e-300])
+def test_circle_fit_does_not_depend_on_the_scale(radius):
+    assert circle_deviation(synthetic_circle(2000, radius), 2.0 * radius) <= 1e-12
+
+
+# a slanted line through the first quadrant, and a vertical line
+@pytest.mark.parametrize("direction,offset", [(complex(0.6, 0.8), 0.1 - 0.3j), (1j, 0.7 + 0j)])
+def test_circle_fit_line_branch_off_the_real_axis(direction, offset):
+    line = offset + direction * np.linspace(-2.0, 1.5, 700)
+    cloud = LimitPointCloud(line, np.zeros(700, np.int8), 1e-3, 30)
+    assert circle_deviation(cloud) <= 1e-12
+    # points alternately 1e-9 to either side, well inside the collinear
+    # test, at a diameter of 3.5
+    noisy = line + 1e-9j * direction * np.resize([1.0, -1.0], 700)
+    cloud = LimitPointCloud(noisy, np.zeros(700, np.int8), 1e-3, 30)
+    assert circle_deviation(cloud) == pytest.approx(1e-9 / 3.5, rel=1e-2)
+
+
 def test_circle_fit_needs_points():
     few = LimitPointCloud(
         np.zeros(5, np.complex128), np.zeros(5, np.int8), 1e-3, 30
     )
     with pytest.raises(LimitSetError):
         circle_deviation(few)
+
+
+# coincident points whose mean is exact, and ones whose mean rounds, so that
+# their centred coordinates are equal but not zero
+@pytest.mark.parametrize("point", [0.5 - 0.25j, 0.1 + 0.7j])
+@pytest.mark.parametrize("statistic", [circle_deviation, box_dimension])
+def test_statistics_refuse_coincident_points(statistic, point):
+    n = limitset.MIN_BOX_POINTS
+    cloud = LimitPointCloud(np.full(n, point), np.zeros(n, np.int8), 1e-3, 30)
+    with pytest.raises(LimitSetError, match="all points coincide"):
+        statistic(cloud)
 
 
 def test_fuchsian_cloud_is_a_circle():
