@@ -142,7 +142,8 @@ class TensorState(Record):
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        amps = self.amplitudes
+        return math.sqrt(float((amps.real * amps.real + amps.imag * amps.imag).sum()))
 
 
 def _check_work(n_areas: int, n_gates: int) -> None:
