@@ -759,10 +759,12 @@ def test_circle_fit_line_branch_off_the_real_axis(direction, offset):
     cloud = LimitPointCloud(line, np.zeros(700, np.int8), 1e-3, 30)
     assert circle_deviation(cloud) <= 1e-12
     # points alternately 1e-9 to either side, well inside the collinear
-    # test, at a diameter of 3.5
+    # test, at a diameter of 3.5; rounding moves the offsets by about 1e-16
     noisy = line + 1e-9j * direction * np.resize([1.0, -1.0], 700)
     cloud = LimitPointCloud(noisy, np.zeros(700, np.int8), 1e-3, 30)
-    assert circle_deviation(cloud) == pytest.approx(1e-9 / 3.5, rel=1e-2)
+    deviation = circle_deviation(cloud)
+    assert deviation == pytest.approx(1e-9 / 3.5, rel=1e-2)
+    assert deviation == pytest.approx(_lapack_circle_deviation(cloud, 4.0), rel=1e-5)
 
 
 def test_circle_fit_needs_points():
@@ -840,6 +842,52 @@ def _box_dimension_by_level(cloud):
 def test_box_dimension_matches_the_per_level_counts(rep, eps):
     cloud = enumerate_limit_set(rep, epsilon=eps)
     assert box_dimension(cloud) == _box_dimension_by_level(cloud)
+
+
+def _lapack_circle_deviation(cloud, window_radius):
+    """circle_deviation by LAPACK: the collinear test and the line from an
+    SVD of the centred points, and the circle from lstsq of (2x, 2y, 1) on
+    x^2 + y^2."""
+    z = cloud.plane_values(window_radius)
+    x, y = z.real, z.imag
+    centred = np.column_stack([x - x.mean(), y - y.mean()])
+    _, sv, vt = np.linalg.svd(centred, full_matrices=False)
+    if sv[1] / sv[0] < 1e-7:
+        along = centred @ vt[0]
+        return float(np.abs(centred @ vt[1]).max() / (along.max() - along.min()))
+    design = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
+    (cx, cy, c0), *_ = np.linalg.lstsq(design, x * x + y * y, rcond=None)
+    radius = math.sqrt(c0 + cx * cx + cy * cy)
+    return float(np.abs(np.hypot(x - cx, y - cy) - radius).max() / radius)
+
+
+# the closed forms solve the least-squares problems that LAPACK solves, in
+# another order of operations, so they agree to within rounding
+@pytest.mark.parametrize(
+    "rep,kwargs",
+    [
+        (FUCHSIAN, {"epsilon": 1e-3}),
+        (PERTURBED, {"epsilon": 1e-3}),
+        (PERTURBED, {"epsilon": 2e-4}),
+        (MIXED_CHART, {"max_depth": 4}),
+        (from_traces(2.2, 2.5), {"epsilon": 1e-3}),
+    ],
+)
+def test_circle_fit_matches_the_lapack_fit(rep, kwargs):
+    cloud = enumerate_limit_set(rep, **kwargs)
+    for radius in (2.2, 4.0):
+        expected = _lapack_circle_deviation(cloud, radius)
+        assert circle_deviation(cloud, radius) == pytest.approx(expected, rel=1e-10, abs=1e-15)
+
+
+def test_dyadic_slope_matches_polyfit():
+    rng = np.random.default_rng(32)
+    for levels in (2, 3, 7, 12):
+        counts = np.sort(rng.integers(1, 10**6, levels)).tolist()
+        delta0 = rng.uniform(1e-3, 10.0)
+        log_inv_delta = [math.log(1.0 / (delta0 / 2.0**k)) for k in range(levels)]
+        expected = np.polyfit(log_inv_delta, np.log(counts), 1)[0]
+        assert limitset._dyadic_slope(counts) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # -- rendering and export --------------------------------------------------------
