@@ -548,7 +548,8 @@ def circle_deviation(
     least-squares solution of x^2 + y^2 = 2 cx x + 2 cy y + c0, whose centre
     solves the 2x2 normal equations in centred coordinates by Cramer's
     rule.  u and v are first scaled by a power of two to modulus below 1,
-    which is exact, so that the moments neither overflow nor underflow."""
+    so that the moments neither overflow nor underflow at any scale; in the
+    normal range the scaling changes no bit of the statistic."""
     z = cloud.plane_values(window_radius)
     if len(z) < MIN_CIRCLE_POINTS:
         raise SparseWindowError(
