@@ -1149,31 +1149,42 @@ def test_invariance_memory_is_bounded():
 
 
 @pytest.mark.parametrize("traces", [(3, 3, 3), (2.2, 2.5)])
-def test_invariance_lifts_each_image_once(monkeypatch, traces):
+def test_invariance_lifts_each_image_at_most_once(monkeypatch, traces):
     rep = from_traces(*traces)
     cloud = enumerate_limit_set(rep, epsilon=1e-3)
+    # the distinct points in Morton order, in which every _ANCHOR-th is an
+    # anchor, and all their images under the two generators and inverses
+    vals, charts = _distinct(cloud)
+    order = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon).order
+    vals, charts = vals[order], charts[order]
+    entries = [g.entries() for g in rep.images + rep.inverses]
+    images = limitset._image_lifts(entries, vals, charts)
+    anchor = np.arange(len(vals)) // limitset._ANCHOR * limitset._ANCHOR
+    # an image is no nearer its nearest point than its anchor image's
+    # nearest distance plus its distance to that image, so the images whose
+    # sum exceeds the invariance are left unsettled by any bound
+    points = _lift(vals, charts).T
+    near = np.sqrt([_brute_nearest_sq(points, images[:, g, ::limitset._ANCHOR].T) for g in range(4)])
+    dx, dy, dz = images - images[:, :, anchor]
+    reach = np.sqrt(dx * dx + dy * dy + dz * dz) + near[:, anchor // limitset._ANCHOR]
+    index = {p: i for i, p in enumerate(zip(vals.tolist(), charts.tolist()))}
     lifted = []
     image_lifts = limitset._image_lifts
 
-    def counted(entries, vals, charts):
-        lifted.append((len(entries), vals, charts))
-        return image_lifts(entries, vals, charts)
+    def counted(some, vals, charts, *args):
+        points = [index[p] for p in zip(vals.tolist(), charts.tolist())]
+        lifted.extend((entries.index(e), i) for e in some for i in points)
+        return image_lifts(some, vals, charts, *args)
 
     monkeypatch.setattr(limitset, "_image_lifts", counted)
-    vals, charts = _distinct(cloud)
     for chunk in (limitset._CHUNK, 7):
         monkeypatch.setattr(limitset, "_CHUNK", chunk)
         lifted.clear()
-        cloud_group_invariance(cloud, rep)
-        # two generators and their inverses, each lifting every distinct
-        # point once: the anchors first, then the other points by chunks
-        assert {k for k, _, _ in lifted} == {4}
-        got_vals = np.concatenate([v for _, v, _ in lifted])
-        got_charts = np.concatenate([c for _, _, c in lifted])
-        assert len(got_vals) == len(vals)
-        order = np.lexsort((got_charts, got_vals.imag, got_vals.real))
-        assert np.array_equal(got_vals[order], vals)
-        assert np.array_equal(got_charts[order], charts)
+        value = cloud_group_invariance(cloud, rep)
+        assert len(set(lifted)) == len(lifted)
+        unsettled = set(zip(*np.nonzero(reach * reach > value * value)))
+        anchors = {(g, i) for g in range(4) for i in range(0, len(vals), limitset._ANCHOR)}
+        assert unsettled | anchors <= set(lifted)
 
 
 def test_invariance_key_bounds_few_images(monkeypatch):
