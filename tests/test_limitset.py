@@ -1187,6 +1187,24 @@ def test_invariance_lifts_each_image_at_most_once(monkeypatch, traces):
         assert unsettled | anchors <= set(lifted)
 
 
+def test_invariance_lifts_few_images(monkeypatch):
+    # the benchmark's fractal cloud: the anchors' images, 4/16 per point,
+    # are lifted, and of the others only those that the bound from the
+    # anchor leaves unsettled, so at most 1.5 of each point's 4 images
+    rep = from_traces(complex(3, 0.5), 3)
+    cloud = enumerate_limit_set(rep, epsilon=5e-5)
+    lifted = []
+    image_lifts = limitset._image_lifts
+
+    def counted(entries, vals, *args):
+        lifted.append(len(entries) * len(vals))
+        return image_lifts(entries, vals, *args)
+
+    monkeypatch.setattr(limitset, "_image_lifts", counted)
+    cloud_group_invariance(cloud, rep)
+    assert sum(lifted) <= 1.5 * len(_distinct(cloud)[0])
+
+
 def test_invariance_key_bounds_few_images(monkeypatch):
     # the anchors, one image in _ANCHOR = 16, are all bounded in key order;
     # the anchor bounds settle all but a few of the others, so at most
