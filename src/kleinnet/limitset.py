@@ -871,28 +871,65 @@ class _Nearest:
         return query[keep], cells[keep]
 
 
-def _anchored_max(nearest: _Nearest, images, anchors, roots, of, best: float) -> float:
+def _widened(dist: np.ndarray, root) -> np.ndarray:
+    """(dist + root)^2, widened by _SLACK and _TINY for rounding: a bound
+    of the squared nearest distance of a query that lies within dist of a
+    point whose nearest distance is at most root.  dist is overwritten."""
+    dist += root
+    return np.multiply(dist, dist, out=dist) * (1.0 + _SLACK) + _TINY
+
+
+def _image_reach(spread: np.ndarray, norm: np.ndarray, g) -> np.ndarray:
+    """An upper bound on the distance between the computed lifts of the
+    images gz and gw of cloud points z and w, made before the image of z:
+    spread is the distance between the computed lifts of z and w, norm the
+    |g (u, v)| / |(u, v)| that _image_lifts gives for w, and g the entries
+    (a, b, c, d) of the matrix.
+
+    For unit vectors z^ and w^ the chordal distance is d(z, w) = |z1 w2 -
+    z2 w1|, so d(gz, gw) = |det g| d(z, w) / (|g z^| |g w^|) (Beardon
+    1983).  Some unit multiple of w^ lies within sqrt(2) d(z, w) of z^, so
+    |g z^| >= |g w^| - sqrt(2) |g| d(z, w), where the Frobenius norm
+    `size` bounds |g|.  Every quantity is widened for rounding by far more
+    than its error:
+
+    - d(z, w) <= spread + 2^-46: each lift errs by below 12 ulp of 1/2;
+    - the products g (u, v) err by at most sqrt(2) gamma_3 size |(u, v)|
+      <= 2^-50 size |(u, v)|, which moves an image by at most 2^-50 size
+      |(u, v)| / |g (u, v)| in the chordal metric and norm by 2^-50 size;
+      the factor 1 - 2^-40 on norm covers its own rounding and that of m;
+    - so |g w^| >= low := norm (1 - 2^-40) - 2^-50 size and |g z^| >= m
+      := low - sqrt(2) size (spread + 2^-46);
+    - |det g| <= |ad - bc| (1 + 2^-40) + 2^-50 size^2;
+    - 2^-46 more for the quotient and the lift of both images.
+
+    A bound whose m is not positive is infinite."""
+    a, b, c, d = g
+    size = math.hypot(abs(a), abs(b), abs(c), abs(d))
+    det = abs(a * d - b * c) * (1.0 + 2.0**-40) + 2.0**-50 * size * size
+    spread = spread + 2.0**-46
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low = np.maximum(norm * (1.0 - 2.0**-40) - 2.0**-50 * size, 0.0)
+        m = np.maximum(low - math.sqrt(2.0) * size * spread, 0.0)
+        return (det * spread / low + 2.0**-49 * size) / m + 2.0**-46
+
+
+def _anchored_max(nearest: _Nearest, queries, anchors, roots, of, best: float) -> float:
     """The larger of best and the largest squared nearest-point distance of
-    the images, given as (axis, generator, point), when image j of
-    generator g has the anchor anchors[:, g, of[j]], already folded, whose
-    nearest distance is at most roots[g, of[j]].
+    the images `queries` of one matrix, when image j has the anchor
+    anchors[:, of[j]], already folded, whose nearest distance is at most
+    roots[of[j]].
 
     An image q whose anchor a has the bound R^2 is no farther from its
     nearest point than R + |q - a|, by the triangle inequality; widened by
     _SLACK and _TINY for rounding, that bound settles most images without a
     key search, and only those whose bound still exceeds the largest
     distance found are bounded in key order and descended."""
-    for g in range(images.shape[1]):
-        queries = images[:, g]
-        bound = np.sqrt(_squared(queries, anchors[:, g], of))
-        bound += roots[g, of]
-        bound *= bound
-        bound *= 1.0 + _SLACK
-        bound += _TINY
-        rows = np.flatnonzero(bound > best)
-        if rows.size:
-            queries = queries[:, rows]
-            best = nearest.fold(queries, np.minimum(nearest.bound(queries), bound[rows]), best)
+    bound = _widened(np.sqrt(_squared(queries, anchors, of)), roots[of])
+    rows = np.flatnonzero(bound > best)
+    if rows.size:
+        queries = queries[:, rows]
+        best = nearest.fold(queries, np.minimum(nearest.bound(queries), bound[rows]), best)
     return best
 
 
@@ -906,7 +943,7 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     times 1, 4, 16, ..., so the value is the one a KD-tree query gives, to
     the last bit.  The cloud is walked in the cells' Morton order, so
     neighbouring points have neighbouring images, and each image under
-    every generator and inverse is made once:
+    every generator and inverse is made at most once:
 
     - first the images of every _ANCHOR-th point, the anchors, are bounded
       by the points beside them in key order and folded into the largest
@@ -914,10 +951,12 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
       when the other images come;
     - then the other images, _CHUNK cloud points at a time so the
       temporaries do not grow with the cloud, are each bounded by its
-      anchor's bound plus its distance to the anchor (see _anchored_max),
-      and only those whose bound exceeds the largest distance found are
-      bounded in key order, then searched down the cells, largest bound
-      first.
+      anchor's bound plus a bound on its distance to the anchor's image
+      from the cloud points' own distance (see _image_reach); only those
+      whose bound exceeds the largest distance found are made, bounded
+      again with their exact distance to the anchor's image (see
+      _anchored_max) and in key order, then searched down the cells,
+      largest bound first.
 
     Repeated points are searched once."""
     if len(cloud) == 0:
@@ -932,7 +971,8 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     nearest = _Nearest(_lift(vals, charts), 2.0 * cloud.epsilon)
     vals, charts = vals[nearest.order], charts[nearest.order]
     entries = [g.entries() for g in rep.images + rep.inverses]
-    anchors = _image_lifts(entries, vals[::_ANCHOR], charts[::_ANCHOR])
+    norms = np.empty((len(entries), len(vals[::_ANCHOR])))
+    anchors = _image_lifts(entries, vals[::_ANCHOR], charts[::_ANCHOR], norms)
     flat = anchors.reshape(3, -1)
     bound = nearest.bound(flat)
     best = nearest.fold(flat, bound, 0.0)
@@ -940,15 +980,21 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     for s in range(0, len(vals), _CHUNK):
         i = np.arange(s, min(s + _CHUNK, len(vals)))
         i = i[i % _ANCHOR != 0]
-        if i.size:
-            images = _image_lifts(entries, vals[i], charts[i])
-            best = _anchored_max(nearest, images, anchors, roots, i // _ANCHOR, best)
+        of = i // _ANCHOR
+        spread = np.sqrt(_squared(nearest.coords[:, i], nearest.coords, of * _ANCHOR))
+        for g in range(len(entries)):
+            reach = _image_reach(spread, norms[g, of], entries[g])
+            rows = np.flatnonzero(~(_widened(reach, roots[g, of]) <= best))
+            if rows.size:
+                images = _image_lifts(entries[g:g + 1], vals[i[rows]], charts[i[rows]])[:, 0]
+                best = _anchored_max(nearest, images, anchors[:, g], roots[g], of[rows], best)
     return math.sqrt(best)
 
 
-def _image_lifts(entries, vals: np.ndarray, charts: np.ndarray) -> np.ndarray:
+def _image_lifts(entries, vals: np.ndarray, charts: np.ndarray, norms=None) -> np.ndarray:
     """Sphere lifts of the images of the points (vals, charts) under the
-    matrices with the given entries, as (axis, matrix, point).
+    matrices with the given entries, as (axis, matrix, point), and when
+    norms is given, |(nu, nv)| / |(u, v)| in its rows (matrix, point).
 
     A point is the homogeneous pair (u, v) = (z, 1) in chart 0 and (1, z)
     in chart 1, split once into contiguous real and imaginary parts that
@@ -976,6 +1022,8 @@ def _image_lifts(entries, vals: np.ndarray, charts: np.ndarray) -> np.ndarray:
                 sub(np.multiply(q.real, qu, out=y), np.multiply(q.imag, qv, out=t), out=y)
                 np.add(x, y, out=part)
         np.less_equal(np.abs(nu, out=x), np.abs(nv, out=y), out=take0)
+        if norms is not None:
+            np.divide(np.hypot(x, y), np.hypot(1.0, np.abs(vals)), out=norms[k])
         # nv (resp. nu) is nonzero wherever take0 (resp. not): the images
         # are genuine sphere points
         w = np.where(take0, nu, nv)

@@ -1205,6 +1205,79 @@ def test_invariance_lifts_few_images(monkeypatch):
     assert sum(lifted) <= 1.5 * len(_distinct(cloud)[0])
 
 
+def _sl2_of_norm(norm, rng):
+    """U diag(norm, 1/norm) V for seeded unitary U and V, scaled to
+    determinant 1, and V's conjugate rows: the unit vectors that the matrix
+    stretches most and least."""
+    u, v = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(2))
+    m = u @ np.diag([norm, 1.0 / norm]) @ v
+    m /= np.sqrt(np.linalg.det(m))
+    return tuple(complex(x) for x in m.ravel()), v.conj()
+
+
+def _in_both_charts(u, v):
+    """The points (u : v) as chart values and charts, each point once in
+    chart 0 and once in chart 1."""
+    return np.concatenate([u / v, v / u]), np.repeat(np.array([0, 1], np.int8), len(u))
+
+
+def _reach_and_distance(g, z, w):
+    """_image_reach for the images of the points z under the matrix with
+    entries g, each with the point of w beside it as its anchor, and the
+    distance between the computed lifts of the two images; points are
+    (values, charts) pairs."""
+    n = len(z[0])
+    spread = np.sqrt(limitset._squared(_lift(*z), _lift(*w), np.arange(n)))
+    norm = np.empty((1, n))
+    anchor = limitset._image_lifts([g], *w, norm)[:, 0]
+    image = limitset._image_lifts([g], *z)[:, 0]
+    return limitset._image_reach(spread, norm[0], g), np.sqrt(limitset._squared(image, anchor, np.arange(n)))
+
+
+@pytest.mark.parametrize("stretch", [1.0, 1.5, 1e2, 1e4, 1e6])
+def test_image_reach_bounds_the_computed_image_distance(stretch):
+    rng = np.random.default_rng(int(stretch))
+    g, right = _sl2_of_norm(stretch, rng)
+    n = 400
+    # unit anchors w^: seeded; on |z| = 1 and |z| = 2, the chart boundaries
+    # of clouds; on g's preimage of |z| = 1, the chart boundary of images;
+    # and g's most stretched vector, from which a move toward the least
+    # stretched one shrinks |g z^| at the rate the bound allows
+    turn = np.exp(2j * np.pi * rng.uniform(size=n))
+    a, b, c, d = g
+    w = np.concatenate([
+        rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)),
+        [turn, np.ones(n)], [2.0 * turn, np.ones(n)],
+        [d * turn - b, a - c * turn],
+        np.repeat(right[0][:, None], n, axis=1),
+    ], axis=1)
+    w /= np.linalg.norm(w, axis=0)
+    # z^ at chordal distance sin(alpha) from w^, alpha from 1e-17 to pi/2
+    across = np.array([-w[1].conj(), w[0].conj()])
+    across[:, -n:] = right[1][:, None]
+    alpha = 10.0 ** rng.uniform(-17.0, math.log10(math.pi / 2), w.shape[1])
+    z = np.cos(alpha) * w + np.sin(alpha) * np.exp(2j * np.pi * rng.uniform(size=w.shape[1])) * across
+    # the pole of the bound, where |g z^|'s lower bound reaches 0: spreads
+    # just below it, found by bisection
+    norm = np.empty((1, w.shape[1]))
+    limitset._image_lifts([g], w[0] / w[1], np.zeros(w.shape[1], np.int8), norm)
+    low, high = np.zeros(w.shape[1]), np.ones(w.shape[1])
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        finite = np.isfinite(limitset._image_reach(mid, norm[0], g))
+        low, high = np.where(finite, mid, low), np.where(finite, high, mid)
+    near_pole = np.minimum(low * (1.0 - 2.0 ** -rng.integers(1, 40, w.shape[1])), 1.0)
+    beside = np.sqrt(1.0 - near_pole * near_pole) * w + near_pole * across
+    anchors = _in_both_charts(*w)
+    # each point with its anchor in the same chart and in the other one
+    for roll in (0, w.shape[1]):
+        for z_hat in (z, beside):
+            w_roll = tuple(np.roll(x, roll) for x in anchors)
+            reach, distance = _reach_and_distance(g, _in_both_charts(*z_hat), w_roll)
+            assert (reach >= distance).all()
+            assert np.isfinite(reach).mean() > 0.5
+
+
 def test_invariance_key_bounds_few_images(monkeypatch):
     # the anchors, one image in _ANCHOR = 16, are all bounded in key order;
     # the anchor bounds settle all but a few of the others, so at most
