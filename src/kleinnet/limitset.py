@@ -322,20 +322,21 @@ def _node_points(uv, eps2: float, at_floor: bool):
     if not emit.any():
         return emit, None
     in_chart = np.where(use0, fits[0], fits[1])
-    z = np.where(in_chart, z, 0.0)[..., emit]
+    # compress selects along the node axis without numpy's boolean-index path
+    z = np.where(in_chart, z, 0.0).compress(emit, axis=-1)
     c = 0.0 + z[:, 0]
     for i in range(1, k):
         np.add(c, z[:, i], out=c)
-    use0 = use0[emit]
-    return emit, (np.divide(c, np.where(use0, *counts[:, emit]), out=c), np.where(use0, 0, 1))
+    use0 = use0.compress(emit)
+    return emit, (np.divide(c, np.where(use0, *counts.compress(emit, axis=-1)), out=c), np.where(use0, 0, 1))
 
 
 class _Scratch:
     """One buffer for the temporaries of a chunk of frontier nodes, kept
     across levels.  The candidates taken per node and their products with
     the prefixes are dead before the children are made, so they share it
-    with the letters' matrices taken per child and the children's stacked
-    products."""
+    with the letters' matrices taken per child, the parents copied once per
+    child and the children's stacked products: 168 floats per node."""
 
     def __init__(self) -> None:
         self.flat = np.empty(0)
@@ -344,10 +345,10 @@ class _Scratch:
         """Grow the buffer to hold a chunk of `nodes` nodes; it never
         shrinks, so a level no wider than an earlier one takes no new
         pages."""
-        if len(self.flat) < 144 * nodes:
+        if len(self.flat) < 168 * nodes:
             # the smaller buffer is freed before the larger is allocated
             self.flat = None
-            self.flat = np.empty(144 * nodes)
+            self.flat = np.empty(168 * nodes)
 
     def take(self, table: np.ndarray, index: np.ndarray, at: int) -> np.ndarray:
         """table[..., index], written into the buffer from float `at` on."""
@@ -355,9 +356,9 @@ class _Scratch:
         out = self.flat[at:at + math.prod(shape)].reshape(shape)
         return np.take(table, index, axis=-1, out=out, mode="clip")
 
-    def out(self, shape: tuple) -> np.ndarray:
-        """The buffer's first floats, as an array of the given shape."""
-        return self.flat[: math.prod(shape)].reshape(shape)
+    def out(self, shape: tuple, at: int = 0) -> np.ndarray:
+        """The buffer's floats from `at` on, as an array of the given shape."""
+        return self.flat[at:at + math.prod(shape)].reshape(shape)
 
 
 def _expand(mats, last, cands, steps, scratch, eps2: float, at_floor: bool, room: int):
@@ -381,7 +382,7 @@ def _expand(mats, last, cands, steps, scratch, eps2: float, at_floor: bool, room
     if points is not None:
         room -= len(points[1])
         grow = ~emit
-        mats, last = mats[..., grow], last[grow]
+        mats, last = mats.compress(grow, axis=-1), last.compress(grow)
     made = 3 * len(last)
     if room <= 0:
         return points, made, None
@@ -390,11 +391,14 @@ def _expand(mats, last, cands, steps, scratch, eps2: float, at_floor: bool, room
     n = len(last)
     child_last = _NEXT[last].ravel()
     # the stacked products fill the first 96 floats per parent node, the
-    # letters' matrices the next 48; each parent meets its three children's
-    # by broadcasting, with the children last, as a repeat of the parents
-    # would lay them out
+    # letters' matrices the next 48 and the parents, copied once per child,
+    # the last 24: with the children last, both factors then run along the
+    # (node, child) axes in one stride, so numpy's inner loop is 3n long
+    # rather than the 3 of a broadcast parent
     x = scratch.take(steps, child_last, 96 * n).reshape(2, 2, 2, 2, 1, n, 3)
-    children = _product(mats[:, :, None, None, :, :, None], x, scratch.out((2, 2, 2, 2, 2, n, 3)))
+    parents = scratch.out((2, 2, 1, 1, 2, n, 3), 144 * n)
+    np.copyto(parents, mats[:, :, None, None, :, :, None])
+    children = _product(parents, x, scratch.out((2, 2, 2, 2, 2, n, 3)))
     return points, made, (_normalized(children.reshape(2, 2, 2, 3 * n)), child_last)
 
 
