@@ -133,7 +133,14 @@ def from_traces(
     b = Matrix2C(0.0, mu, -1.0 / mu, y)
     return make_rep([a, b])
 
-class LimitPointCloud(Record):
+class _PlaneCache(Record):
+    """A record with one slot outside its fields, `_plane`, where
+    LimitPointCloud.plane_values keeps what it computes once per cloud."""
+
+    __slots__ = ("_plane",)
+
+
+class LimitPointCloud(_PlaneCache):
     """Sampled limit set: chart coordinates, chart flags, and the sampling
     parameters.  `values` is a complex128 array of chart coordinates and
     `charts` an int8 array beside it (0: z, 1: 1/z); `epsilon` and
@@ -154,11 +161,17 @@ class LimitPointCloud(Record):
         """Plane coordinates of the points with |z| <= radius.  A chart-1
         zero (infinity) or a chart-1 value whose inverse overflows has no
         finite modulus, so it falls outside every window, also an infinite
-        one."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            z = np.where(self.charts == 0, self.values, 1.0 / self.values)
-            mag = np.abs(z)
-        return z[np.isfinite(mag) & (mag <= radius)]
+        one.  The whole cloud's plane coordinates and moduli are made on the
+        first call and kept, so each later call only selects."""
+        if not hasattr(self, "_plane"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                z = np.where(self.charts == 0, self.values, 1.0 / self.values)
+                mag = np.abs(z)
+            # NaN compares false with every radius, also an infinite one
+            mag[~np.isfinite(mag)] = np.nan
+            object.__setattr__(self, "_plane", (z, mag))
+        z, mag = self._plane
+        return z[mag <= radius]
 
 
 def _lift(values: np.ndarray, charts: np.ndarray) -> np.ndarray:
