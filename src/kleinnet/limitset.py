@@ -681,10 +681,16 @@ def render(
     window: tuple[float, float, float, float] = (-2.2, 2.2, -2.2, 2.2),
 ) -> bytes:
     """Binary PPM (P6): white background, one black pixel per cloud point
-    inside the window (re_min, re_max, im_min, im_max)."""
+    inside the window (re_min, re_max, im_min, im_max).  The pixels are
+    drawn in place after the header, so the image is copied once, into
+    the bytes returned."""
     check_image_size(width, height)
     re_min, re_max, im_min, im_max = check_window(window)
-    img = np.full((height, width, 3), 255, dtype=np.uint8)
+    header = b"P6\n%d %d\n255\n" % (width, height)
+    ppm = bytearray(len(header) + 3 * width * height)
+    ppm[: len(header)] = header
+    img = np.frombuffer(ppm, np.uint8, offset=len(header)).reshape(height, width, 3)
+    img.fill(255)
     z = cloud.plane_values(radius=math.inf)
     fx = (z.real - re_min) / (re_max - re_min)
     fy = (im_max - z.imag) / (im_max - im_min)
@@ -692,8 +698,7 @@ def render(
     px = np.minimum((fx[keep] * width).astype(np.int64), width - 1)
     py = np.minimum((fy[keep] * height).astype(np.int64), height - 1)
     img[py, px] = 0
-    header = b"P6\n%d %d\n255\n" % (width, height)
-    return header + img.tobytes()
+    return bytes(ppm)
 
 
 # Nearest neighbours for cloud_group_invariance come from a hierarchy of
