@@ -365,8 +365,7 @@ class _Scratch:
 
     def take(self, table: np.ndarray, index: np.ndarray, at: int) -> np.ndarray:
         """table[..., index], written into the buffer from float `at` on."""
-        shape = table.shape[:-1] + index.shape
-        out = self.flat[at:at + math.prod(shape)].reshape(shape)
+        out = self.out(table.shape[:-1] + index.shape, at)
         return np.take(table, index, axis=-1, out=out, mode="clip")
 
     def out(self, shape: tuple, at: int = 0) -> np.ndarray:
