@@ -918,9 +918,9 @@ def _image_reach(spread: np.ndarray, norm: np.ndarray, g) -> np.ndarray:
     - the products g (u, v) err by at most sqrt(2) gamma_3 size |(u, v)|
       <= 2^-50 size |(u, v)|, which moves an image by at most 2^-50 size
       |(u, v)| / |g (u, v)| in the chordal metric and norm by 2^-50 size;
-      the factor 1 - 2^-40 on norm covers its own rounding and that of m;
     - so |g w^| >= low := norm (1 - 2^-40) - 2^-50 size and |g z^| >= m
-      := low - sqrt(2) size (spread + 2^-46);
+      := low - sqrt(2) size (spread + 2^-46), where the factor 1 - 2^-40
+      covers the rounding of norm and of m;
     - |det g| <= |ad - bc| (1 + 2^-40) + 2^-50 size^2;
     - 2^-46 more for the quotient and the lift of both images.
 
