@@ -1323,6 +1323,26 @@ def test_invariance_work_is_linear_in_the_cloud(monkeypatch, traces, kwargs):
     assert sum(distances) <= 16 * len(cloud)
 
 
+def test_invariance_distances_per_point(monkeypatch):
+    # the benchmark's fractal cloud: the key bounds of the anchors' images,
+    # 4/16 per point, take 2 distances each and the spreads to the anchors
+    # 15/16, so 1.44 per point before the images that the reach bound
+    # leaves open are bounded and searched (2.19 in all when measured)
+    rep = from_traces(complex(3, 0.5), 3)
+    cloud = enumerate_limit_set(rep, epsilon=5e-5)
+    distances = []
+    squared = limitset._squared
+
+    def counted(*args):
+        d2 = squared(*args)
+        distances.append(len(d2))
+        return d2
+
+    monkeypatch.setattr(limitset, "_squared", counted)
+    cloud_group_invariance(cloud, rep)
+    assert sum(distances) <= 2.3 * len(cloud)
+
+
 # (representation, enumeration arguments, repr of the invariance)
 SPLIT_CASES = [
     (FUCHSIAN, {"epsilon": 1e-3}, "0.0045580501105617665"),
