@@ -892,14 +892,6 @@ class _Nearest:
         return query[keep], cells[keep]
 
 
-def _widened(dist: np.ndarray, root) -> np.ndarray:
-    """(dist + root)^2, widened by _SLACK and _TINY for rounding: a bound
-    of the squared nearest distance of a query that lies within dist of a
-    point whose nearest distance is at most root.  dist is overwritten."""
-    dist += root
-    return np.multiply(dist, dist, out=dist) * (1.0 + _SLACK) + _TINY
-
-
 def _image_reach(spread: np.ndarray, norm: np.ndarray, g) -> np.ndarray:
     """An upper bound on the distance between the computed lifts of the
     images gz and gw of cloud points z and w, made before the image of z:
@@ -935,25 +927,6 @@ def _image_reach(spread: np.ndarray, norm: np.ndarray, g) -> np.ndarray:
         return (det * spread / low + 2.0**-49 * size) / m + 2.0**-46
 
 
-def _anchored_max(nearest: _Nearest, queries, anchors, roots, of, best: float) -> float:
-    """The larger of best and the largest squared nearest-point distance of
-    the images `queries` of one matrix, when image j has the anchor
-    anchors[:, of[j]], already folded, whose nearest distance is at most
-    roots[of[j]].
-
-    An image q whose anchor a has the bound R^2 is no farther from its
-    nearest point than R + |q - a|, by the triangle inequality; widened by
-    _SLACK and _TINY for rounding, that bound settles most images without a
-    key search, and only those whose bound still exceeds the largest
-    distance found are bounded in key order and descended."""
-    bound = _widened(np.sqrt(_squared(queries, anchors, of)), roots[of])
-    rows = np.flatnonzero(bound > best)
-    if rows.size:
-        queries = queries[:, rows]
-        best = nearest.fold(queries, np.minimum(nearest.bound(queries), bound[rows]), best)
-    return best
-
-
 def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float:
     """One-sided chordal distance from the generator-mapped cloud back to the
     cloud: small values witness invariance of the sampled set under the
@@ -973,11 +946,10 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     - then the other images, _CHUNK cloud points at a time so the
       temporaries do not grow with the cloud, are each bounded by its
       anchor's bound plus a bound on its distance to the anchor's image
-      from the cloud points' own distance (see _image_reach); only those
-      whose bound exceeds the largest distance found are made, bounded
-      again with their exact distance to the anchor's image (see
-      _anchored_max) and in key order, then searched down the cells,
-      largest bound first.
+      from the cloud points' own distance (see _image_reach), by the
+      triangle inequality; only those whose bound exceeds the largest
+      distance found are made, bounded again by the points beside them in
+      key order, and searched down the cells, largest bound first.
 
     Repeated points are searched once."""
     if len(cloud) == 0:
@@ -993,8 +965,7 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
     vals, charts = vals[nearest.order], charts[nearest.order]
     entries = [g.entries() for g in rep.images + rep.inverses]
     norms = np.empty((len(entries), len(vals[::_ANCHOR])))
-    anchors = _image_lifts(entries, vals[::_ANCHOR], charts[::_ANCHOR], norms)
-    flat = anchors.reshape(3, -1)
+    flat = _image_lifts(entries, vals[::_ANCHOR], charts[::_ANCHOR], norms).reshape(3, -1)
     bound = nearest.bound(flat)
     best = nearest.fold(flat, bound, 0.0)
     roots = np.sqrt(bound).reshape(len(entries), -1)
@@ -1004,11 +975,15 @@ def cloud_group_invariance(cloud: LimitPointCloud, rep: Representation) -> float
         of = i // _ANCHOR
         spread = np.sqrt(_squared(nearest.coords[:, i], nearest.coords, of * _ANCHOR))
         for g in range(len(entries)):
-            reach = _image_reach(spread, norms[g, of], entries[g])
-            rows = np.flatnonzero(~(_widened(reach, roots[g, of]) <= best))
+            # (reach + R)^2, widened by _SLACK and _TINY for rounding, where
+            # R bounds the anchor image's nearest distance
+            reach = _image_reach(spread, norms[g, of], entries[g]) + roots[g, of]
+            reach = np.multiply(reach, reach, out=reach) * (1.0 + _SLACK) + _TINY
+            rows = np.flatnonzero(~(reach <= best))
             if rows.size:
                 images = _image_lifts(entries[g:g + 1], vals[i[rows]], charts[i[rows]])[:, 0]
-                best = _anchored_max(nearest, images, anchors[:, g], roots[g], of[rows], best)
+                # fmin, so that a NaN reach leaves the key bound
+                best = nearest.fold(images, np.fmin(nearest.bound(images), reach[rows]), best)
     return math.sqrt(best)
 
 

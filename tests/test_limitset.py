@@ -1456,6 +1456,16 @@ def test_invariance_matches_the_search_without_anchors(traces, eps):
         assert value == _brute_invariance(cloud, rep)
 
 
+@pytest.mark.parametrize("reach", [math.inf, math.nan])
+def test_invariance_does_not_need_the_reach_bound(monkeypatch, reach):
+    # a reach that settles no image, infinite or NaN, leaves every image
+    # to the key-order bound and the search
+    rep = from_traces(complex(3, 0.5), 3)
+    cloud = enumerate_limit_set(rep, epsilon=1e-3)
+    monkeypatch.setattr(limitset, "_image_reach", lambda spread, *args: np.full_like(spread, reach))
+    assert cloud_group_invariance(cloud, rep) == _invariance_without_anchors(cloud, rep)
+
+
 def test_invariance_rejects_empty_cloud():
     empty = LimitPointCloud(
         np.empty(0, np.complex128), np.empty(0, np.int8), 1e-3, 30
