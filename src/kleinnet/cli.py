@@ -187,12 +187,8 @@ def _limitset_rep(args: argparse.Namespace) -> sl2.Representation:
             raise KleinnetError("--other-root applies only to --traces")
         return _load_rep(args.rep)
     values = [_parse_complex(p) for p in args.traces.split(",")]
-    if len(values) == 2:
-        return limitset.from_traces(values[0], values[1], other_root=args.other_root)
-    if len(values) == 3:
-        if args.other_root:
-            raise KleinnetError("--other-root applies only when z is solved")
-        return limitset.from_traces(values[0], values[1], values[2])
+    if len(values) in (2, 3):
+        return limitset.from_traces(*values, other_root=args.other_root)
     raise KleinnetError("--traces needs two or three comma-separated values")
 
 

@@ -543,6 +543,14 @@ def test_limitset_flag_validation(capsys, rep_file):
     assert code == 1
 
 
+def test_limitset_other_root_refused_with_three_traces():
+    # from_traces refuses other_root when z is given, and the CLI reports it
+    code, out, err = run_module("limitset", "--traces", "3,3,3", "--other-root")
+    assert code == 1 and out == ""
+    assert "other_root applies only when z is solved" in err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_limitset_refuses_an_image_over_the_pixel_budget(tmp_path):
     out_path = tmp_path / "X.ppm"
     code, out, err = run_module(
